@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import errors as E
-from .constants import DEFAULT_TOLERANCES, TRIPLE_LINKING_SIGN
+from .constants import TRIPLE_LINKING_SIGN
 from .grid import Grid3, VectorField
 from .reports import StageTimer, checked, checked_window, dump_report, report_text
 from .scenes import Config, load_scene, scene_to_doc
@@ -48,21 +48,17 @@ def _emit(report, out_path, timer):
         sys.stdout.write(report_text(report))
 
 
-def _stable_direction(curves, rng, tries=32):
-    from .linking import find_crossings
-
-    for _ in range(tries):
-        d = rng.standard_normal(3)
-        try:
-            find_crossings(curves, d)
-            return d
-        except E.DegenerateProjection:
-            continue
-    raise E.DegenerateProjection(f"no generic direction in {tries} tries")
+# projection directions tried before a scene is declared degenerate
+DIRECTION_TRIES = 32
 
 
 def cmd_lk(args) -> tuple[int, dict]:
-    from .linking import crossing_linking, gauss_linking, writhe_framing
+    from .linking import (
+        crossing_linking,
+        gauss_linking,
+        with_generic_direction,
+        writhe_framing,
+    )
 
     timer = StageTimer()
     grid, link = load_scene(args.scene)
@@ -75,14 +71,16 @@ def cmd_lk(args) -> tuple[int, dict]:
     for i in range(n):
         for j in range(i + 1, n):
             gauss[i][j] = gauss[j][i] = gauss_linking(comps[i], comps[j])
-            d = _stable_direction([comps[i], comps[j]], rng)
-            crossing[i][j] = crossing[j][i] = crossing_linking(comps[i], comps[j], d)
+            crossing[i][j] = crossing[j][i] = with_generic_direction(
+                lambda d: crossing_linking(comps[i], comps[j], d), rng, DIRECTION_TRIES
+            )
     timer.stop()
     timer.start("writhe_framing")
     writhe, framing = [], []
     for c in comps:
-        d = _stable_direction([c], rng)
-        w, f = writhe_framing(c, d)
+        w, f = with_generic_direction(
+            lambda d: writhe_framing(c, d), rng, DIRECTION_TRIES
+        )
         writhe.append(w)
         framing.append(f)
     timer.stop()
@@ -200,14 +198,11 @@ def rng_seed(args, cfg):
 
 def _scene_diagram(link, rng):
     from .diagrams import diagram_from_curves
+    from .linking import with_generic_direction
 
-    for _ in range(32):
-        d = rng.standard_normal(3)
-        try:
-            return diagram_from_curves(link.components, d)
-        except E.DegenerateProjection:
-            continue
-    raise E.DegenerateProjection("no generic diagram direction found")
+    return with_generic_direction(
+        lambda d: diagram_from_curves(link.components, d), rng, DIRECTION_TRIES
+    )
 
 
 def cmd_massey(args) -> tuple[int, dict]:
@@ -321,10 +316,12 @@ def cmd_massey(args) -> tuple[int, dict]:
                 "mu123_grid_calibrated": TRIPLE_LINKING_SIGN * mu_grid,
                 "mu123_oracle": int(mu_oracle),
                 "calibrated_sign": TRIPLE_LINKING_SIGN,
-                "agreement": checked_window(
-                    abs(mu_grid) / abs(mu_oracle) if mu_oracle else float("inf"),
-                    0.85,
-                    1.15,
+                # a zero oracle value has no ratio: the grid period must
+                # then pass the meridian-period gate for a vanishing class
+                "agreement": (
+                    checked_window(abs(mu_grid) / abs(mu_oracle), 0.85, 1.15)
+                    if mu_oracle
+                    else checked(abs(mu_grid), mcfg.eps_period)
                 ),
                 "cartan_bianchi": cartan,
                 "involution": invol,
@@ -442,7 +439,6 @@ def build_parser():
             )
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--out", default=None, help="report JSON path")
-        sp.add_argument("--export-fields", action="store_true")
 
     sp = sub.add_parser("lk", help="linking matrix, writhe and framing")
     common(sp)

@@ -29,12 +29,10 @@ import numpy as np
 
 from .constants import DEFAULT_TOLERANCES, TOWER_BRACKET_SIGN
 from .errors import ObstructedPotential, OpenCurve
-from .grid import Grid3, GridField, VectorField, cross, dot
+from .grid import GridField, VectorField, cross, dot
 from .operators import (
     alpha,
-    alpha_inv,
     codiff,
-    contract,
     curl_inv,
     ext_d,
     harmonic_proj,
@@ -44,7 +42,6 @@ from .operators import (
     require_divergence_free,
     require_zero_mean,
     spectral_curl,
-    spectral_div,
 )
 
 
@@ -131,11 +128,6 @@ def f2(x1: VectorField, x2: VectorField, eps_div=None, eps_obstruction=None) -> 
         )
     m_clean = m - harmonic_proj(m)
     return laplace_inv(codiff(m_clean), eps_harm=np.inf)
-
-
-def boundary_pair(x1: VectorField, x2: VectorField) -> VectorField:
-    """The boundary of x1 ^ x2: -[x1, x2] (tower bracket)."""
-    return -1 * tower_bracket(x1, x2)
 
 
 def boundary_triple_terms(x1, x2, x3):

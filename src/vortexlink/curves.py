@@ -7,11 +7,11 @@ are the ones admitting flat Seifert discs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NotPlanar, OpenCurve, SceneError, TubeOverlap, TubeTooThin
+from .errors import NotPlanar, SceneError, TubeOverlap, TubeTooThin
 from .grid import Grid3
 
 

@@ -11,10 +11,10 @@ coefficient.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InconsistentDiagram, IndeterminateInvariant, SceneError
-from .magnus import MagnusSeries, word_series
+from .magnus import word_series
 
 DIAGRAM_SCHEMA = "vdiag-1"
 

@@ -54,10 +54,8 @@ def fourier_eval(grid: Grid3, comps: np.ndarray, points: np.ndarray,
 
     n, L = grid.n_points, grid.box_length
     p = np.asarray(points, dtype=float) + L / 2  # FFT phases live on [0, L)
-    hats = [rfft3(c) for c in comps]
-    power = np.zeros_like(hats[0], dtype=float)
-    for hh in hats:
-        power = np.maximum(power, np.abs(hh))
+    hats = rfft3(comps)
+    power = np.abs(hats).max(axis=0)
     peak = float(power.max())
     if peak == 0.0:
         return np.zeros((comps.shape[0], len(p)))

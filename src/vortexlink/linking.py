@@ -287,12 +287,18 @@ def writhe_framing(c, direction, rel_tol=None):
     return gauss_writhe(c, rel_tol), int(framing)
 
 
-def stable_crossing_linking(c1, c2, rng, tries=8):
-    """crossing_linking with deterministic retries on degenerate directions."""
+def with_generic_direction(fn, rng, tries):
+    """fn(direction) on the first of `tries` directions rng.standard_normal(3)
+    for which it raises no DegenerateProjection (deterministic per rng)."""
     for _ in range(tries):
         direction = rng.standard_normal(3)
         try:
-            return crossing_linking(c1, c2, direction)
+            return fn(direction)
         except DegenerateProjection:
             continue
     raise DegenerateProjection(f"no generic direction found in {tries} tries")
+
+
+def stable_crossing_linking(c1, c2, rng, tries=8):
+    """crossing_linking with deterministic retries on degenerate directions."""
+    return with_generic_direction(lambda d: crossing_linking(c1, c2, d), rng, tries)

@@ -27,7 +27,9 @@ from .curves import Link, PlanarCurve, as_polygon
 from .errors import MissingPrimitive, NoConvergence, ObstructedClass, SceneError
 from .grid import Grid3, GridField, VectorField
 from .operators import (
+    _leray,
     _symbols,
+    _zero_k2,
     alpha_inv,
     codiff,
     contract,
@@ -37,7 +39,7 @@ from .operators import (
     rfft3,
     wedge,
 )
-from .tubes import LinkFields, bump_profile, meridian_period
+from .tubes import LinkFields, LocalBox, meridian_period
 
 
 @dataclass
@@ -64,22 +66,10 @@ def _smoothstep(s):
 def distance_to_curve_field(grid: Grid3, curve, reach: float) -> np.ndarray:
     """Distance to the sampled curve, exact inside `reach`, clipped beyond."""
     poly = as_polygon(curve).refined(grid.spacing / 2)
-    pts = poly.vertices
-    n, h, L = grid.n_points, grid.spacing, grid.box_length
     d2 = np.full(grid.shape, (10 * reach) ** 2)
-    width = min(int(np.ceil(2 * reach / h)) + 2, n)
-    offs = np.arange(width)
-    bx = offs[:, None, None] * h
-    by = offs[None, :, None] * h
-    bz = offs[None, None, :] * h
-    for p in pts:
-        base = np.floor((p + L / 2 - reach) / h).astype(np.int64)
-        cx = (-L / 2 + base[0] * h) - p[0]
-        cy = (-L / 2 + base[1] * h) - p[1]
-        cz = (-L / 2 + base[2] * h) - p[2]
-        dist2 = (bx + cx) ** 2 + (by + cy) ** 2 + (bz + cz) ** 2
-        sel = np.ix_((base[0] + offs) % n, (base[1] + offs) % n,
-                     (base[2] + offs) % n)
+    box = LocalBox(grid, reach)
+    for p in poly.vertices:
+        sel, dist2 = box.around(p)
         np.minimum(d2[sel], dist2, out=dist2)
         d2[sel] = dist2
     return np.sqrt(d2)
@@ -180,21 +170,13 @@ class MaskedDomain:
 
 def _precondition(grid, r_comps, reg, shift):
     """Spectral inverse of delta d + reg * d delta + shift on 1-forms."""
-    KX, KY, KZ, K2, _ = _symbols(grid)
-    s = grid.shape
-    rh = [rfft3(c) for c in r_comps]
-    kdot = KX * rh[0] + KY * rh[1] + KZ * rh[2]
-    sym = (KX, KY, KZ)
-    out = []
+    K, K2, _ = _symbols(grid)
+    tra, lon = _leray(K, K2, rfft3(r_comps))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(3):
-            lon = np.where(K2 > 0, sym[i] * kdot / K2, 0.0)
-            tra = np.where(K2 > 0, rh[i] - lon, rh[i])
-            vh = tra / (K2 + shift) + lon / (reg * K2 + shift)
-            if shift == 0.0:
-                vh = np.where(K2 > 0, vh, 0.0)
-            out.append(irfft3(vh, s))
-    return np.stack(out)
+        vh = tra / (K2 + shift) + lon / (reg * K2 + shift)
+    if shift == 0.0:
+        _zero_k2(vh, K2)
+    return irfft3(vh, grid.shape)
 
 
 def solve_primitive(omega: GridField, dom: MaskedDomain,
@@ -275,10 +257,6 @@ def solve_primitive(omega: GridField, dom: MaskedDomain,
 
 
 # -- the hierarchy --------------------------------------------------------------
-
-def _wedge_key(i, j):
-    return tuple(list(i) + list(j))
-
 
 @dataclass
 class MasseyHierarchy:
@@ -442,8 +420,6 @@ def involution_report(h: MasseyHierarchy, xi_L: VectorField | None = None) -> di
     involved), so structurally vanishing overlaps report as zero.
     """
     from .comomentum import pair_contraction
-    from .grid import cross as vcross
-    from .operators import musical
 
     dom = h.dom
     if xi_L is None:
@@ -481,7 +457,7 @@ def involution_report(h: MasseyHierarchy, xi_L: VectorField | None = None) -> di
             ka, kb = keys[a], keys[b]
             xa, xb = xi_of[ka], xi_of[kb]
             den = xa.sup_norm() * xb.sup_norm()
-            pb = musical(vcross(xa, xb))  # nu(xi_a, xi_b, .)
+            pb = pair_contraction(xa, xb)  # nu(xi_a, xi_b, .)
             name = f"{key_name(ka)},{key_name(kb)}"
             report["pb"][name] = dom.masked_rms(pb) / den if den > 0 else 0.0
             sup_pb = pb.sup_norm()

@@ -6,6 +6,12 @@ curl grad = 0, div curl = 0) hold to rounding error on band-limited fields.
 The Nyquist wavenumber is zeroed in every differentiation symbol to keep
 derivatives of real fields real and the operators skew-adjoint.
 
+This module is the package's one spectral layer.  `rfft3`/`irfft3` act on
+the last three axes, so a whole (C, N, N, N) field goes through one call;
+they are the only FFT entry points.  The symbols (K, K2, mode) are cached
+per grid, and the curl symbol `_k_cross` and the Leray split `_leray` are
+written once here for every caller.
+
 Sign conventions come from constants.py; the Laplacian is Riemannian
 (Delta = d delta + delta d, Fourier symbol +|k|^2).
 """
@@ -20,7 +26,7 @@ import scipy.fft as sfft
 
 from .constants import CODIFF_SIGN, DEFAULT_TOLERANCES
 from .errors import NonzeroHarmonicPart, NonzeroMean, NotDivergenceFree
-from .grid import FORM_COMPONENTS, Grid3, GridField, VectorField, _check_same_grid
+from .grid import Grid3, GridField, VectorField, _check_same_grid
 
 
 def _workers() -> int:
@@ -32,11 +38,15 @@ def _workers() -> int:
 
 @lru_cache(maxsize=16)
 def _spectral(n: int, box_length: float):
-    """Wavenumber arrays for an N^3 rfft grid, cached per grid."""
+    """Symbols of an N^3 rfft grid, cached per grid: (K, K2, mode).
+
+    K = (KX, KY, KZ) are the broadcastable derivative wavenumbers (Nyquist
+    zeroed), K2 = |K|^2, and mode the true mode magnitudes (Nyquist not
+    zeroed) in integer-mode units.
+    """
     h = box_length / n
     kfull = 2 * np.pi * sfft.fftfreq(n, d=h)
     krf = 2 * np.pi * sfft.rfftfreq(n, d=h)
-    # derivative symbols: Nyquist zeroed
     kd = kfull.copy()
     kd[n // 2] = 0.0
     krd = krf.copy()
@@ -45,11 +55,10 @@ def _spectral(n: int, box_length: float):
     KY = kd[None, :, None]
     KZ = krd[None, None, :]
     K2 = KX**2 + KY**2 + KZ**2
-    # true mode magnitudes (Nyquist not zeroed), in integer-mode units
     mode = np.sqrt(
         kfull[:, None, None] ** 2 + kfull[None, :, None] ** 2 + krf[None, None, :] ** 2
     ) * (box_length / (2 * np.pi))
-    return KX, KY, KZ, K2, mode
+    return (KX, KY, KZ), K2, mode
 
 
 def _symbols(grid: Grid3):
@@ -57,43 +66,67 @@ def _symbols(grid: Grid3):
 
 
 def rfft3(a: np.ndarray) -> np.ndarray:
-    return sfft.rfftn(a, workers=_workers())
+    """Real FFT over the last three axes: one call for every component."""
+    return sfft.rfftn(a, axes=(-3, -2, -1), workers=_workers())
 
 
 def irfft3(ah: np.ndarray, shape) -> np.ndarray:
-    return sfft.irfftn(ah, s=shape, workers=_workers())
+    """Inverse of rfft3 onto real arrays whose last three axes have `shape`."""
+    return sfft.irfftn(ah, s=shape, axes=(-3, -2, -1), workers=_workers())
+
+
+def _k_cross(K, vh):
+    """Curl symbol: i k x v for a spectral vector field vh of shape (3, ...)."""
+    KX, KY, KZ = K
+    out = np.empty_like(vh)
+    out[0] = 1j * (KY * vh[2] - KZ * vh[1])
+    out[1] = 1j * (KZ * vh[0] - KX * vh[2])
+    out[2] = 1j * (KX * vh[1] - KY * vh[0])
+    return out
+
+
+def _leray(K, K2, vh):
+    """Leray split of a spectral vector field into (transverse, longitudinal)
+    parts; modes with K2 = 0 (the zero mode) count as transverse."""
+    kdot = K[0] * vh[0] + K[1] * vh[1] + K[2] * vh[2]
+    lon = np.empty_like(vh)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i, k in enumerate(K):
+            lon[i] = np.where(K2 > 0, k * kdot / K2, 0.0)
+    # lon is exactly zero where K2 = 0, so vh - lon keeps vh's bits there
+    return vh - lon, lon
+
+
+def _zero_k2(vh, K2):
+    """Set every mode with K2 = 0 (the zero mode, Nyquist lines) to zero, in place."""
+    vh[..., K2 == 0] = 0.0
+    return vh
+
+
+def _inverse_k2(vh, K2):
+    """vh / K2 in place, with every K2 = 0 mode set to zero."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vh /= K2
+    return _zero_k2(vh, K2)
 
 
 # -- component-level vector calculus ----------------------------------------
 
 def _grad(grid, f):
-    KX, KY, KZ, _, _ = _symbols(grid)
+    K, _, _ = _symbols(grid)
     fh = rfft3(f)
-    s = grid.shape
-    return np.stack(
-        [irfft3(1j * KX * fh, s), irfft3(1j * KY * fh, s), irfft3(1j * KZ * fh, s)]
-    )
+    return irfft3(np.stack([1j * k * fh for k in K]), grid.shape)
 
 
 def _div(grid, v):
-    KX, KY, KZ, _, _ = _symbols(grid)
-    s = grid.shape
-    return irfft3(
-        1j * (KX * rfft3(v[0]) + KY * rfft3(v[1]) + KZ * rfft3(v[2])), s
-    )
+    (KX, KY, KZ), _, _ = _symbols(grid)
+    vh = rfft3(v)
+    return irfft3(1j * (KX * vh[0] + KY * vh[1] + KZ * vh[2]), grid.shape)
 
 
 def _curl(grid, v):
-    KX, KY, KZ, _, _ = _symbols(grid)
-    s = grid.shape
-    vh = [rfft3(c) for c in v]
-    return np.stack(
-        [
-            irfft3(1j * (KY * vh[2] - KZ * vh[1]), s),
-            irfft3(1j * (KZ * vh[0] - KX * vh[2]), s),
-            irfft3(1j * (KX * vh[1] - KY * vh[0]), s),
-        ]
-    )
+    K, _, _ = _symbols(grid)
+    return irfft3(_k_cross(K, rfft3(v)), grid.shape)
 
 
 def spectral_div(x: VectorField) -> np.ndarray:
@@ -102,10 +135,6 @@ def spectral_div(x: VectorField) -> np.ndarray:
 
 def spectral_curl(x: VectorField) -> VectorField:
     return VectorField(x.grid, _curl(x.grid, x.comps))
-
-
-def spectral_grad(grid: Grid3, f: np.ndarray) -> VectorField:
-    return VectorField(grid, _grad(grid, f))
 
 
 # -- algebraic (pointwise) operations ---------------------------------------
@@ -243,13 +272,8 @@ def laplace_inv(f: GridField, eps_harm: float | None = None) -> GridField:
         raise NonzeroHarmonicPart(
             f"harmonic part {np.max(means):.3e} exceeds {eps_harm:.1e} * sup"
         )
-    _, _, _, K2, _ = _symbols(f.grid)
-    s = f.grid.shape
-    out = np.empty_like(f.comps)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(f.comps.shape[0]):
-            fh = rfft3(f.comps[i])
-            out[i] = irfft3(np.where(K2 > 0, fh / K2, 0.0), s)
+    _, K2, _ = _symbols(f.grid)
+    out = irfft3(_inverse_k2(rfft3(f.comps), K2), f.grid.shape)
     return GridField(f.grid, f.degree, out)
 
 
@@ -280,19 +304,9 @@ def require_zero_mean(x: VectorField, eps_mean: float | None = None, what="field
 
 def solenoidal_part(x: VectorField) -> VectorField:
     """Leray projection: remove the gradient part spectrally (zero mode kept)."""
-    KX, KY, KZ, K2, _ = _symbols(x.grid)
-    s = x.grid.shape
-    xh = [rfft3(c) for c in x.comps]
-    kdot = KX * xh[0] + KY * xh[1] + KZ * xh[2]
-    sym = (KX, KY, KZ)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        comps = np.stack(
-            [
-                irfft3(np.where(K2 > 0, xh[i] - sym[i] * kdot / K2, xh[i]), s)
-                for i in range(3)
-            ]
-        )
-    return VectorField(x.grid, comps)
+    K, K2, _ = _symbols(x.grid)
+    transverse, _ = _leray(K, K2, rfft3(x.comps))
+    return VectorField(x.grid, irfft3(transverse, x.grid.shape))
 
 
 def curl_inv(b: VectorField, eps_div=None, eps_mean=None) -> VectorField:
@@ -302,16 +316,8 @@ def curl_inv(b: VectorField, eps_div=None, eps_mean=None) -> VectorField:
     """
     require_divergence_free(b, eps_div, what="curl_inv input")
     require_zero_mean(b, eps_mean, what="curl_inv input")
-    KX, KY, KZ, K2, _ = _symbols(b.grid)
-    s = b.grid.shape
-    bh = [rfft3(c) for c in b.comps]
-    num = (
-        1j * (KY * bh[2] - KZ * bh[1]),
-        1j * (KZ * bh[0] - KX * bh[2]),
-        1j * (KX * bh[1] - KY * bh[0]),
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        comps = np.stack([irfft3(np.where(K2 > 0, c / K2, 0.0), s) for c in num])
+    K, K2, _ = _symbols(b.grid)
+    comps = irfft3(_inverse_k2(_k_cross(K, rfft3(b.comps)), K2), b.grid.shape)
     return VectorField(b.grid, comps)
 
 

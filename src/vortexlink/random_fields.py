@@ -16,29 +16,35 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import FORM_COMPONENTS, Grid3, GridField, VectorField
-from .operators import _symbols, irfft3, rfft3
+from .operators import _leray, _symbols, _zero_k2, irfft3, rfft3
 
 # default shells (integer mode magnitudes): pairwise disjoint and sumset-safe
 TOWER_SHELLS = ((1.0, 2.0), (3.0, 4.0), (8.0, 10.0))
 
 
 def _band_mask(grid: Grid3, kmin: float, kmax: float) -> np.ndarray:
-    _, _, _, _, mode = _symbols(grid)
+    _, _, mode = _symbols(grid)
     return (mode >= kmin - 1e-9) & (mode <= kmax + 1e-9)
+
+
+def _band_limited_hat(grid: Grid3, n_comps: int, rng, kmax, kmin) -> np.ndarray:
+    """Spectrum of n_comps white-noise components restricted to the band."""
+    hat = rfft3(rng.standard_normal((n_comps,) + grid.shape))
+    hat[..., ~_band_mask(grid, kmin, kmax)] = 0.0
+    return hat
+
+
+def _sup_normalized(comps: np.ndarray) -> np.ndarray:
+    sup = np.max(np.abs(comps))
+    if sup > 0:
+        comps /= sup
+    return comps
 
 
 def random_form(grid: Grid3, degree: int, rng: np.random.Generator, kmax=6.0, kmin=1.0) -> GridField:
     """Random band-limited k-form with zero mean, sup-normalized."""
-    mask = _band_mask(grid, kmin, kmax)
-    comps = []
-    for _ in range(FORM_COMPONENTS[degree]):
-        w = rng.standard_normal(grid.shape)
-        comps.append(irfft3(np.where(mask, rfft3(w), 0.0), grid.shape))
-    comps = np.stack(comps)
-    sup = np.max(np.abs(comps))
-    if sup > 0:
-        comps /= sup
-    return GridField(grid, degree, comps)
+    vh = _band_limited_hat(grid, FORM_COMPONENTS[degree], rng, kmax, kmin)
+    return GridField(grid, degree, _sup_normalized(irfft3(vh, grid.shape)))
 
 
 def random_vector_field(grid: Grid3, rng, kmax=6.0, kmin=1.0) -> VectorField:
@@ -48,21 +54,10 @@ def random_vector_field(grid: Grid3, rng, kmax=6.0, kmin=1.0) -> VectorField:
 
 def random_solenoidal(grid: Grid3, rng, kmax=6.0, kmin=1.0) -> VectorField:
     """Random divergence-free, zero-mean, band-limited vector field."""
-    KX, KY, KZ, K2, _ = _symbols(grid)
-    mask = _band_mask(grid, kmin, kmax)
-    vh = []
-    for _ in range(3):
-        w = rng.standard_normal(grid.shape)
-        vh.append(np.where(mask, rfft3(w), 0.0))
-    kdot = KX * vh[0] + KY * vh[1] + KZ * vh[2]
-    sym = (KX, KY, KZ)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vh = [np.where(K2 > 0, vh[i] - sym[i] * kdot / K2, 0.0) for i in range(3)]
-    comps = np.stack([irfft3(c, grid.shape) for c in vh])
-    sup = np.max(np.abs(comps))
-    if sup > 0:
-        comps /= sup
-    return VectorField(grid, comps)
+    K, K2, _ = _symbols(grid)
+    transverse, _ = _leray(K, K2, _band_limited_hat(grid, 3, rng, kmax, kmin))
+    vh = _zero_k2(transverse, K2)
+    return VectorField(grid, _sup_normalized(irfft3(vh, grid.shape)))
 
 
 def shell_solenoidal(grid: Grid3, rng, shell) -> VectorField:

@@ -113,7 +113,6 @@ class Config:
     tube_flux: float = 1.0
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
     seed: int = 0
-    export_fields: bool = False
 
     @classmethod
     def from_doc(cls, doc) -> "Config":
@@ -133,8 +132,6 @@ class Config:
                 raise SceneError(f"tolerance {k} must be positive")
             cfg.tolerances[k] = float(val)
         cfg.seed = int(doc.get("seed", 0))
-        out = doc.get("output", {})
-        cfg.export_fields = bool(out.get("export_fields", False))
         if cfg.grid_n < 16:
             raise SceneError("grid N must be at least 16")
         return cfg

@@ -26,7 +26,7 @@ import numpy as np
 
 from .constants import DISC_DUAL_SIGN
 from .curves import Link, PlanarCurve, TubeParams, as_polygon
-from .errors import NotPlanar, TubeTooThin
+from .errors import NotPlanar
 from .grid import Grid3, GridField, VectorField
 from .interpolate import trilinear
 from .operators import (
@@ -46,57 +46,56 @@ _BUMP_MOMENT = 0.5 * math.gamma(1.5) * math.gamma(_BUMP_POWER + 1) / math.gamma(
 )
 
 
-def bump_profile(u: np.ndarray) -> np.ndarray:
-    """(1 - u^2)^6 on |u| < 1, zero outside (unnormalized)."""
-    u = np.asarray(u, dtype=float)
-    return np.where(np.abs(u) < 1.0, np.maximum(0.0, 1.0 - u * u) ** _BUMP_POWER, 0.0)
-
-
 def mollifier_normalization(radius: float) -> float:
     """c_r with integral of c_r * bump(d/r) over R^3 equal to one."""
     return 1.0 / (4 * math.pi * radius**3 * _BUMP_MOMENT)
 
 
-class _Depositor:
-    """Accumulates point-weighted mollifier bumps onto grid arrays.
+class LocalBox:
+    """The wrapped grid-index box covering a ball of radius `reach`.
 
-    Each bump touches a local index box narrower than the grid, so the
-    scatter-add can use (fast, buffered) fancy indexing: indices within one
-    box never repeat.
+    The box is at most as wide as the grid, so indices within one box never
+    repeat and scatter updates can use (fast, buffered) fancy indexing.
     """
 
-    def __init__(self, grid: Grid3, radius: float, n_channels: int):
+    def __init__(self, grid: Grid3, reach: float):
+        h = grid.spacing
         self.grid = grid
+        self.reach = reach
+        self.offs = np.arange(min(int(np.ceil(2 * reach / h)) + 2, grid.n_points))
+        self._dx = self.offs[:, None, None] * h
+        self._dy = self.offs[None, :, None] * h
+        self._dz = self.offs[None, None, :] * h
+
+    def around(self, point):
+        """(index selector, squared distances from `point` to the box nodes)."""
+        g = self.grid
+        n, h, L = g.n_points, g.spacing, g.box_length
+        base = np.floor((point + L / 2 - self.reach) / h).astype(np.int64)
+        # distances from the point to the unwrapped box nodes
+        cx, cy, cz = (-L / 2 + base * h) - point
+        d2 = (self._dx + cx) ** 2 + (self._dy + cy) ** 2 + (self._dz + cz) ** 2
+        sel = np.ix_((base[0] + self.offs) % n, (base[1] + self.offs) % n,
+                     (base[2] + self.offs) % n)
+        return sel, d2
+
+
+class _Depositor:
+    """Accumulates point-weighted mollifier bumps onto grid arrays, one
+    LocalBox per bump."""
+
+    def __init__(self, grid: Grid3, radius: float, n_channels: int):
         self.radius = radius
         self.norm = mollifier_normalization(radius)
         self.data = np.zeros((n_channels,) + grid.shape)
-        h = grid.spacing
-        self.width = min(int(np.ceil(2 * radius / h)) + 2, grid.n_points)
-        offs = np.arange(self.width)
-        dx = offs[:, None, None] * h
-        dy = offs[None, :, None] * h
-        dz = offs[None, None, :] * h
-        self._box_d2 = dx * dx + dy * dy + dz * dz  # reused per call
-        self._dx, self._dy, self._dz = dx, dy, dz
-        self._offs = offs
+        self.box = LocalBox(grid, radius)
 
     def add(self, point, weights):
-        g = self.grid
-        n, h, L, r = g.n_points, g.spacing, g.box_length, self.radius
-        base = np.floor((point + L / 2 - r) / h).astype(np.int64)
-        # distances from the point to the unwrapped box nodes
-        cx = (-L / 2 + base[0] * h) - point[0]
-        cy = (-L / 2 + base[1] * h) - point[1]
-        cz = (-L / 2 + base[2] * h) - point[2]
-        u2 = (
-            (self._dx + cx) ** 2 + (self._dy + cy) ** 2 + (self._dz + cz) ** 2
-        ) / (r * r)
+        r = self.radius
+        sel, d2 = self.box.around(point)
+        u2 = d2 / (r * r)
         np.minimum(u2, 1.0, out=u2)
         vals = (1.0 - u2) ** _BUMP_POWER * self.norm
-        jx = (base[0] + self._offs) % n
-        jy = (base[1] + self._offs) % n
-        jz = (base[2] + self._offs) % n
-        sel = np.ix_(jx, jy, jz)
         for c, w in enumerate(weights):
             if w != 0.0:
                 self.data[c][sel] += w * vals
@@ -105,10 +104,7 @@ class _Depositor:
 def filament_field(curve, params: TubeParams, grid: Grid3) -> VectorField:
     """Unit-flux smeared filament: flux * closed line integral of the unit
     tangent times psi_r(distance to the curve)."""
-    if params.radius < 3 * grid.spacing:
-        raise TubeTooThin(
-            f"radius {params.radius:.4g} < 3h = {3 * grid.spacing:.4g}"
-        )
+    params.validate(grid)
     poly = as_polygon(curve)
     step = min(grid.spacing, params.radius) / 2
     fine = poly.refined(step)
@@ -155,10 +151,7 @@ def disc_dual_1form(curve: PlanarCurve, params: TubeParams, grid: Grid3) -> Grid
     """
     if not isinstance(curve, PlanarCurve):
         raise NotPlanar("disc duals need a planar component")
-    if params.radius < 3 * grid.spacing:
-        raise TubeTooThin(
-            f"radius {params.radius:.4g} < 3h = {3 * grid.spacing:.4g}"
-        )
+    params.validate(grid)
     pts, w = _disc_quadrature(curve, min(grid.spacing, params.radius) / 2)
     normal = curve.normal
     dep = _Depositor(grid, params.radius, 1)

@@ -1,0 +1,115 @@
+"""The command-line front end: golden reports, exit codes, valid JSON.
+
+Every report is deterministic, so each golden case runs one command in
+process through `cli.main` and compares the written report byte for byte
+with `tests/golden/<name>.json`.  Regenerate the goldens (only for an
+intended change of a report) with
+
+    PYTHONPATH=src python tests/test_cli.py
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from vortexlink import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SEED = "1"
+
+SCENES = {
+    "borromean": ("borromean.json", "123"),
+    "hopf": ("hopf.json", "12"),
+    "split": ("split.json", "12"),
+    "split_triple": ("split_triple.json", "123"),
+}
+DIAGRAMS = {"borromean_diagram": "123", "hopf_diagram": "12"}
+# the co-momentum suite at N = 32
+COMOMENTUM_CONFIG = "tests/golden/comomentum_config.json"
+
+
+def _cases():
+    """(golden name, argv without --out, expected exit code)."""
+    cases = []
+    for name, (scene, _) in SCENES.items():
+        cases.append((f"lk_{name}", ["lk", "--scene", f"fixtures/{scene}"], 0))
+    for name, (scene, index) in SCENES.items():
+        cases.append(
+            (f"oracle_{name}", ["oracle", index, "--scene", f"fixtures/{scene}"], 0)
+        )
+    for name, index in DIAGRAMS.items():
+        cases.append(
+            (f"oracle_{name}", ["oracle", index, "--diagram", f"fixtures/{name}.json"], 0)
+        )
+    cases.append(("massey_hopf", ["massey", "--scene", "fixtures/hopf.json"], 4))
+    cases.append(("massey_split", ["massey", "--scene", "fixtures/split.json"], 0))
+    cases.append(
+        (
+            "comomentum_n32",
+            ["comomentum", "--pairs", "1", "--triples", "1", "--config", COMOMENTUM_CONFIG],
+            0,
+        )
+    )
+    return cases
+
+
+CASES = _cases()
+
+
+def _run(argv, out_path):
+    """Run one command from the repository root; return (exit code, report bytes)."""
+    code = cli.main(argv + ["--seed", SEED, "--out", str(out_path)])
+    return code, Path(out_path).read_bytes()
+
+
+@pytest.mark.parametrize("name, argv, code", CASES, ids=[c[0] for c in CASES])
+def test_report_matches_golden(name, argv, code, tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    got_code, got = _run(argv, tmp_path / "report.json")
+    assert got_code == code
+    assert got == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def test_malformed_scene_exits_2(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"schema": "vlink-1", "box": ')
+    assert cli.main(["lk", "--scene", str(bad)]) == cli.EXIT_VALIDATION == 2
+
+
+def test_non_solenoidal_comomentum_exits_3(monkeypatch):
+    monkeypatch.chdir(ROOT)
+    argv = ["comomentum", "--non-solenoidal", "--config", COMOMENTUM_CONFIG]
+    assert cli.main(argv) == cli.EXIT_NUMERICAL == 3
+
+
+def _reject_constant(name):
+    raise ValueError(f"report holds the non-JSON constant {name}")
+
+
+def test_split_triple_massey_report_is_valid_json(tmp_path, monkeypatch):
+    # grid and oracle both give mu_bar(123) = 0 on this unlinked scene
+    monkeypatch.chdir(ROOT)
+    out = tmp_path / "report.json"
+    assert cli.main(
+        ["massey", "--scene", "fixtures/split_triple.json", "--seed", SEED, "--out", str(out)]
+    ) == 0
+    report = json.loads(out.read_text(), parse_constant=_reject_constant)
+    massey = report["massey"]
+    assert massey["mu123_oracle"] == 0
+    assert massey["agreement"]["pass"]
+
+
+if __name__ == "__main__":
+    import os
+    import tempfile
+
+    os.chdir(ROOT)
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv, code in CASES:
+            got_code, got = _run(argv, Path(tmp) / "report.json")
+            assert got_code == code, (name, got_code)
+            (GOLDEN / f"{name}.json").write_bytes(got)
+            print(f"wrote {name}.json (exit {got_code})")

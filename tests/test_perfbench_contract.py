@@ -1,0 +1,39 @@
+"""Every function the traced benchmark wraps still exists under its name.
+
+`perfbench/traced_cli.py` wraps functions by (module, attribute) name; a
+rename in the package would otherwise surface only as a crash of a traced
+benchmark run.  The lookup below is the one `Tracer.install` makes.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TRACED_CLI = Path(__file__).resolve().parent.parent / "perfbench" / "traced_cli.py"
+
+
+def _traced():
+    spec = importlib.util.spec_from_file_location("perfbench_traced_cli", TRACED_CLI)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.TRACED
+
+
+TRACED = _traced()
+
+
+@pytest.mark.parametrize(
+    "mod_name, attr", [row[:2] for row in TRACED], ids=[f"{r[0]}.{r[1]}" for r in TRACED]
+)
+def test_traced_name_resolves(mod_name, attr):
+    owner = importlib.import_module(f"vortexlink.{mod_name}")
+    if "." in attr:
+        cls_name, meth = attr.split(".")
+        raw = getattr(owner, cls_name).__dict__[meth]
+        if isinstance(raw, classmethod):
+            raw = raw.__func__
+    else:
+        raw = getattr(owner, attr)
+    assert callable(raw)
