@@ -57,11 +57,12 @@ def read_vlf(path):
 
 def write_vtk(path, field, name="field") -> None:
     """ASCII legacy VTK structured points; one SCALARS block per form
-    component, a VECTORS block for vector fields."""
+    component, a VECTORS block for vector fields.  Each block is formatted
+    from Python floats in one pass and written before the next is made."""
     grid = field.grid
     n, h = grid.n_points, grid.spacing
     origin = -grid.box_length / 2
-    lines = [
+    header = [
         "# vtk DataFile Version 3.0",
         name,
         "ASCII",
@@ -73,16 +74,20 @@ def write_vtk(path, field, name="field") -> None:
     ]
     # VTK structured points iterate x fastest: transpose from (x,y,z) C order
     def flat(a):
-        return a.transpose(2, 1, 0).reshape(-1)
+        return a.transpose(2, 1, 0).reshape(-1).tolist()
 
-    if isinstance(field, VectorField):
-        lines.append(f"VECTORS {name} double")
-        vx, vy, vz = (flat(c) for c in field.comps)
-        lines.extend(f"{a:.17g} {b:.17g} {c:.17g}" for a, b, c in zip(vx, vy, vz))
-    else:
-        for comp, cname in zip(field.comps, _COMPONENT_NAMES[field.degree]):
-            lines.append(f"SCALARS {name}_{cname} double 1")
-            lines.append("LOOKUP_TABLE default")
-            lines.extend(f"{v:.17g}" for v in flat(comp))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+
+        def block(title, lines):
+            fh.write(title + "\n")
+            fh.write("\n".join(lines))
+            fh.write("\n")
+
+        fh.write("\n".join(header) + "\n")
+        if isinstance(field, VectorField):
+            row = "{:.17g} {:.17g} {:.17g}".format
+            block(f"VECTORS {name} double", map(row, *(flat(c) for c in field.comps)))
+        else:
+            for comp, cname in zip(field.comps, _COMPONENT_NAMES[field.degree]):
+                block(f"SCALARS {name}_{cname} double 1\nLOOKUP_TABLE default",
+                      map("{:.17g}".format, flat(comp)))

@@ -33,6 +33,7 @@ from .operators import (
     alpha_inv,
     codiff,
     contract,
+    d_codiff_1form,
     ext_d,
     irfft3,
     lie_derivative,
@@ -67,11 +68,13 @@ def distance_to_curve_field(grid: Grid3, curve, reach: float) -> np.ndarray:
     """Distance to the sampled curve, exact inside `reach`, clipped beyond."""
     poly = as_polygon(curve).refined(grid.spacing / 2)
     d2 = np.full(grid.shape, (10 * reach) ** 2)
+    flat = d2.reshape(-1)
     box = LocalBox(grid, reach)
-    for p in poly.vertices:
-        sel, dist2 = box.around(p)
-        np.minimum(d2[sel], dist2, out=dist2)
-        d2[sel] = dist2
+    for _, idx, dist2 in box.batches(poly.vertices):
+        # cells only decrease, so a distance no smaller than the cell's value
+        # before this chunk cannot be its minimum: skipping it is exact
+        closer = dist2 < flat[idx]
+        np.minimum.at(flat, idx[closer], dist2[closer])
     return np.sqrt(d2)
 
 
@@ -209,10 +212,9 @@ def solve_primitive(omega: GridField, dom: MaskedDomain,
     core = dom.core
 
     def apply_A(vc):
-        v = GridField(grid, 1, vc)
-        dv = ext_d(v)
+        dv, delta_v = d_codiff_1form(GridField(grid, 1, vc))
         term1 = codiff(GridField(grid, 2, m2[None] * dv.comps))
-        term2 = ext_d(codiff(v))
+        term2 = ext_d(delta_v)
         return term1.comps + cfg.reg * term2.comps + shift * core[None] * vc
 
     rhs = -codiff(GridField(grid, 2, m2[None] * omega.comps)).comps

@@ -85,6 +85,12 @@ def _k_cross(K, vh):
     return out
 
 
+def _k_dot(K, vh):
+    """Divergence symbol: i k . v for a spectral vector field vh of shape (3, ...)."""
+    KX, KY, KZ = K
+    return 1j * (KX * vh[0] + KY * vh[1] + KZ * vh[2])
+
+
 def _leray(K, K2, vh):
     """Leray split of a spectral vector field into (transverse, longitudinal)
     parts; modes with K2 = 0 (the zero mode) count as transverse."""
@@ -119,9 +125,8 @@ def _grad(grid, f):
 
 
 def _div(grid, v):
-    (KX, KY, KZ), _, _ = _symbols(grid)
-    vh = rfft3(v)
-    return irfft3(1j * (KX * vh[0] + KY * vh[1] + KZ * vh[2]), grid.shape)
+    K, _, _ = _symbols(grid)
+    return irfft3(_k_dot(K, rfft3(v)), grid.shape)
 
 
 def _curl(grid, v):
@@ -248,6 +253,20 @@ def codiff(f: GridField) -> GridField:
     if CODIFF_SIGN[k] < 0:
         out = -out
     return out
+
+
+def d_codiff_1form(v: GridField):
+    """(d v, delta v) of a 1-form from one forward transform: the same values
+    as ext_d(v) and codiff(v), which transform v once each."""
+    if v.degree != 1:
+        raise ValueError("d_codiff_1form expects a 1-form")
+    K, _, _ = _symbols(v.grid)
+    vh = rfft3(v.comps)
+    dv = GridField(v.grid, 2, irfft3(_k_cross(K, vh), v.grid.shape))
+    delta = GridField(v.grid, 0, irfft3(_k_dot(K, vh), v.grid.shape)[None])
+    if CODIFF_SIGN[1] < 0:
+        delta = -delta
+    return dv, delta
 
 
 def harmonic_proj(f: GridField) -> GridField:

@@ -15,6 +15,17 @@ against psi_r); disc duals are the mollified surface currents of flat
 discs.  Because both use the same mollifier, d(disc dual) equals the
 boundary's tube form up to quadrature error, which is what the residual
 certificates measure.
+
+Deposition has one scatter kernel.  `LocalBox.batches` turns a chunk of
+points into flat grid indices and squared node distances, and
+`_Depositor.add` scatters the bump values of all points of a chunk with
+`np.add.at`, which is unbuffered and applies its updates in index order.
+The updates are listed point by point, so every cell receives its
+contributions in point order, as a loop over points would add them, and the
+sums keep their bits.  Only nonzero contributions are scattered.  That is
+exact: the arrays start at +0.0, and a round-to-nearest sum is -0.0 only
+when both addends are -0.0, so no cell ever holds -0.0, and adding +0.0 or
+-0.0 to a cell that is not -0.0 leaves its bits unchanged.
 """
 
 from __future__ import annotations
@@ -51,11 +62,15 @@ def mollifier_normalization(radius: float) -> float:
     return 1.0 / (4 * math.pi * radius**3 * _BUMP_MOMENT)
 
 
+# box nodes per batch of points: bounds the scatter kernel's temporaries
+_CHUNK_NODES = 1 << 18
+
+
 class LocalBox:
     """The wrapped grid-index box covering a ball of radius `reach`.
 
-    The box is at most as wide as the grid, so indices within one box never
-    repeat and scatter updates can use (fast, buffered) fancy indexing.
+    The box is at most as wide as the grid, so indices within one point's
+    box never repeat.
     """
 
     def __init__(self, grid: Grid3, reach: float):
@@ -63,26 +78,33 @@ class LocalBox:
         self.grid = grid
         self.reach = reach
         self.offs = np.arange(min(int(np.ceil(2 * reach / h)) + 2, grid.n_points))
-        self._dx = self.offs[:, None, None] * h
-        self._dy = self.offs[None, :, None] * h
-        self._dz = self.offs[None, None, :] * h
+        self._dx = self.offs[None, :, None, None] * h
+        self._dy = self.offs[None, None, :, None] * h
+        self._dz = self.offs[None, None, None, :] * h
+        self.chunk = max(1, _CHUNK_NODES // self.offs.size**3)
 
-    def around(self, point):
-        """(index selector, squared distances from `point` to the box nodes)."""
+    def nodes(self, points):
+        """Flat N^3 indices (P, m) of the box nodes around each of P points,
+        and their squared distances (P, m) from the point."""
         g = self.grid
         n, h, L = g.n_points, g.spacing, g.box_length
-        base = np.floor((point + L / 2 - self.reach) / h).astype(np.int64)
-        # distances from the point to the unwrapped box nodes
-        cx, cy, cz = (-L / 2 + base * h) - point
+        base = np.floor((points + L / 2 - self.reach) / h).astype(np.int64)
+        # distances from the points to the unwrapped box nodes
+        c = (-L / 2 + base * h) - points
+        cx, cy, cz = (c[:, k, None, None, None] for k in range(3))
         d2 = (self._dx + cx) ** 2 + (self._dy + cy) ** 2 + (self._dz + cz) ** 2
-        sel = np.ix_((base[0] + self.offs) % n, (base[1] + self.offs) % n,
-                     (base[2] + self.offs) % n)
-        return sel, d2
+        ix, iy, iz = ((base[:, k, None] + self.offs) % n for k in range(3))
+        flat = (ix[:, :, None, None] * n + iy[:, None, :, None]) * n + iz[:, None, None, :]
+        return flat.reshape(len(points), -1), d2.reshape(len(points), -1)
+
+    def batches(self, points):
+        """(first point, flat indices, squared distances) per chunk of points."""
+        for lo in range(0, len(points), self.chunk):
+            yield (lo, *self.nodes(points[lo:lo + self.chunk]))
 
 
 class _Depositor:
-    """Accumulates point-weighted mollifier bumps onto grid arrays, one
-    LocalBox per bump."""
+    """Accumulates point-weighted mollifier bumps onto grid arrays."""
 
     def __init__(self, grid: Grid3, radius: float, n_channels: int):
         self.radius = radius
@@ -90,15 +112,20 @@ class _Depositor:
         self.data = np.zeros((n_channels,) + grid.shape)
         self.box = LocalBox(grid, radius)
 
-    def add(self, point, weights):
+    def add(self, points, weights):
+        """One bump per point: points (P, 3), channel weights (P, C)."""
         r = self.radius
-        sel, d2 = self.box.around(point)
-        u2 = d2 / (r * r)
-        np.minimum(u2, 1.0, out=u2)
-        vals = (1.0 - u2) ** _BUMP_POWER * self.norm
-        for c, w in enumerate(weights):
-            if w != 0.0:
-                self.data[c][sel] += w * vals
+        flat_data = self.data.reshape(len(self.data), -1)
+        for lo, idx, d2 in self.box.batches(points):
+            u2 = d2 / (r * r)
+            inside = u2 < 1.0
+            # the bump is exactly zero outside the ball: skipped (see above)
+            vals = (1.0 - u2[inside]) ** _BUMP_POWER * self.norm
+            idx = idx[inside]
+            w = weights[lo + np.nonzero(inside)[0]]
+            for c, channel in enumerate(flat_data):
+                keep = w[:, c] != 0.0
+                np.add.at(channel, idx[keep], w[keep, c] * vals[keep])
 
 
 def filament_field(curve, params: TubeParams, grid: Grid3) -> VectorField:
@@ -112,8 +139,7 @@ def filament_field(curve, params: TubeParams, grid: Grid3) -> VectorField:
     seg = np.roll(verts, -1, axis=0) - verts
     mids = verts + seg / 2
     dep = _Depositor(grid, params.radius, 3)
-    for m, t in zip(mids, seg):
-        dep.add(m, params.flux * t)
+    dep.add(mids, params.flux * seg)
     return VectorField(grid, dep.data)
 
 
@@ -155,8 +181,7 @@ def disc_dual_1form(curve: PlanarCurve, params: TubeParams, grid: Grid3) -> Grid
     pts, w = _disc_quadrature(curve, min(grid.spacing, params.radius) / 2)
     normal = curve.normal
     dep = _Depositor(grid, params.radius, 1)
-    for p, wq in zip(pts, w):
-        dep.add(p, (wq,))
+    dep.add(pts, w[:, None])
     comps = DISC_DUAL_SIGN * params.flux * dep.data[0][None] * normal[:, None, None, None]
     return GridField(grid, 1, comps.reshape((3,) + grid.shape))
 

@@ -2,8 +2,8 @@
 
 import numpy as np
 
-from vortexlink.fieldio import read_vlf, write_vlf, write_vtk
-from vortexlink.grid import Grid3, GridField, VectorField
+from vortexlink.fieldio import _COMPONENT_NAMES, read_vlf, write_vlf, write_vtk
+from vortexlink.grid import FORM_COMPONENTS, Grid3, GridField, VectorField
 from vortexlink.random_fields import random_form, random_vector_field
 
 
@@ -69,3 +69,50 @@ def test_vtk_ordering(tmp_path):
     start = lines.index("LOOKUP_TABLE default") + 1
     values = lines[start:]
     assert float(values[3 + 16 * (5 + 16 * 7)]) == 42.0
+
+
+def _write_vtk_lines(path, field, name="field"):
+    """The line-list VTK writer that write_vtk replaced, kept as the reference."""
+    grid = field.grid
+    n, h = grid.n_points, grid.spacing
+    origin = -grid.box_length / 2
+    lines = [
+        "# vtk DataFile Version 3.0",
+        name,
+        "ASCII",
+        "DATASET STRUCTURED_POINTS",
+        f"DIMENSIONS {n} {n} {n}",
+        f"ORIGIN {origin:.17g} {origin:.17g} {origin:.17g}",
+        f"SPACING {h:.17g} {h:.17g} {h:.17g}",
+        f"POINT_DATA {n**3}",
+    ]
+
+    def flat(a):
+        return a.transpose(2, 1, 0).reshape(-1)
+
+    if isinstance(field, VectorField):
+        lines.append(f"VECTORS {name} double")
+        vx, vy, vz = (flat(c) for c in field.comps)
+        lines.extend(f"{a:.17g} {b:.17g} {c:.17g}" for a, b, c in zip(vx, vy, vz))
+    else:
+        for comp, cname in zip(field.comps, _COMPONENT_NAMES[field.degree]):
+            lines.append(f"SCALARS {name}_{cname} double 1")
+            lines.append("LOOKUP_TABLE default")
+            lines.extend(f"{v:.17g}" for v in flat(comp))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def test_vtk_bytes_match_line_writer(tmp_path, rng):
+    g = Grid3(12, 2.0)
+    special = np.array([0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1.0, 1.0 / 3.0])
+    vec = rng.standard_normal((3,) + g.shape) * 10.0 ** rng.integers(-300, 300, (3,) + g.shape)
+    vec.reshape(3, -1)[:, : special.size] = special
+    fields = [VectorField(g, vec)] + [
+        GridField(g, k, vec[: FORM_COMPONENTS[k]].copy()) for k in range(4)
+    ]
+    for i, f in enumerate(fields):
+        new, old = tmp_path / f"new{i}.vtk", tmp_path / f"old{i}.vtk"
+        write_vtk(new, f, name="w")
+        _write_vtk_lines(old, f, name="w")
+        assert new.read_bytes() == old.read_bytes()
