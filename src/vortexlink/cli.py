@@ -249,6 +249,7 @@ def cmd_massey(args) -> tuple[int, dict]:
                 "masked_residual": checked(info["masked_residual"], mcfg.eps_massey),
                 "iterations": info["iterations"],
             }
+            timer.solver[f"{i}{j}"] = info["telemetry"]
         timer.stop()
     except E.ObstructedClass as exc:
         timer.stop()

@@ -14,10 +14,20 @@ matrix-free preconditioned conjugate gradient on the normal equations of
 
 whose exact spectral inverse away from the mask is used as preconditioner,
 so iteration counts stay modest and runs are bitwise deterministic.
+
+The CG state lives in rfft3 coefficients.  There d, delta and the
+preconditioner are diagonal symbols, and only the products with m^2 and the
+core weight go through physical space: one inverse and one forward
+transform of six stacked components per iteration.  Inner products are
+Parseval sums over the half spectrum (the kz = 0 and Nyquist planes weighted
+once, the others twice, over N^3), which make the coefficients an isometric
+image of the real fields; the iterates are therefore those of the same CG
+run in physical space, up to the order of rounding.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,13 +37,11 @@ from .curves import Link, PlanarCurve, as_polygon
 from .errors import MissingPrimitive, NoConvergence, ObstructedClass, SceneError
 from .grid import Grid3, GridField, VectorField
 from .operators import (
-    _leray,
+    _k_cross,
     _symbols,
-    _zero_k2,
     alpha_inv,
     codiff,
     contract,
-    d_codiff_1form,
     ext_d,
     irfft3,
     lie_derivative,
@@ -171,15 +179,52 @@ class MaskedDomain:
 
 # -- masked least-squares primitive solve --------------------------------------
 
-def _precondition(grid, r_comps, reg, shift):
-    """Spectral inverse of delta d + reg * d delta + shift on 1-forms."""
+def _parseval_weights(n: int) -> np.ndarray:
+    """Weights along the rfft axis that turn the half spectrum into a full
+    one: the kz = 0 plane and (even n) the Nyquist plane once, every other
+    plane twice, all over n^3 (the unnormalized forward transform)."""
+    w = np.full(n // 2 + 1, 2.0 / n**3)
+    w[0] = 1.0 / n**3
+    if n % 2 == 0:
+        w[-1] = 1.0 / n**3
+    return w
+
+
+def _spectral_dot(ah, bh, w) -> float:
+    """np.sum(a * b) of two real 1-forms, from their rfft3 coefficients."""
+    # (real, imag) float pairs, summed per plane: one pass, no temporaries
+    planes = np.einsum("ijkl,ijkl->l", ah.view(np.float64), bh.view(np.float64))
+    return float(np.sum(planes.reshape(-1, 2) * w[:, None]))
+
+
+def _precondition_symbols(grid, reg, shift):
+    """Diagonal symbols of the spectral inverse of delta d + reg d delta +
+    shift on 1-forms: (K, tra, lon) with z = tra r + lon K (K . r).
+
+    tra = 1/(K2 + shift) inverts the transverse part and lon corrects the
+    longitudinal one to 1/(reg K2 + shift); lon is None when it vanishes
+    (reg = 1).  Modes with K2 = 0 count as transverse, and with shift = 0
+    they are zeroed.
+    """
     K, K2, _ = _symbols(grid)
-    tra, lon = _leray(K, K2, rfft3(r_comps))
     with np.errstate(divide="ignore", invalid="ignore"):
-        vh = tra / (K2 + shift) + lon / (reg * K2 + shift)
+        tra = 1.0 / (K2 + shift)
+        lon = (1.0 / (reg * K2 + shift) - tra) / K2
+    lon[K2 == 0] = 0.0
     if shift == 0.0:
-        _zero_k2(vh, K2)
-    return irfft3(vh, grid.shape)
+        tra[K2 == 0] = 0.0
+    return K, tra, (lon if np.any(lon) else None)
+
+
+def _precondition(rh, symbols):
+    """Apply the diagonal preconditioner to rfft3 coefficients of a 1-form."""
+    K, tra, lon = symbols
+    zh = tra * rh
+    if lon is not None:
+        klon = lon * (K[0] * rh[0] + K[1] * rh[1] + K[2] * rh[2])
+        for i, k in enumerate(K):
+            zh[i] += k * klon
+    return zh
 
 
 def solve_primitive(omega: GridField, dom: MaskedDomain,
@@ -189,13 +234,26 @@ def solve_primitive(omega: GridField, dom: MaskedDomain,
     ||m(dv + omega)||^2 + reg ||delta v||^2 over 1-forms by preconditioned CG
     (zero initial guess, fixed iteration order: bitwise deterministic).
 
+    The CG state (v, r, p, z) is held as rfft3 coefficients.  There d, delta
+    and the preconditioner are diagonal, so an application of the normal
+    operator is one inverse transform of the stacked spectrum [i k x p, p],
+    the products with m^2 and shift * core in physical space, and one
+    forward transform of the same six components.  Inner products use
+    Parseval on the half spectrum (_parseval_weights), under which the rfft
+    coefficients are an isometric image of the real fields; the operator
+    and the preconditioner are the same linear maps as in physical space,
+    so in exact arithmetic the iterates are the physical-space CG iterates
+    and only the rounding differs.
+
     Raises ObstructedClass when a meridian period of omega exceeds the gate
     (the cohomology class is nonzero, the Massey step is undefined), and
     NoConvergence at the iteration cap.
 
     Returns (v, info) with info holding the masked residual certificate,
-    the gate periods and the iteration count.
+    the gate periods, the iteration count and, under "telemetry", the wall
+    time, the transform count and the residual every 16 iterations.
     """
+    t_start = time.perf_counter()
     cfg = config or MasseyConfig()
     grid = omega.grid
     periods = dom.periods(omega)
@@ -209,43 +267,65 @@ def solve_primitive(omega: GridField, dom: MaskedDomain,
             )
     m2 = dom.mask**2
     shift = cfg.core_shift / dom.r_mask**2
-    core = dom.core
-
-    def apply_A(vc):
-        dv, delta_v = d_codiff_1form(GridField(grid, 1, vc))
-        term1 = codiff(GridField(grid, 2, m2[None] * dv.comps))
-        term2 = ext_d(delta_v)
-        return term1.comps + cfg.reg * term2.comps + shift * core[None] * vc
-
     rhs = -codiff(GridField(grid, 2, m2[None] * omega.comps)).comps
     rhs_norm = float(np.sqrt(np.sum(rhs**2)))
-    v = np.zeros_like(rhs)
     if rhs_norm == 0.0:
         info = {"iterations": 0, "residual": 0.0, "periods": periods,
-                "masked_residual": 0.0}
-        return GridField(grid, 1, v), info
-    r = rhs.copy()
-    z = _precondition(grid, r, cfg.reg, shift)
+                "masked_residual": 0.0,
+                "telemetry": _telemetry(t_start, 0, 0.0, [])}
+        return GridField(grid, 1, np.zeros_like(rhs)), info
+
+    K, K2, _ = _symbols(grid)
+    weights = _parseval_weights(grid.n_points)
+    symbols = _precondition_symbols(grid, cfg.reg, shift)
+    shift_core = shift * dom.core
+    # [i k x p, p] in, [F(m^2 curl p), F(shift core p)] out
+    stacked = np.empty((6,) + K2.shape, dtype=complex)
+
+    def apply_A(ph):
+        _k_cross(K, ph, out=stacked[:3])
+        stacked[3:] = ph
+        phys = irfft3(stacked, grid.shape)
+        phys[:3] *= m2
+        phys[3:] *= shift_core
+        fh = rfft3(phys)
+        out = _k_cross(K, fh[:3])
+        out += fh[3:]
+        # reg d delta p is reg K (K . p): delta = -div on 1-forms (CODIFF_SIGN)
+        kdot = cfg.reg * (K[0] * ph[0] + K[1] * ph[1] + K[2] * ph[2])
+        for i, k in enumerate(K):
+            out[i] += k * kdot
+        return out
+
+    t_loop = time.perf_counter()
+    r = rfft3(rhs)
+    vh = np.zeros_like(r)
+    z = _precondition(r, symbols)
     p = z.copy()
-    rz = float(np.sum(r * z))
+    rz = _spectral_dot(r, z, weights)
+    history = []
     niter = 0
     for niter in range(1, cfg.cg_maxiter + 1):
         Ap = apply_A(p)
-        alpha_step = rz / float(np.sum(p * Ap))
-        v += alpha_step * p
+        alpha_step = rz / _spectral_dot(p, Ap, weights)
+        vh += alpha_step * p
         r -= alpha_step * Ap
-        res = float(np.sqrt(np.sum(r**2))) / rhs_norm
+        res = float(np.sqrt(_spectral_dot(r, r, weights))) / rhs_norm
+        if niter % 16 == 0:
+            history.append(res)
         if res <= cfg.cg_tol:
             break
-        z = _precondition(grid, r, cfg.reg, shift)
-        rz_new = float(np.sum(r * z))
-        p = z + (rz_new / rz) * p
+        z = _precondition(r, symbols)
+        rz_new = _spectral_dot(r, z, weights)
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     else:
         raise NoConvergence(
             f"CG hit {cfg.cg_maxiter} iterations at residual {res:.2e}"
         )
-    vf = GridField(grid, 1, v)
+    vf = GridField(grid, 1, irfft3(vh, grid.shape))
+    loop_s = time.perf_counter() - t_loop
     dv = ext_d(vf)
     num = dom.masked_rms(dv + omega)
     den = dom.masked_rms(omega)
@@ -254,8 +334,21 @@ def solve_primitive(omega: GridField, dom: MaskedDomain,
         "residual": res,
         "periods": periods,
         "masked_residual": num / den if den > 0 else num,
+        "telemetry": _telemetry(t_start, niter, loop_s, history),
     }
     return vf, info
+
+
+def _telemetry(t_start, niter, loop_s, history) -> dict:
+    """Wall-clock figures of one solve, for the timings sidecar (never the
+    report): the loop's transforms are the rhs in, two per apply_A and v out."""
+    return {
+        "iterations": niter,
+        "wall_s": time.perf_counter() - t_start,
+        "ms_per_iteration": 1e3 * loop_s / niter if niter else 0.0,
+        "fft_calls": 2 * niter + 2 if niter else 0,
+        "residual_every_16": history,
+    }
 
 
 # -- the hierarchy --------------------------------------------------------------
@@ -352,6 +445,9 @@ class NilpotentConnection:
     entries: dict  # (row, col) -> GridField(1)
     level: int
     grid: Grid3
+    # set by connection_curvature on first use
+    _curvature: dict | None = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     @classmethod
     def from_hierarchy(cls, h: MasseyHierarchy, level: int):
@@ -370,7 +466,14 @@ class NilpotentConnection:
 
 
 def connection_curvature(c: NilpotentConnection) -> dict:
-    """Entrywise Cartan structure equation: w = d v + v ^ v."""
+    """Entrywise Cartan structure equation: w = d v + v ^ v.
+
+    Computed once per connection and kept on it, so the report's exactness
+    checks and bianchi_residual share one evaluation; the entries must not
+    change afterwards, and callers must not modify the returned forms.
+    """
+    if c._curvature is not None:
+        return c._curvature
     out = {}
     for (i, j), vij in c.entries.items():
         out[(i, j)] = ext_d(vij)
@@ -383,7 +486,8 @@ def connection_curvature(c: NilpotentConnection) -> dict:
                     acc = term if acc is None else acc + term
             if acc is not None:
                 out[(i, j)] = out[(i, j)] + acc if (i, j) in out else acc
-    return {k: v for k, v in out.items()}
+    c._curvature = out
+    return out
 
 
 def bianchi_residual(c: NilpotentConnection, dom: MaskedDomain) -> float:

@@ -75,10 +75,12 @@ def irfft3(ah: np.ndarray, shape) -> np.ndarray:
     return sfft.irfftn(ah, s=shape, axes=(-3, -2, -1), workers=_workers())
 
 
-def _k_cross(K, vh):
-    """Curl symbol: i k x v for a spectral vector field vh of shape (3, ...)."""
+def _k_cross(K, vh, out=None):
+    """Curl symbol: i k x v for a spectral vector field vh of shape (3, ...),
+    written into `out` when given."""
     KX, KY, KZ = K
-    out = np.empty_like(vh)
+    if out is None:
+        out = np.empty_like(vh)
     out[0] = 1j * (KY * vh[2] - KZ * vh[1])
     out[1] = 1j * (KZ * vh[0] - KX * vh[2])
     out[2] = 1j * (KX * vh[1] - KY * vh[0])
@@ -253,20 +255,6 @@ def codiff(f: GridField) -> GridField:
     if CODIFF_SIGN[k] < 0:
         out = -out
     return out
-
-
-def d_codiff_1form(v: GridField):
-    """(d v, delta v) of a 1-form from one forward transform: the same values
-    as ext_d(v) and codiff(v), which transform v once each."""
-    if v.degree != 1:
-        raise ValueError("d_codiff_1form expects a 1-form")
-    K, _, _ = _symbols(v.grid)
-    vh = rfft3(v.comps)
-    dv = GridField(v.grid, 2, irfft3(_k_cross(K, vh), v.grid.shape))
-    delta = GridField(v.grid, 0, irfft3(_k_dot(K, vh), v.grid.shape)[None])
-    if CODIFF_SIGN[1] < 0:
-        delta = -delta
-    return dv, delta
 
 
 def harmonic_proj(f: GridField) -> GridField:

@@ -37,10 +37,16 @@ def report_text(report: dict) -> str:
 
 
 class StageTimer:
-    """Collects per-stage wall times, written to a sidecar file."""
+    """Collects per-stage wall times, written to a sidecar file.
+
+    `solver` holds per-solve CG telemetry (keyed by the solved pair); it is
+    written beside the stages under its own key, so "timings" lists stages
+    only.
+    """
 
     def __init__(self):
         self.stages = {}
+        self.solver = {}
         self._t0 = None
         self._name = None
 
@@ -58,5 +64,8 @@ class StageTimer:
     def write_sidecar(self, report_path):
         path = str(report_path) + ".timings.json"
         with open(path, "w") as fh:
-            json.dump({"timings": self.stages}, fh, indent=2, sort_keys=True)
+            doc = {"timings": self.stages}
+            if self.solver:
+                doc["solver"] = self.solver
+            json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")

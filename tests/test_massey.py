@@ -119,6 +119,7 @@ def test_connection_curvature_matches_hierarchy(split_hierarchy):
     h = split_hierarchy
     lvl1 = NilpotentConnection.from_hierarchy(h, 1)
     w1 = connection_curvature(lvl1)
+    assert connection_curvature(lvl1) is w1  # computed once per connection
     # entries (1,3) and (2,4) of the paper's display: same arithmetic
     assert np.array_equal(w1[(0, 2)].comps, h.omega[(1, 2)].comps)
     assert np.array_equal(w1[(1, 3)].comps, h.omega[(2, 3)].comps)

@@ -15,7 +15,6 @@ from vortexlink.operators import (
     codiff,
     contract,
     curl_inv,
-    d_codiff_1form,
     ext_d,
     harmonic_proj,
     hodge_star,
@@ -256,13 +255,3 @@ def test_batched_fft_matches_per_component_bitwise(grid32, rng):
     back = irfft3(hats, grid32.shape)
     assert back.tobytes() == np.stack([irfft3(h, grid32.shape) for h in hats]).tobytes()
 
-
-def test_d_codiff_1form_matches_separate_operators_bitwise(grid32, rng):
-    # one forward transform gives the bits of ext_d and codiff, which take one each
-    v = random_form(grid32, 1, rng, kmax=6)
-    dv, delta = d_codiff_1form(v)
-    assert (dv.degree, delta.degree) == (2, 0)
-    assert dv.comps.tobytes() == ext_d(v).comps.tobytes()
-    assert delta.comps.tobytes() == codiff(v).comps.tobytes()
-    with pytest.raises(ValueError):
-        d_codiff_1form(random_form(grid32, 2, rng, kmax=2))
