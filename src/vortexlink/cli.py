@@ -210,9 +210,7 @@ def cmd_massey(args) -> tuple[int, dict]:
     from .massey import (
         MasseyConfig,
         MasseyHierarchy,
-        NilpotentConnection,
-        bianchi_residual,
-        connection_curvature,
+        cartan_bianchi_report,
         involution_report,
     )
 
@@ -280,38 +278,20 @@ def cmd_massey(args) -> tuple[int, dict]:
         mu_oracle = mu_bar(diagram, (1, 2, 3))
         timer.stop()
         timer.start("cartan_bianchi")
-        lvl1 = NilpotentConnection.from_hierarchy(h, 1)
-        lvl2 = NilpotentConnection.from_hierarchy(h, 2)
-        w1 = connection_curvature(lvl1)
-        w2 = connection_curvature(lvl2)
-        exact1 = float(
-            np.max(np.abs(w1[(0, 2)].comps - h.omega[(1, 2)].comps))
-        )
-        exact2 = float(
-            np.max(np.abs(w2[(0, 3)].comps - h.omega[(1, 2, 3)].comps))
-        )
-        cartan = {
-            "level1_matches_obstruction": checked(exact1, 0.0, exact1 == 0.0),
-            "level2_matches_triple": checked(exact2, 0.0, exact2 == 0.0),
-            "bianchi_level1": checked(bianchi_residual(lvl1, h.dom), mcfg.eps_massey),
-            "bianchi_level2": checked(bianchi_residual(lvl2, h.dom), mcfg.eps_massey),
-        }
+        cartan = cartan_bianchi_report(h)
         timer.stop()
         timer.start("involution")
         invol = involution_report(h)
         inv_max = max(
-            list(invol["iota"].values())
-            + list(invol["lie"].values())
-            + list(invol["pb"].values()),
-            default=0.0,
+            (v for part in ("iota", "lie", "pb") for v in invol[part].values()), default=0.0
         )
         timer.stop()
         massey_section.update(
             {
                 "closedness": {
-                    "12": checked(h.certificates[("closedness", (1, 2))], mcfg.eps_massey),
-                    "23": checked(h.certificates[("closedness", (2, 3))], mcfg.eps_massey),
-                    "123": checked(h.certificates[("closedness", (1, 2, 3))], mcfg.eps_massey),
+                    "".join(map(str, key)):
+                        checked(h.certificates[("closedness", key)], mcfg.eps_massey)
+                    for key in ((1, 2), (2, 3), (1, 2, 3))
                 },
                 "mu123_grid": mu_grid,
                 "mu123_grid_calibrated": TRIPLE_LINKING_SIGN * mu_grid,
@@ -340,13 +320,9 @@ def cmd_massey(args) -> tuple[int, dict]:
 
 
 def _offending_pair(h, mcfg):
-    for (kind, key), value in h.certificates.items():
-        if kind != "periods":
-            continue
-        for k, p in value.items():
-            if abs(p) > mcfg.eps_period:
-                return f"{key[0]},{key[1]}"
-    return None
+    bad = [key for (kind, key), periods in h.certificates.items()
+           if kind == "periods" and any(abs(p) > mcfg.eps_period for p in periods.values())]
+    return f"{bad[0][0]},{bad[0][1]}" if bad else None
 
 
 def cmd_oracle(args) -> tuple[int, dict]:

@@ -137,9 +137,6 @@ class GridField:
         """L2 norm with the midpoint-rule measure."""
         return float(np.sqrt(np.sum(self.comps**2) * self.grid.cell_volume))
 
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.comps)))
-
 
 @dataclass
 class VectorField:
@@ -179,12 +176,6 @@ class VectorField:
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.comps)))
-
-    def pointwise_norm(self) -> np.ndarray:
-        return np.sqrt(np.sum(self.comps**2, axis=0))
-
-    def l2_norm(self) -> float:
-        return float(np.sqrt(np.sum(self.comps**2) * self.grid.cell_volume))
 
     def mean(self) -> np.ndarray:
         return self.comps.reshape(3, -1).mean(axis=1)

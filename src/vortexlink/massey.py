@@ -29,9 +29,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import combinations, product
+from operator import add
 
 import numpy as np
 
+from .comomentum import pair_contraction
 from .constants import DEFAULT_TOLERANCES, MERIDIAN_PANELS
 from .curves import Link, PlanarCurve, as_polygon
 from .errors import MissingPrimitive, NoConvergence, ObstructedClass, SceneError
@@ -45,10 +49,18 @@ from .operators import (
     ext_d,
     irfft3,
     lie_derivative,
+    musical_inv,
     rfft3,
     wedge,
 )
-from .tubes import LinkFields, LocalBox, meridian_period
+from .reports import checked
+from .tubes import (
+    LinkFields,
+    LocalBox,
+    disc_dual_1form,
+    meridian_period,
+    meridian_torus_panels,
+)
 
 
 @dataclass
@@ -144,8 +156,6 @@ class MaskedDomain:
             raise SceneError("meridian torus must enclose the tube support")
         comps = self.link.components
         for k, ck in enumerate(comps):
-            from .tubes import meridian_torus_panels
-
             centers, _, _ = meridian_torus_panels(ck, self.meridian_minor, (16, 64))
             for j, cj in enumerate(comps):
                 if j == k:
@@ -164,9 +174,6 @@ class MaskedDomain:
         return float(
             np.sqrt(np.mean(np.sum((self.mask[None] * f.comps) ** 2, axis=0)))
         )
-
-    def apply_mask(self, f: GridField) -> GridField:
-        return GridField(f.grid, f.degree, self.mask[None] * f.comps)
 
     def periods(self, form2: GridField) -> dict:
         out = {}
@@ -234,16 +241,8 @@ def solve_primitive(omega: GridField, dom: MaskedDomain,
     ||m(dv + omega)||^2 + reg ||delta v||^2 over 1-forms by preconditioned CG
     (zero initial guess, fixed iteration order: bitwise deterministic).
 
-    The CG state (v, r, p, z) is held as rfft3 coefficients.  There d, delta
-    and the preconditioner are diagonal, so an application of the normal
-    operator is one inverse transform of the stacked spectrum [i k x p, p],
-    the products with m^2 and shift * core in physical space, and one
-    forward transform of the same six components.  Inner products use
-    Parseval on the half spectrum (_parseval_weights), under which the rfft
-    coefficients are an isometric image of the real fields; the operator
-    and the preconditioner are the same linear maps as in physical space,
-    so in exact arithmetic the iterates are the physical-space CG iterates
-    and only the rounding differs.
+    The CG state (v, r, p, z) is held as rfft3 coefficients, as the module
+    docstring describes.
 
     Raises ObstructedClass when a meridian period of omega exceeds the gate
     (the cohomology class is nonzero, the Massey step is undefined), and
@@ -364,11 +363,11 @@ class MasseyHierarchy:
     v: dict = field(default_factory=dict)
     omega: dict = field(default_factory=dict)
     certificates: dict = field(default_factory=dict)
+    # id(form) -> (form, ext_d(form)); see d()
+    _derivatives: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def from_scene(cls, link: Link, grid: Grid3, config: MasseyConfig | None = None):
-        from .tubes import disc_dual_1form
-
         cfg = config or MasseyConfig()
         dom = MaskedDomain.build(link, grid, cfg)
         lf = LinkFields.build(link, grid)
@@ -379,6 +378,25 @@ class MasseyHierarchy:
             h.v[(i + 1,)] = disc_dual_1form(comp, link.tube, grid)
         return h
 
+    def d(self, form: GridField) -> GridField:
+        """ext_d(form), computed once per form object and kept with the form
+        until release_derivatives; neither may be mutated while kept."""
+        hit = self._derivatives.get(id(form))
+        if hit is None:
+            hit = self._derivatives[id(form)] = (form, ext_d(form))
+        return hit[1]
+
+    def release_derivatives(self, keep=()):
+        """Drop the kept derivatives, except those of the forms in `keep`."""
+        kept = {id(f) for f in keep}
+        self._derivatives = {k: v for k, v in self._derivatives.items() if k in kept}
+
+    def _certify_closed(self, key, om):
+        den = self.dom.masked_rms(om)
+        r = self.dom.link.tube.radius
+        closed = self.dom.masked_rms(self.d(om)) * r / den if den > 0 else 0.0
+        self.certificates[("closedness", key)] = closed
+
     def obstruction_form(self, i: int, j: int) -> GridField:
         """Omega_ij = v_i ^ v_j with masked-closedness and period certificates."""
         key = (i, j)
@@ -387,10 +405,7 @@ class MasseyHierarchy:
         vi, vj = self.v[(i,)], self.v[(j,)]
         om = wedge(vi, vj)
         self.omega[key] = om
-        r = self.dom.link.tube.radius
-        den = self.dom.masked_rms(om)
-        closed = self.dom.masked_rms(ext_d(om)) * r / den if den > 0 else 0.0
-        self.certificates[("closedness", key)] = closed
+        self._certify_closed(key, om)
         self.certificates[("periods", key)] = self.dom.periods(om)
         return om
 
@@ -420,10 +435,7 @@ class MasseyHierarchy:
             raise MissingPrimitive(f"primitive {missing} not solved") from None
         om = wedge(self.v[(i,)], vjk) + wedge(vij, self.v[(k,)])
         self.omega[key] = om
-        r = self.dom.link.tube.radius
-        den = self.dom.masked_rms(om)
-        closed = self.dom.masked_rms(ext_d(om)) * r / den if den > 0 else 0.0
-        self.certificates[("closedness", key)] = closed
+        self._certify_closed(key, om)
         return om
 
     def triple_linking(self, k: int = 3, i=1, j=2, m=3) -> float:
@@ -439,12 +451,15 @@ class MasseyHierarchy:
 
 @dataclass
 class NilpotentConnection:
-    """Strictly upper-triangular matrix of 1-forms (structural nilpotency)."""
+    """Strictly upper-triangular matrix of 1-forms (structural nilpotency).
+
+    Entry (i, j) is the hierarchy's v_I with I = (i+1, ..., j); derivatives
+    go through the hierarchy's shared d."""
 
     size: int
     entries: dict  # (row, col) -> GridField(1)
     level: int
-    grid: Grid3
+    hierarchy: MasseyHierarchy
     # set by connection_curvature on first use
     _curvature: dict | None = field(default=None, init=False, repr=False,
                                     compare=False)
@@ -462,7 +477,7 @@ class NilpotentConnection:
                 if len(key) == 2:
                     i, j = key
                     entries[(i - 1, j)] = vv
-        return cls(n, entries, level, h.dom.grid)
+        return cls(n, entries, level, h)
 
 
 def connection_curvature(c: NilpotentConnection) -> dict:
@@ -470,49 +485,72 @@ def connection_curvature(c: NilpotentConnection) -> dict:
 
     Computed once per connection and kept on it, so the report's exactness
     checks and bianchi_residual share one evaluation; the entries must not
-    change afterwards, and callers must not modify the returned forms.
+    change afterwards, and callers must not modify the returned forms.  A
+    pure product entry w_ij = sum_k v_ik ^ v_kj is replaced by the stored
+    Omega_I of the same index range when their bits agree, so it shares that
+    form's derivative.
     """
     if c._curvature is not None:
         return c._curvature
-    out = {}
-    for (i, j), vij in c.entries.items():
-        out[(i, j)] = ext_d(vij)
-    for i in range(c.size):
-        for j in range(c.size):
-            acc = None
-            for k in range(c.size):
-                if (i, k) in c.entries and (k, j) in c.entries:
-                    term = wedge(c.entries[(i, k)], c.entries[(k, j)])
-                    acc = term if acc is None else acc + term
-            if acc is not None:
-                out[(i, j)] = out[(i, j)] + acc if (i, j) in out else acc
+    h, v = c.hierarchy, c.entries
+    out = {ij: h.d(vij) for ij, vij in v.items()}
+    for i, j in product(range(c.size), repeat=2):
+        terms = [wedge(v[(i, k)], v[(k, j)]) for k in range(c.size)
+                 if (i, k) in v and (k, j) in v]
+        if not terms:
+            continue
+        acc = reduce(add, terms)
+        if (i, j) in out:
+            out[(i, j)] = out[(i, j)] + acc
+            continue
+        stored = h.omega.get(tuple(range(i + 1, j + 1)))
+        same = stored is not None and np.array_equal(stored.comps, acc.comps)
+        out[(i, j)] = stored if same else acc
     c._curvature = out
     return out
 
 
 def bianchi_residual(c: NilpotentConnection, dom: MaskedDomain) -> float:
     """Masked norm of d w + v ^ w - w ^ v relative to ||w||."""
-    w = connection_curvature(c)
+    w, v = connection_curvature(c), c.entries
     num2 = 0.0
-    den2 = 0.0
     r = dom.link.tube.radius
-    for i in range(c.size):
-        for j in range(c.size):
-            acc = None
-            if (i, j) in w:
-                acc = ext_d(w[(i, j)])
-            for k in range(c.size):
-                if (i, k) in c.entries and (k, j) in w:
-                    t = wedge(c.entries[(i, k)], w[(k, j)])
-                    acc = t if acc is None else acc + t
-                if (i, k) in w and (k, j) in c.entries:
-                    t = -1 * wedge(w[(i, k)], c.entries[(k, j)])
-                    acc = t if acc is None else acc + t
-            if acc is not None:
-                num2 += dom.masked_rms(acc) ** 2
-    for val in w.values():
-        den2 += (dom.masked_rms(val) / r) ** 2
+    for i, j in product(range(c.size), repeat=2):
+        terms = [c.hierarchy.d(w[(i, j)])] if (i, j) in w else []
+        for k in range(c.size):
+            if (i, k) in v and (k, j) in w:
+                terms.append(wedge(v[(i, k)], w[(k, j)]))
+            if (i, k) in w and (k, j) in v:
+                terms.append(-1 * wedge(w[(i, k)], v[(k, j)]))
+        if terms:
+            num2 += dom.masked_rms(reduce(add, terms)) ** 2
+    den2 = sum((dom.masked_rms(val) / r) ** 2 for val in w.values())
     return float(np.sqrt(num2 / den2)) if den2 > 0 else 0.0
+
+
+def cartan_bianchi_report(h: MasseyHierarchy) -> dict:
+    """Certificates of the level-1 and level-2 connections: the curvature
+    entries that must equal Omega_12 and Omega_123 bit for bit, and both
+    Bianchi residuals.
+
+    The connections live only here.  On return the hierarchy keeps the
+    derivatives d v_I alone, for the Lie derivatives of involution_report.
+    """
+    lvl1 = NilpotentConnection.from_hierarchy(h, 1)
+    lvl2 = NilpotentConnection.from_hierarchy(h, 2)
+    exact1 = float(np.max(np.abs(
+        connection_curvature(lvl1)[(0, 2)].comps - h.omega[(1, 2)].comps)))
+    exact2 = float(np.max(np.abs(
+        connection_curvature(lvl2)[(0, 3)].comps - h.omega[(1, 2, 3)].comps)))
+    eps = h.config.eps_massey
+    out = {
+        "level1_matches_obstruction": checked(exact1, 0.0, exact1 == 0.0),
+        "level2_matches_triple": checked(exact2, 0.0, exact2 == 0.0),
+        "bianchi_level1": checked(bianchi_residual(lvl1, h.dom), eps),
+        "bianchi_level2": checked(bianchi_residual(lvl2, h.dom), eps),
+    }
+    h.release_derivatives(keep=h.v.values())
+    return out
 
 
 # -- first integrals in involution ------------------------------------------------
@@ -524,9 +562,11 @@ def involution_report(h: MasseyHierarchy, xi_L: VectorField | None = None) -> di
     Numerators are masked RMS norms; denominators are products of input sup
     norms (with the tube radius as the length scale where a derivative is
     involved), so structurally vanishing overlaps report as zero.
-    """
-    from .comomentum import pair_contraction
 
+    The xi_I are views of the Omega_I and the Lie derivatives read the
+    hierarchy's shared d v_I, so nothing here may mutate them.  The shared
+    derivatives are released once the Lie derivatives are done.
+    """
     dom = h.dom
     if xi_L is None:
         xi_L = h.fields.xi_total()
@@ -541,41 +581,29 @@ def involution_report(h: MasseyHierarchy, xi_L: VectorField | None = None) -> di
         sup_v = vI.sup_norm()
         den_i = sup_xi * sup_v
         den_l = sup_xi * sup_v / r
-        iota = contract(xi_L, vI)
-        lie = lie_derivative(xi_L, vI)
-        report["iota"][key_name(key)] = (
-            dom.masked_rms(iota) / den_i if den_i > 0 else 0.0
-        )
-        report["lie"][key_name(key)] = (
-            dom.masked_rms(lie) / den_l if den_l > 0 else 0.0
-        )
+        iota = dom.masked_rms(contract(xi_L, vI))
+        lie = dom.masked_rms(lie_derivative(xi_L, vI, h.d(vI)))
+        report["iota"][key_name(key)] = iota / den_i if den_i > 0 else 0.0
+        report["lie"][key_name(key)] = lie / den_l if den_l > 0 else 0.0
+    h.release_derivatives()
 
     # vector fields of the stored classes: singles use the tube forms
-    xi_of = {}
-    for idx, om_i in enumerate(h.fields.omegas):
-        xi_of[(idx + 1,)] = alpha_inv(om_i)
-    for key, om in h.omega.items():
-        xi_of[key] = alpha_inv(om)
+    xi_of = {(idx + 1,): alpha_inv(om) for idx, om in enumerate(h.fields.omegas)}
+    xi_of.update((key, alpha_inv(om)) for key, om in h.omega.items())
+    sup = {key: x.sup_norm() for key, x in xi_of.items()}
 
     keys = sorted(xi_of, key=lambda k: (len(k), k))
-    for a in range(len(keys)):
-        for b in range(a + 1, len(keys)):
-            ka, kb = keys[a], keys[b]
-            xa, xb = xi_of[ka], xi_of[kb]
-            den = xa.sup_norm() * xb.sup_norm()
-            pb = pair_contraction(xa, xb)  # nu(xi_a, xi_b, .)
-            name = f"{key_name(ka)},{key_name(kb)}"
-            report["pb"][name] = dom.masked_rms(pb) / den if den > 0 else 0.0
-            sup_pb = pb.sup_norm()
-            if sup_pb > 0:
-                from .operators import harmonic_proj
-
-                closed = ext_d(pb).sup_norm() * r / sup_pb
-                harm = harmonic_proj(pb).sup_norm() / sup_pb
-            else:
-                closed = harm = 0.0
-            report["pb_certificates"][name] = {
-                "closedness": closed,
-                "harmonic_part": harm,
-            }
+    for ka, kb in combinations(keys, 2):
+        den = sup[ka] * sup[kb]
+        pb = pair_contraction(xi_of[ka], xi_of[kb])  # nu(xi_a, xi_b, .)
+        name = f"{key_name(ka)},{key_name(kb)}"
+        report["pb"][name] = dom.masked_rms(pb) / den if den > 0 else 0.0
+        sup_pb = pb.sup_norm()
+        if sup_pb > 0:
+            closed = ext_d(pb).sup_norm() * r / sup_pb
+            # the harmonic part on the flat torus is the componentwise mean
+            harm = float(np.max(np.abs(musical_inv(pb).mean()))) / sup_pb
+        else:
+            closed = harm = 0.0
+        report["pb_certificates"][name] = {"closedness": closed, "harmonic_part": harm}
     return report

@@ -77,13 +77,15 @@ def irfft3(ah: np.ndarray, shape) -> np.ndarray:
 
 def _k_cross(K, vh, out=None):
     """Curl symbol: i k x v for a spectral vector field vh of shape (3, ...),
-    written into `out` when given."""
-    KX, KY, KZ = K
+    written into `out` when given.  Each component is 1j * (K_a v_b - K_b v_a),
+    computed in place with one scratch component."""
     if out is None:
         out = np.empty_like(vh)
-    out[0] = 1j * (KY * vh[2] - KZ * vh[1])
-    out[1] = 1j * (KZ * vh[0] - KX * vh[2])
-    out[2] = 1j * (KX * vh[1] - KY * vh[0])
+    tmp = np.empty_like(out[0])
+    for c, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
+        np.multiply(K[a], vh[b], out=out[c])
+        out[c] -= np.multiply(K[b], vh[a], out=tmp)
+        out[c] *= 1j
     return out
 
 
@@ -145,35 +147,37 @@ def spectral_curl(x: VectorField) -> VectorField:
 
 
 # -- algebraic (pointwise) operations ---------------------------------------
+# The star, the musical maps and alpha only relabel components: the result
+# shares the input's array, so neither may be mutated while both are in use.
 
 def hodge_star(f: GridField) -> GridField:
-    """Euclidean Hodge dual.  In the fixed component bases this is a pure
-    degree swap k -> 3-k with identical arrays, and ** = id exactly."""
-    return GridField(f.grid, 3 - f.degree, f.comps.copy())
+    """Euclidean Hodge dual: a degree swap k -> 3-k on the same array, so
+    ** = id exactly."""
+    return GridField(f.grid, 3 - f.degree, f.comps)
 
 
 def musical(x: VectorField) -> GridField:
-    """Flat: vector field -> 1-form (Euclidean metric, component copy)."""
-    return GridField(x.grid, 1, x.comps.copy())
+    """Flat: vector field -> 1-form (Euclidean metric, shared array)."""
+    return GridField(x.grid, 1, x.comps)
 
 
 def musical_inv(f: GridField) -> VectorField:
-    """Sharp: 1-form -> vector field."""
+    """Sharp: 1-form -> vector field (shared array)."""
     if f.degree != 1:
         raise ValueError("sharp expects a 1-form")
-    return VectorField(f.grid, f.comps.copy())
+    return VectorField(f.grid, f.comps)
 
 
 def alpha(x: VectorField) -> GridField:
-    """iota_x nu = x^1 dy^dz + x^2 dz^dx + x^3 dx^dy  (= *(x flat))."""
-    return GridField(x.grid, 2, x.comps.copy())
+    """iota_x nu = x^1 dy^dz + x^2 dz^dx + x^3 dx^dy  (= *(x flat)), shared array."""
+    return GridField(x.grid, 2, x.comps)
 
 
 def alpha_inv(f: GridField) -> VectorField:
-    """Inverse of alpha: (*beta) sharp."""
+    """Inverse of alpha: (*beta) sharp, shared array."""
     if f.degree != 2:
         raise ValueError("alpha_inv expects a 2-form")
-    return VectorField(f.grid, f.comps.copy())
+    return VectorField(f.grid, f.comps)
 
 
 def wedge(f: GridField, g: GridField) -> GridField:
@@ -328,14 +332,15 @@ def curl_inv(b: VectorField, eps_div=None, eps_mean=None) -> VectorField:
     return VectorField(b.grid, comps)
 
 
-def lie_derivative(x: VectorField, f: GridField) -> GridField:
-    """Cartan's formula: L_x f = d(iota_x f) + iota_x(d f)."""
+def lie_derivative(x: VectorField, f: GridField, df: GridField | None = None) -> GridField:
+    """Cartan's formula: L_x f = d(iota_x f) + iota_x(d f); `df` is d f when
+    the caller already holds it."""
     k = f.degree
     terms = []
     if k >= 1:
         terms.append(ext_d(contract(x, f)))
     if k <= 2:
-        terms.append(contract(x, ext_d(f)))
+        terms.append(contract(x, ext_d(f) if df is None else df))
     out = terms[0]
     for t in terms[1:]:
         out = out + t

@@ -9,6 +9,7 @@ Numeric entries that were tested against a tolerance are stored as
 from __future__ import annotations
 
 import json
+import resource
 import time
 
 
@@ -39,14 +40,17 @@ def report_text(report: dict) -> str:
 class StageTimer:
     """Collects per-stage wall times, written to a sidecar file.
 
-    `solver` holds per-solve CG telemetry (keyed by the solved pair); it is
-    written beside the stages under its own key, so "timings" lists stages
-    only.
+    `solver` holds per-solve CG telemetry (keyed by the solved pair) and
+    `peak_rss_mb` the process's peak resident set at the end of each stage
+    (a high-water mark, so it never falls from one stage to the next).  Both
+    are written beside the stages under their own keys, so "timings" lists
+    stage seconds only.
     """
 
     def __init__(self):
         self.stages = {}
         self.solver = {}
+        self.peak_rss_mb = {}
         self._t0 = None
         self._name = None
 
@@ -59,12 +63,15 @@ class StageTimer:
             self.stages[self._name] = round(
                 time.perf_counter() - self._t0, 4
             )
+            # ru_maxrss counts KiB (Linux)
+            rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            self.peak_rss_mb[self._name] = round(rss / 1024, 1)
             self._name = None
 
     def write_sidecar(self, report_path):
         path = str(report_path) + ".timings.json"
         with open(path, "w") as fh:
-            doc = {"timings": self.stages}
+            doc = {"timings": self.stages, "peak_rss_mb": self.peak_rss_mb}
             if self.solver:
                 doc["solver"] = self.solver
             json.dump(doc, fh, indent=2, sort_keys=True)

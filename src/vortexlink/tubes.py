@@ -32,6 +32,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, reduce
+from operator import add
 
 import numpy as np
 
@@ -198,48 +200,43 @@ def helicity(v: GridField, w: GridField) -> float:
 
 @dataclass
 class LinkFields:
-    """Grid realizations of one link: per-component tube forms, filament
-    fields and Coulomb primitives."""
+    """Grid realizations of one link: per-component tube forms and, built on
+    first use, their Coulomb primitives.  The filament fields
+    xi_i = alpha^{-1}(omega_i) are views of the tube forms, and the Massey
+    brackets read them: no array here may be mutated.
+    """
 
     grid: Grid3
     link: Link
     omegas: list
-    xis: list
-    primitives: list
 
     @classmethod
     def build(cls, link: Link, grid: Grid3, validate=True) -> "LinkFields":
         if validate:
             link.validate(grid)
-        omegas, xis, prims = [], [], []
-        for comp in link.components:
-            om = tube_2form(comp, link.tube, grid)
-            xi = alpha_inv(om)
-            omegas.append(om)
-            xis.append(xi)
-            # mollified filaments are solenoidal only up to quadrature error;
-            # the Coulomb primitive sees the Leray projection (the curl_inv
-            # Fourier formula is blind to the gradient part anyway)
-            prims.append(musical(curl_inv(solenoidal_part(xi), eps_mean=1e-6)))
-        return cls(grid, link, omegas, xis, prims)
+        return cls(grid, link, [tube_2form(c, link.tube, grid) for c in link.components])
+
+    @cached_property
+    def primitives(self) -> list:
+        """Coulomb primitives of the tube forms, computed on first use.
+
+        Mollified filaments are solenoidal only up to quadrature error; the
+        Coulomb primitive sees the Leray projection (the curl_inv Fourier
+        formula is blind to the gradient part anyway).
+        """
+        return [
+            musical(curl_inv(solenoidal_part(alpha_inv(om)), eps_mean=1e-6))
+            for om in self.omegas
+        ]
 
     def omega_total(self) -> GridField:
-        out = self.omegas[0].copy()
-        for om in self.omegas[1:]:
-            out = out + om
-        return out
+        return reduce(add, self.omegas)
 
     def primitive_total(self) -> GridField:
-        out = self.primitives[0].copy()
-        for p in self.primitives[1:]:
-            out = out + p
-        return out
+        return reduce(add, self.primitives)
 
     def xi_total(self) -> VectorField:
-        out = self.xis[0].copy()
-        for x in self.xis[1:]:
-            out = out + x
-        return out
+        return alpha_inv(self.omega_total())
 
     def helicity_matrix(self) -> np.ndarray:
         n = len(self.omegas)
@@ -285,32 +282,26 @@ def meridian_torus_panels(curve: PlanarCurve, minor_radius: float, panels=(64, 2
     TH, T = np.meshgrid(th, tt, indexing="ij")
     th_f, t_f = TH.reshape(-1), T.reshape(-1)
 
-    base = curve.point(t_f)
-    tang = (
-        -np.sin(t_f + curve.phase)[:, None] * curve.axis_u[None, :]
-        + np.cos(t_f + curve.phase)[:, None] * curve.axis_v[None, :]
-    )
-    tang_unit = tang / np.linalg.norm(tang, axis=1)[:, None]
     n_hat = curve.normal
-    m_hat = np.cross(tang_unit, np.tile(n_hat, (len(t_f), 1)))
 
-    ring = np.cos(th_f)[:, None] * m_hat + np.sin(th_f)[:, None] * n_hat
-    centers = base + minor_radius * ring
+    def torus_points(t):
+        """Torus points at curve parameters t, and the in-plane normals m."""
+        tang = (
+            -np.sin(t + curve.phase)[:, None] * curve.axis_u[None, :]
+            + np.cos(t + curve.phase)[:, None] * curve.axis_v[None, :]
+        )
+        tang_unit = tang / np.linalg.norm(tang, axis=1)[:, None]
+        m_hat = np.cross(tang_unit, np.tile(n_hat, (len(t), 1)))
+        ring = np.cos(th_f)[:, None] * m_hat + np.sin(th_f)[:, None] * n_hat
+        return curve.point(t) + minor_radius * ring, m_hat
+
+    centers, m_hat = torus_points(t_f)
     d_theta = minor_radius * (
         -np.sin(th_f)[:, None] * m_hat + np.cos(th_f)[:, None] * n_hat
     ) * (2 * np.pi / n_th)
     # d/dt of the torus point: base tangent + minor-circle frame rotation
     eps = 1e-6
-    base2 = curve.point(t_f + eps)
-    tang2 = (
-        -np.sin(t_f + eps + curve.phase)[:, None] * curve.axis_u[None, :]
-        + np.cos(t_f + eps + curve.phase)[:, None] * curve.axis_v[None, :]
-    )
-    tang2_unit = tang2 / np.linalg.norm(tang2, axis=1)[:, None]
-    m2_hat = np.cross(tang2_unit, np.tile(n_hat, (len(t_f), 1)))
-    ring2 = np.cos(th_f)[:, None] * m2_hat + np.sin(th_f)[:, None] * n_hat
-    centers2 = base2 + minor_radius * ring2
-    d_t = (centers2 - centers) / eps * (2 * np.pi / n_t)
+    d_t = (torus_points(t_f + eps)[0] - centers) / eps * (2 * np.pi / n_t)
     return centers, d_theta, d_t
 
 

@@ -28,6 +28,10 @@ SCENES = {
 DIAGRAMS = {"borromean_diagram": "123", "hopf_diagram": "12"}
 # the co-momentum suite at N = 32
 COMOMENTUM_CONFIG = "tests/golden/comomentum_config.json"
+# split_triple(tube_radius=0.42) at N = 48, written by scenes.dump_scene: a
+# three-component massey run that reaches the cartan_bianchi and involution
+# stages in about two seconds
+SPLIT_TRIPLE_N48 = "tests/golden/split_triple_n48_scene.json"
 
 
 def _cases():
@@ -45,6 +49,7 @@ def _cases():
         )
     cases.append(("massey_hopf", ["massey", "--scene", "fixtures/hopf.json"], 4))
     cases.append(("massey_split", ["massey", "--scene", "fixtures/split.json"], 0))
+    cases.append(("massey_split_triple_n48", ["massey", "--scene", SPLIT_TRIPLE_N48], 0))
     cases.append(
         (
             "comomentum_n32",
@@ -84,6 +89,19 @@ def test_non_solenoidal_comomentum_exits_3(monkeypatch):
     assert cli.main(argv) == cli.EXIT_NUMERICAL == 3
 
 
+def test_sidecar_reports_peak_rss_per_stage(tmp_path, monkeypatch):
+    # the sidecar keeps stage seconds under "timings" and the process's peak
+    # resident set at the end of each stage under its own key
+    monkeypatch.chdir(ROOT)
+    out = tmp_path / "report.json"
+    assert cli.main(["lk", "--scene", "fixtures/hopf.json", "--seed", SEED, "--out", str(out)]) == 0
+    sidecar = json.loads((tmp_path / "report.json.timings.json").read_text())
+    assert set(sidecar) == {"timings", "peak_rss_mb"}
+    assert set(sidecar["peak_rss_mb"]) == set(sidecar["timings"]) == {"linking_matrix", "writhe_framing"}
+    rss = sidecar["peak_rss_mb"]
+    assert 0 < rss["linking_matrix"] <= rss["writhe_framing"]
+
+
 def _reject_constant(name):
     raise ValueError(f"report holds the non-JSON constant {name}")
 
@@ -102,11 +120,17 @@ def test_split_triple_massey_report_is_valid_json(tmp_path, monkeypatch):
 
 
 if __name__ == "__main__":
+    import math
     import os
     import tempfile
 
+    from vortexlink.curves import split_triple
+    from vortexlink.grid import Grid3
+    from vortexlink.scenes import dump_scene
+
     os.chdir(ROOT)
     GOLDEN.mkdir(exist_ok=True)
+    dump_scene(SPLIT_TRIPLE_N48, Grid3(48, 2 * math.pi), split_triple(tube_radius=0.42))
     with tempfile.TemporaryDirectory() as tmp:
         for name, argv, code in CASES:
             got_code, got = _run(argv, Path(tmp) / "report.json")

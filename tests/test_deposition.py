@@ -147,5 +147,6 @@ def test_split_triple_fields_are_byte_identical():
     got = {f"v{i}": _sha(h.v[(i,)].comps) for i in (1, 2, 3)}
     got["mask"] = _sha(h.dom.mask)
     got["core"] = _sha(h.dom.core)
-    got.update({f"xi{i + 1}": _sha(x.comps) for i, x in enumerate(h.fields.xis)})
+    # xi_i = alpha^{-1}(omega_i) is a view of the tube form
+    got.update({f"xi{i + 1}": _sha(om.comps) for i, om in enumerate(h.fields.omegas)})
     assert got == SPLIT_TRIPLE_N48

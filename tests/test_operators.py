@@ -255,3 +255,21 @@ def test_batched_fft_matches_per_component_bitwise(grid32, rng):
     back = irfft3(hats, grid32.shape)
     assert back.tobytes() == np.stack([irfft3(h, grid32.shape) for h in hats]).tobytes()
 
+
+
+def test_k_cross_in_place_matches_expression_bitwise(grid32, rng):
+    # the in-place curl symbol against the expression it replaced
+    from vortexlink.operators import _k_cross, _symbols
+
+    K, _, _ = _symbols(grid32)
+    KX, KY, KZ = K
+    vh = rfft3(rng.standard_normal((3,) + grid32.shape))
+    want = np.empty_like(vh)
+    want[0] = 1j * (KY * vh[2] - KZ * vh[1])
+    want[1] = 1j * (KZ * vh[0] - KX * vh[2])
+    want[2] = 1j * (KX * vh[1] - KY * vh[0])
+    assert _k_cross(K, vh).tobytes() == want.tobytes()
+    stacked = np.full((6,) + vh.shape[1:], np.nan, dtype=complex)
+    _k_cross(K, vh, out=stacked[:3])
+    assert stacked[:3].tobytes() == want.tobytes()
+    assert np.isnan(stacked[3:]).all()

@@ -1,0 +1,234 @@
+"""The Massey report stages on non-zero data, bit for bit against the old code.
+
+The curvature, the Bianchi residual and the involution report now share one
+exterior derivative per stored form, take the fields xi_I as views of the
+Omega_I and read the harmonic part off the component means.  The functions
+below are the previous implementations, which differentiated every form
+afresh and copied every xi_I; the new code must give the same bits.  The
+hierarchy is built at N = 24 from random band-limited fields, so every
+bracket is non-zero and the `sup_pb > 0` branch runs (the shipped split
+scenes have Omega = 0 and never reach it).
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from vortexlink import massey, operators
+from vortexlink.comomentum import pair_contraction
+from vortexlink.curves import split_triple
+from vortexlink.grid import Grid3, VectorField
+from vortexlink.massey import (
+    MaskedDomain,
+    MasseyConfig,
+    MasseyHierarchy,
+    NilpotentConnection,
+    bianchi_residual,
+    cartan_bianchi_report,
+    connection_curvature,
+    involution_report,
+)
+from vortexlink.operators import contract, ext_d, harmonic_proj, wedge
+from vortexlink.random_fields import random_form
+from vortexlink.tubes import LinkFields
+
+PRIMITIVE_KEYS = ((1,), (2,), (3,), (1, 2), (2, 3))
+
+
+def _hierarchy(seed, consistent):
+    """A three-component hierarchy on random fields.  With `consistent` the
+    Omega_I are the hierarchy's own products of the random v_I (as in a
+    run); otherwise they are random 2-forms as well."""
+    grid = Grid3(24, 2 * np.pi)
+    rng = np.random.default_rng(seed)
+    # the scene gives the mask, the meridian tori and the tube radius only
+    link = split_triple(tube_radius=0.42)
+    dom = MaskedDomain.build(link, grid)
+    fields = LinkFields(grid, link, [random_form(grid, 2, rng) for _ in range(3)])
+    h = MasseyHierarchy(dom, fields, MasseyConfig())
+    for key in PRIMITIVE_KEYS:
+        h.v[key] = random_form(grid, 1, rng)
+    if consistent:
+        for i, j in ((1, 2), (1, 3), (2, 3)):
+            h.obstruction_form(i, j)
+        h.massey_triple()
+    else:
+        for key in ((1, 2), (1, 3), (2, 3), (1, 2, 3)):
+            h.omega[key] = random_form(grid, 2, rng)
+    return h
+
+
+# -- the previous implementations ------------------------------------------------
+
+def reference_curvature(c):
+    out = {}
+    for (i, j), vij in c.entries.items():
+        out[(i, j)] = ext_d(vij)
+    for i in range(c.size):
+        for j in range(c.size):
+            acc = None
+            for k in range(c.size):
+                if (i, k) in c.entries and (k, j) in c.entries:
+                    term = wedge(c.entries[(i, k)], c.entries[(k, j)])
+                    acc = term if acc is None else acc + term
+            if acc is not None:
+                out[(i, j)] = out[(i, j)] + acc if (i, j) in out else acc
+    return out
+
+
+def reference_bianchi(c, dom):
+    w = reference_curvature(c)
+    num2 = 0.0
+    den2 = 0.0
+    r = dom.link.tube.radius
+    for i in range(c.size):
+        for j in range(c.size):
+            acc = None
+            if (i, j) in w:
+                acc = ext_d(w[(i, j)])
+            for k in range(c.size):
+                if (i, k) in c.entries and (k, j) in w:
+                    t = wedge(c.entries[(i, k)], w[(k, j)])
+                    acc = t if acc is None else acc + t
+                if (i, k) in w and (k, j) in c.entries:
+                    t = -1 * wedge(w[(i, k)], c.entries[(k, j)])
+                    acc = t if acc is None else acc + t
+            if acc is not None:
+                num2 += dom.masked_rms(acc) ** 2
+    for val in w.values():
+        den2 += (dom.masked_rms(val) / r) ** 2
+    return float(np.sqrt(num2 / den2)) if den2 > 0 else 0.0
+
+
+def _xi_copy(om):
+    return VectorField(om.grid, om.comps.copy())
+
+
+def reference_involution(h):
+    dom = h.dom
+    xis = [_xi_copy(om) for om in h.fields.omegas]
+    xi_L = xis[0].copy()
+    for x in xis[1:]:
+        xi_L = xi_L + x
+    r = dom.link.tube.radius
+    sup_xi = xi_L.sup_norm()
+    report = {"iota": {}, "lie": {}, "pb": {}, "pb_certificates": {}}
+
+    def key_name(key):
+        return "".join(str(i) for i in key)
+
+    for key, vI in h.v.items():
+        sup_v = vI.sup_norm()
+        den_i = sup_xi * sup_v
+        den_l = sup_xi * sup_v / r
+        iota = contract(xi_L, vI)
+        lie = ext_d(contract(xi_L, vI)) + contract(xi_L, ext_d(vI))
+        report["iota"][key_name(key)] = (
+            dom.masked_rms(iota) / den_i if den_i > 0 else 0.0
+        )
+        report["lie"][key_name(key)] = (
+            dom.masked_rms(lie) / den_l if den_l > 0 else 0.0
+        )
+    xi_of = {}
+    for idx, om_i in enumerate(h.fields.omegas):
+        xi_of[(idx + 1,)] = _xi_copy(om_i)
+    for key, om in h.omega.items():
+        xi_of[key] = _xi_copy(om)
+    keys = sorted(xi_of, key=lambda k: (len(k), k))
+    for a in range(len(keys)):
+        for b in range(a + 1, len(keys)):
+            ka, kb = keys[a], keys[b]
+            xa, xb = xi_of[ka], xi_of[kb]
+            den = xa.sup_norm() * xb.sup_norm()
+            pb = pair_contraction(xa, xb)
+            name = f"{key_name(ka)},{key_name(kb)}"
+            report["pb"][name] = dom.masked_rms(pb) / den if den > 0 else 0.0
+            sup_pb = pb.sup_norm()
+            if sup_pb > 0:
+                closed = ext_d(pb).sup_norm() * r / sup_pb
+                harm = harmonic_proj(pb).sup_norm() / sup_pb
+            else:
+                closed = harm = 0.0
+            report["pb_certificates"][name] = {
+                "closedness": closed,
+                "harmonic_part": harm,
+            }
+    return report
+
+
+def _bits(f):
+    return f.comps.view(np.uint64)
+
+
+# -- checks -------------------------------------------------------------------------
+
+@pytest.mark.parametrize("consistent", [True, False], ids=["hierarchy_omega", "random_omega"])
+def test_report_stages_match_reference_bitwise(consistent):
+    h = _hierarchy(7, consistent)
+    ref_w, ref_bianchi = {}, {}
+    for level in (1, 2):
+        c = NilpotentConnection.from_hierarchy(h, level)
+        ref_w[level] = reference_curvature(c)
+        ref_bianchi[level] = reference_bianchi(c, h.dom)
+    ref_inv = reference_involution(h)
+    ref_exact1 = float(np.max(np.abs(ref_w[1][(0, 2)].comps - h.omega[(1, 2)].comps)))
+    ref_exact2 = float(np.max(np.abs(ref_w[2][(0, 3)].comps - h.omega[(1, 2, 3)].comps)))
+
+    for level in (1, 2):
+        c = NilpotentConnection.from_hierarchy(h, level)
+        w = connection_curvature(c)
+        assert w.keys() == ref_w[level].keys()
+        for ij, wij in w.items():
+            assert np.array_equal(_bits(wij), _bits(ref_w[level][ij])), (level, ij)
+        assert bianchi_residual(c, h.dom) == ref_bianchi[level]
+        assert ref_bianchi[level] > 0
+
+    cartan = cartan_bianchi_report(h)
+    assert cartan["level1_matches_obstruction"]["value"] == ref_exact1
+    assert cartan["level2_matches_triple"]["value"] == ref_exact2
+    assert cartan["bianchi_level1"]["value"] == ref_bianchi[1]
+    assert cartan["bianchi_level2"]["value"] == ref_bianchi[2]
+    # the exactness certificates hold exactly when Omega_I is the product
+    assert (ref_exact1 == 0.0 and ref_exact2 == 0.0) == consistent
+
+    got = involution_report(h)
+    assert got == ref_inv
+    # every bracket of random fields is non-zero: the certificate branch ran
+    assert all(v > 0 for v in got["pb"].values())
+    assert all(c["closedness"] > 0 for c in got["pb_certificates"].values())
+
+
+def _sha(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+def test_each_exterior_derivative_is_computed_once(monkeypatch):
+    """Across the closedness certificates, both curvatures, both Bianchi
+    residuals and the Lie derivatives, no form is differentiated twice."""
+    seen = []
+    real = operators.ext_d
+
+    def counting(f):
+        seen.append(_sha(f.comps))
+        return real(f)
+
+    monkeypatch.setattr(operators, "ext_d", counting)
+    monkeypatch.setattr(massey, "ext_d", counting)
+    h = _hierarchy(11, True)
+    cartan_bianchi_report(h)
+    involution_report(h)
+    assert len(seen) == len(set(seen))
+    # 4 d Omega_I; 5 d v_I and the Bianchi terms of 11 curvature entries, of
+    # which 3 are shared between the levels (d d v_i) and 3 are d Omega_I;
+    # 5 d(iota_xi v_I) and 21 brackets
+    assert len(seen) == 4 + 5 + (11 - 3 - 3) + 5 + 21
+
+
+def test_derivatives_are_released_after_the_lie_derivatives():
+    h = _hierarchy(3, True)
+    cartan_bianchi_report(h)
+    kept = {id(f) for f, _ in h._derivatives.values()}
+    assert kept == {id(v) for v in h.v.values()}
+    involution_report(h)
+    assert h._derivatives == {}

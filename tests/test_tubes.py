@@ -6,7 +6,8 @@ import pytest
 from vortexlink.curves import PlanarCurve, TubeParams, circle, hopf_link, split_link
 from vortexlink.errors import TubeOverlap, TubeTooThin
 from vortexlink.grid import Grid3, VectorField
-from vortexlink.operators import alpha, ext_d, musical
+from vortexlink import tubes
+from vortexlink.operators import alpha, alpha_inv, curl_inv, ext_d, musical, solenoidal_part
 from vortexlink.tubes import (
     LinkFields,
     disc_dual_1form,
@@ -143,3 +144,28 @@ def test_meridian_period_of_distant_tube(grid96, hopf_fields):
     # omega_1 is supported away from the meridian torus of component 2
     per = meridian_period(lf.omegas[0], link.components[1], 1.5 * link.tube.radius)
     assert per == 0.0
+
+
+def test_link_fields_build_primitives_on_first_use(monkeypatch):
+    grid = Grid3(32, 2 * np.pi)
+    link = split_link(tube_radius=0.6)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return curl_inv(*args, **kwargs)
+
+    monkeypatch.setattr(tubes, "curl_inv", counting)
+    lf = LinkFields.build(link, grid)
+    assert calls == []
+    # the eager primitives the build used to compute
+    eager = [musical(curl_inv(solenoidal_part(alpha_inv(om)), eps_mean=1e-6))
+             for om in lf.omegas]
+    assert all(np.array_equal(p.comps, e.comps) for p, e in zip(lf.primitives, eager))
+    assert len(calls) == len(link.components)
+    assert lf.primitives is lf.primitives  # kept after the first use
+    total = eager[0].copy() + eager[1]
+    assert lf.primitive_total().comps.tobytes() == total.comps.tobytes()
+    H = np.array([[helicity(p, om) for om in lf.omegas] for p in eager])
+    assert lf.helicity_matrix().tobytes() == H.tobytes()
+    assert len(calls) == len(link.components)
