@@ -5,7 +5,9 @@ deterministic JSON (byte-identical under identical inputs/config/seed);
 per-stage timings go to a `<out>.timings.json` sidecar.
 
 Exit codes: 0 success, 2 input validation, 3 numerical precondition,
-4 topological obstruction, 5 invariant indeterminacy.
+4 topological obstruction, 5 invariant indeterminacy.  `massey` and `export`
+gate their scene once with `tubes.validate_scene`, whose docstring gives the
+order of the checks and the exit code of each.
 """
 
 from __future__ import annotations

@@ -17,13 +17,10 @@ CODIFF_SIGN = {1: -1, 2: +1, 3: -1}
 # hydrodynamical bracket curl(a x b).  With +1 the 1-form mu2 fails to be
 # closed (off by -2*iota_{curl(a x b)}nu); with -1 (the standard Jacobi-Lie
 # bracket on divergence-free fields) closedness, the bracket-defect identity
-# and the triple-evaluation identity all hold exactly.
+# and the triple-evaluation identity all hold exactly.  The equivariance
+# defect is defect(xi, b) = L_xi f1(b) - f1([xi, b]) with this bracket; for
+# xi = b it equals -d<B, b> (minus the differential of the helicity density).
 TOWER_BRACKET_SIGN = -1
-
-# Equivariance defect convention: defect(xi, b) = L_xi f1(b) - f1([xi, b])
-# with the tower bracket above.  For xi = b this equals -d<B, b> (minus the
-# differential of the helicity density).
-EQUIVARIANCE_DEFECT_IS_MINUS_DH = True
 
 # Disc duals: a disc with unit normal n and boundary oriented right-handed
 # around n satisfies d(disc_dual) = +tube_2form(boundary).  Scene components

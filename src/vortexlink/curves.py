@@ -11,8 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NotPlanar, SceneError, TubeOverlap, TubeTooThin
-from .grid import Grid3
+from .errors import NotPlanar
 
 
 @dataclass(frozen=True)
@@ -65,18 +64,6 @@ class PolygonalCurve:
             for j in range(m):
                 out.append(a + (b - a) * j / m)
         return PolygonalCurve(np.array(out))
-
-    def in_central_half_box(self, grid: Grid3) -> bool:
-        """True when every vertex has all coordinates within L/4 of the box
-        center.
-
-        Two points of such curves differ by at most L/2 in each coordinate,
-        so every pairwise displacement lies inside the fundamental cell: the
-        wrapped mollifier depositor, the periodic Coulomb primitive and the
-        R^3 Gauss linking integral then all see the same geometry, with no
-        periodic image closer than the curve itself.
-        """
-        return bool(np.all(np.abs(self.vertices) <= grid.box_length / 4 + 1e-12))
 
 
 @dataclass(frozen=True)
@@ -162,14 +149,26 @@ def as_polygon(c) -> PolygonalCurve:
     return c.polygon()
 
 
+def pairwise_d2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances (P, Q) between the points a (P, 3) and b (Q, 3).
+
+    The squares are accumulated axis by axis, (dx^2 + dy^2) + dz^2, which is
+    the order of np.sum(diff**2, axis=2), so the result has the same bits
+    without its (P, Q, 3) temporary.
+    """
+    d2 = np.subtract.outer(a[:, 0], b[:, 0]) ** 2
+    for k in (1, 2):
+        d2 += np.subtract.outer(a[:, k], b[:, k]) ** 2
+    return d2
+
+
 def min_distance(c1, c2, subdiv=4) -> float:
     """Minimum distance between two curves, brute force over refined samples."""
     p1 = as_polygon(c1)
     p2 = as_polygon(c2)
     a = p1.refined(p1.length() / (subdiv * p1.n_vertices)).vertices
     b = p2.refined(p2.length() / (subdiv * p2.n_vertices)).vertices
-    d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
-    return float(np.sqrt(d2.min()))
+    return float(np.sqrt(pairwise_d2(a, b).min()))
 
 
 @dataclass(frozen=True)
@@ -183,21 +182,6 @@ class TubeParams:
         if not self.radius > 0:
             raise ValueError("tube radius must be positive")
 
-    def validate(self, grid: Grid3, components=None):
-        if self.radius < 3 * grid.spacing:
-            raise TubeTooThin(
-                f"radius {self.radius:.4g} < 3h = {3 * grid.spacing:.4g}"
-            )
-        if components and len(components) > 1:
-            for i in range(len(components)):
-                for j in range(i + 1, len(components)):
-                    d = min_distance(components[i], components[j])
-                    if d <= 2 * self.radius:
-                        raise TubeOverlap(
-                            f"components {i},{j} at distance {d:.4g} "
-                            f"<= 2r = {2 * self.radius:.4g}"
-                        )
-
 
 @dataclass
 class Link:
@@ -205,29 +189,6 @@ class Link:
 
     components: list
     tube: TubeParams
-
-    def validate(self, grid: Grid3):
-        """Reject scenes the grid pipeline cannot represent faithfully.
-
-        Tubes must be resolvable and disjoint (TubeTooThin, TubeOverlap), and
-        every component must lie in the central half-box |x_i| <= L/4
-        (SceneError).  The half-box rule keeps every pairwise displacement
-        inside the fundamental cell, so the wrapped depositor, the periodic
-        Coulomb primitive and the R^3 Gauss linking all see the same geometry.
-        """
-        self.tube.validate(grid, self.components)
-        for i, c in enumerate(self.components):
-            poly = as_polygon(c)
-            if not poly.in_central_half_box(grid):
-                raise SceneError(
-                    f"component {i} leaves the central half-box "
-                    f"|x| <= L/4 = {grid.box_length / 4:.4g}"
-                )
-
-    def reversed_component(self, index: int) -> "Link":
-        comps = list(self.components)
-        comps[index] = comps[index].reversed()
-        return Link(comps, self.tube)
 
 
 # -- standard fixtures --------------------------------------------------------

@@ -37,8 +37,8 @@ import numpy as np
 
 from .comomentum import pair_contraction
 from .constants import DEFAULT_TOLERANCES, MERIDIAN_PANELS
-from .curves import Link, PlanarCurve, as_polygon
-from .errors import MissingPrimitive, NoConvergence, ObstructedClass, SceneError
+from .curves import Link, as_polygon
+from .errors import MissingPrimitive, NoConvergence, ObstructedClass
 from .grid import Grid3, GridField, VectorField
 from .operators import (
     _k_cross,
@@ -54,13 +54,7 @@ from .operators import (
     wedge,
 )
 from .reports import checked
-from .tubes import (
-    LinkFields,
-    LocalBox,
-    disc_dual_1form,
-    meridian_period,
-    meridian_torus_panels,
-)
+from .tubes import LinkFields, LocalBox, disc_dual_1form, meridian_period
 
 
 @dataclass
@@ -132,11 +126,10 @@ class MaskedDomain:
 
     @classmethod
     def build(cls, link: Link, grid: Grid3, config: MasseyConfig | None = None):
+        """The mask of a scene that passed validate_scene with this config."""
         cfg = config or MasseyConfig()
         r = link.tube.radius
         r_mask = cfg.mask_factor * r
-        if r_mask < r:
-            raise SceneError("mask radius below tube radius")
         mask = np.ones(grid.shape)
         core = np.zeros(grid.shape)
         for comp in link.components:
@@ -145,29 +138,8 @@ class MaskedDomain:
             core = np.maximum(
                 core, 1.0 - _smoothstep((d - 0.8 * r_mask) / (0.2 * r_mask))
             )
-        dom = cls(grid, mask, core, link, r_mask, cfg.meridian_factor * r,
-                  cfg.panels)
-        dom._validate_cycles()
-        return dom
-
-    def _validate_cycles(self):
-        r = self.link.tube.radius
-        if not self.meridian_minor > r:
-            raise SceneError("meridian torus must enclose the tube support")
-        comps = self.link.components
-        for k, ck in enumerate(comps):
-            centers, _, _ = meridian_torus_panels(ck, self.meridian_minor, (16, 64))
-            for j, cj in enumerate(comps):
-                if j == k:
-                    continue
-                pts = as_polygon(cj).vertices
-                d2 = np.min(
-                    np.sum((centers[:, None, :] - pts[None, :, :]) ** 2, axis=2)
-                )
-                if np.sqrt(d2) <= r:
-                    raise SceneError(
-                        f"meridian torus {k} meets the tube support of {j}"
-                    )
+        return cls(grid, mask, core, link, r_mask, cfg.meridian_factor * r,
+                   cfg.panels)
 
     def masked_rms(self, f: GridField) -> float:
         """RMS of the masked form (volume-normalized L2)."""
@@ -369,12 +341,10 @@ class MasseyHierarchy:
     @classmethod
     def from_scene(cls, link: Link, grid: Grid3, config: MasseyConfig | None = None):
         cfg = config or MasseyConfig()
-        dom = MaskedDomain.build(link, grid, cfg)
-        lf = LinkFields.build(link, grid)
-        h = cls(dom, lf, cfg)
+        # the tube forms come first: their build runs the scene gate
+        lf = LinkFields.build(link, grid, cfg)
+        h = cls(MaskedDomain.build(link, grid, cfg), lf, cfg)
         for i, comp in enumerate(link.components):
-            if not isinstance(comp, PlanarCurve):
-                raise SceneError("Massey hierarchy needs planar components")
             h.v[(i + 1,)] = disc_dual_1form(comp, link.tube, grid)
         return h
 

@@ -109,8 +109,6 @@ class Config:
 
     grid_n: int = 96
     grid_l: float = 2 * np.pi
-    tube_radius: float = 0.3
-    tube_flux: float = 1.0
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
     seed: int = 0
 
@@ -120,9 +118,6 @@ class Config:
         grid = doc.get("grid", {})
         cfg.grid_n = int(grid.get("N", cfg.grid_n))
         cfg.grid_l = float(grid.get("L", cfg.grid_l))
-        tube = doc.get("tube", {})
-        cfg.tube_radius = float(tube.get("radius", cfg.tube_radius))
-        cfg.tube_flux = float(tube.get("flux", cfg.tube_flux))
         tols = doc.get("tolerances", {})
         bad = set(tols) - set(cfg.tolerances)
         if bad:

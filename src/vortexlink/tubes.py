@@ -33,13 +33,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import combinations
 from operator import add
 
 import numpy as np
 
 from .constants import DISC_DUAL_SIGN
-from .curves import Link, PlanarCurve, TubeParams, as_polygon
-from .errors import NotPlanar
+from .curves import Link, PlanarCurve, TubeParams, as_polygon, min_distance, pairwise_d2
+from .errors import NotPlanar, SceneError, TubeOverlap, TubeTooThin
 from .grid import Grid3, GridField, VectorField
 from .interpolate import trilinear
 from .operators import (
@@ -133,7 +134,6 @@ class _Depositor:
 def filament_field(curve, params: TubeParams, grid: Grid3) -> VectorField:
     """Unit-flux smeared filament: flux * closed line integral of the unit
     tangent times psi_r(distance to the curve)."""
-    params.validate(grid)
     poly = as_polygon(curve)
     step = min(grid.spacing, params.radius) / 2
     fine = poly.refined(step)
@@ -179,13 +179,77 @@ def disc_dual_1form(curve: PlanarCurve, params: TubeParams, grid: Grid3) -> Grid
     """
     if not isinstance(curve, PlanarCurve):
         raise NotPlanar("disc duals need a planar component")
-    params.validate(grid)
     pts, w = _disc_quadrature(curve, min(grid.spacing, params.radius) / 2)
     normal = curve.normal
     dep = _Depositor(grid, params.radius, 1)
     dep.add(pts, w[:, None])
     comps = DISC_DUAL_SIGN * params.flux * dep.data[0][None] * normal[:, None, None, None]
     return GridField(grid, 1, comps.reshape((3,) + grid.shape))
+
+
+# -- the scene gate -------------------------------------------------------------
+
+def validate_scene(link: Link, grid: Grid3, config=None) -> None:
+    """Reject scenes the grid pipeline cannot represent faithfully.
+
+    This is the one scene gate: a command that builds fields calls it once,
+    through LinkFields.build, before any deposition.  The checks run in this
+    order and the first violation is raised (CLI exit code in brackets):
+
+    1. the tube is resolvable, r >= 3h: TubeTooThin [3];
+    2. the tubes are disjoint, every two components more than 2r apart:
+       TubeOverlap [3];
+    3. every component lies in the central half-box |x_i| <= L/4:
+       SceneError [2].  Two points of such curves differ by at most L/2 in
+       each coordinate, so every pairwise displacement lies inside the
+       fundamental cell: the wrapped depositor, the periodic Coulomb
+       primitive and the R^3 Gauss linking integral then all see the same
+       geometry, with no periodic image closer than the curve itself.
+
+    Given a MasseyConfig, the preconditions of the Massey hierarchy follow:
+
+    4. every component is planar, so it has a flat Seifert disc:
+       SceneError [2];
+    5. the mask radius mask_factor * r is at least r: SceneError [2];
+    6. the meridian minor radius meridian_factor * r exceeds r, so the torus
+       encloses the tube support: SceneError [2];
+    7. each meridian torus clears the tube support of every other
+       component: SceneError [2].
+    """
+    r, h = link.tube.radius, grid.spacing
+    if r < 3 * h:
+        raise TubeTooThin(f"radius {r:.4g} < 3h = {3 * h:.4g}")
+    comps = link.components
+    polys = [as_polygon(c) for c in comps]
+    for i, j in combinations(range(len(polys)), 2):
+        d = min_distance(polys[i], polys[j])
+        if d <= 2 * r:
+            raise TubeOverlap(
+                f"components {i},{j} at distance {d:.4g} <= 2r = {2 * r:.4g}"
+            )
+    quarter = grid.box_length / 4
+    for i, poly in enumerate(polys):
+        if not np.all(np.abs(poly.vertices) <= quarter + 1e-12):
+            raise SceneError(
+                f"component {i} leaves the central half-box |x| <= L/4 = {quarter:.4g}"
+            )
+    if config is None:
+        return
+    if not all(isinstance(c, PlanarCurve) for c in comps):
+        raise SceneError("Massey hierarchy needs planar components")
+    if config.mask_factor * r < r:
+        raise SceneError("mask radius below tube radius")
+    minor = config.meridian_factor * r
+    if not minor > r:
+        raise SceneError("meridian torus must enclose the tube support")
+    for k, ck in enumerate(comps):
+        centers, _, _ = meridian_torus_panels(ck, minor, (16, 64))
+        for j, poly in enumerate(polys):
+            if j == k:
+                continue
+            d2 = pairwise_d2(centers, poly.vertices)
+            if np.sqrt(d2.min()) <= r:
+                raise SceneError(f"meridian torus {k} meets the tube support of {j}")
 
 
 # -- helicity -------------------------------------------------------------------
@@ -211,9 +275,10 @@ class LinkFields:
     omegas: list
 
     @classmethod
-    def build(cls, link: Link, grid: Grid3, validate=True) -> "LinkFields":
-        if validate:
-            link.validate(grid)
+    def build(cls, link: Link, grid: Grid3, config=None) -> "LinkFields":
+        """Gate the scene with validate_scene (the Massey checks too when a
+        MasseyConfig is given), then deposit the tube forms."""
+        validate_scene(link, grid, config)
         return cls(grid, link, [tube_2form(c, link.tube, grid) for c in link.components])
 
     @cached_property

@@ -9,11 +9,15 @@ intended change of a report) with
 """
 
 import json
+import math
 from pathlib import Path
 
 import pytest
 
-from vortexlink import cli
+from vortexlink import cli, massey, tubes
+from vortexlink.curves import Link, as_polygon, borromean_rings, split_triple
+from vortexlink.grid import Grid3
+from vortexlink.scenes import dump_scene
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -102,6 +106,71 @@ def test_sidecar_reports_peak_rss_per_stage(tmp_path, monkeypatch):
     assert 0 < rss["linking_matrix"] <= rss["writhe_framing"]
 
 
+# invalid scenes: (builder, commands, exception name, message fragment, exit
+# code); the gate gives one verdict per scene whatever the command
+def _polygonal_split_triple():
+    link = split_triple()
+    return Link([as_polygon(c) for c in link.components], link.tube)
+
+
+INVALID_SCENES = {
+    "thin_tube": (lambda: split_triple(tube_radius=0.15), ("massey", "export"),
+                  "TubeTooThin", "< 3h", 3),
+    "overlap": (lambda: borromean_rings(tube_radius=0.21), ("massey", "export"),
+                "TubeOverlap", "<= 2r", 3),
+    "half_box": (lambda: split_triple(separation=1.7), ("massey", "export"),
+                 "SceneError", "half-box", 2),
+    "polygon": (_polygonal_split_triple, ("massey",),
+                "SceneError", "planar components", 2),
+    "meridian": (lambda: split_triple(tube_radius=0.6), ("massey",),
+                 "SceneError", "meridian torus 0 meets", 2),
+}
+INVALID_CASES = [(name, command) for name, (_, commands, *_) in INVALID_SCENES.items()
+                 for command in commands]
+
+
+def _count_gate_calls(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return gate(*args, **kwargs)
+
+    gate = tubes.validate_scene
+    monkeypatch.setattr(tubes, "validate_scene", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name, command", INVALID_CASES,
+                         ids=[f"{c}-{n}" for n, c in INVALID_CASES])
+def test_invalid_scene_is_rejected_before_any_field(name, command, tmp_path,
+                                                    monkeypatch, capsys):
+    build, _, exc_name, fragment, code = INVALID_SCENES[name]
+    scene = tmp_path / "scene.json"
+    dump_scene(scene, Grid3(96, 2 * math.pi), build())
+
+    def no_field(*args, **kwargs):
+        raise AssertionError("a field was built before the scene was rejected")
+
+    monkeypatch.setattr(tubes._Depositor, "add", no_field)
+    monkeypatch.setattr(massey, "distance_to_curve_field", no_field)
+    calls = _count_gate_calls(monkeypatch)
+    argv = [command, "--scene", str(scene), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"{exc_name}: ") and fragment in err
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("command", ["massey", "export"])
+def test_valid_scene_is_gated_once(command, tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    calls = _count_gate_calls(monkeypatch)
+    argv = [command, "--scene", SPLIT_TRIPLE_N48, "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 0
+    assert calls == [1]
+
+
 def _reject_constant(name):
     raise ValueError(f"report holds the non-JSON constant {name}")
 
@@ -120,13 +189,8 @@ def test_split_triple_massey_report_is_valid_json(tmp_path, monkeypatch):
 
 
 if __name__ == "__main__":
-    import math
     import os
     import tempfile
-
-    from vortexlink.curves import split_triple
-    from vortexlink.grid import Grid3
-    from vortexlink.scenes import dump_scene
 
     os.chdir(ROOT)
     GOLDEN.mkdir(exist_ok=True)

@@ -24,7 +24,7 @@ from vortexlink.comomentum import (
 )
 from vortexlink.curves import circle
 from vortexlink.errors import NotDivergenceFree
-from vortexlink.grid import Grid3, VectorField, cross, dot
+from vortexlink.grid import Grid3, GridField, VectorField, cross, dot
 from vortexlink.operators import (
     ext_d,
     harmonic_proj,
@@ -98,6 +98,19 @@ def test_mu2_certificates_and_antisymmetry(grid32, rng):
     assert cert["harmonic_part"] < 1e-10
     assert mu2(b, b).sup_norm() == 0.0
     assert (mu2(b, c) + mu2(c, b)).sup_norm() < 1e-13
+
+
+def test_mu2_harmonic_part_is_the_largest_component_mean(grid32, rng):
+    # the certificate reads max|component mean| in place of the sup norm of
+    # the broadcast harmonic projection: the same bits
+    b, c = tower_pair(grid32, rng)
+    m = mu2(b, c)
+    shifted = m + GridField(grid32, 1, np.broadcast_to(
+        np.array([0.3, -0.7, 0.1])[:, None, None, None], m.comps.shape).copy())
+    for form in (m, shifted):
+        want = harmonic_proj(form).sup_norm() / form.sup_norm()
+        assert mu2_certificates(form)["harmonic_part"] == want
+    assert mu2_certificates(shifted)["harmonic_part"] > 0.1
 
 
 def test_f2_identities(grid32, rng):

@@ -1,16 +1,17 @@
-"""Shipped scene fixtures and built-in scenes satisfy the scene gates."""
+"""Shipped scene fixtures and built-in scenes pass the scene gate."""
 
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vortexlink.curves import split_triple
+from vortexlink.curves import as_polygon, borromean_rings, pairwise_d2, split_triple
 from vortexlink.diagrams import LinkDiagram
 from vortexlink.errors import SceneError
 from vortexlink.grid import Grid3
-from vortexlink.massey import MaskedDomain
+from vortexlink.massey import MasseyConfig
 from vortexlink.scenes import load_scene
+from vortexlink.tubes import meridian_torus_panels, validate_scene
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SCENES = ("borromean.json", "hopf.json", "split.json", "split_triple.json")
@@ -25,7 +26,7 @@ def test_every_fixture_is_checked():
 @pytest.mark.parametrize("name", SCENES)
 def test_scene_fixture_validates_on_its_grid(name):
     grid, link = load_scene(FIXTURES / name)
-    link.validate(grid)
+    validate_scene(link, grid, MasseyConfig())
 
 
 @pytest.mark.parametrize("name", DIAGRAMS)
@@ -36,13 +37,27 @@ def test_diagram_fixture_validates(name):
 @pytest.mark.parametrize("n, tube_radius", [(96, 0.2), (96, 0.42), (48, 0.42)])
 def test_split_triple_is_a_valid_massey_scene(n, tube_radius):
     grid = Grid3(n, 2 * np.pi)
-    link = split_triple(tube_radius=tube_radius)
-    link.validate(grid)
     # the default meridian tori clear every neighbouring tube support
-    MaskedDomain.build(link, grid)
+    validate_scene(split_triple(tube_radius=tube_radius), grid, MasseyConfig())
 
 
 def test_half_box_violation_is_a_scene_error():
     # s = 1.7 exceeds L/4 = 1.571 at L = 2 pi
     with pytest.raises(SceneError, match="half-box"):
-        split_triple(separation=1.7).validate(Grid3(96, 2 * np.pi))
+        validate_scene(split_triple(separation=1.7), Grid3(96, 2 * np.pi))
+
+
+def test_pairwise_d2_matches_the_summed_squares_bitwise():
+    # the reference is the expression the distance checks used before: a
+    # (P, Q, 3) difference array summed over its last axis
+    def reference(a, b):
+        return np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
+
+    polys = [as_polygon(c) for c in borromean_rings().components]
+    # min_distance's refined samples: 1156 points per component
+    fine = [p.refined(p.length() / (4 * p.n_vertices)).vertices for p in polys]
+    centers, _, _ = meridian_torus_panels(borromean_rings().components[0], 0.2, (16, 64))
+    pairs = [(fine[0], fine[1]), (fine[0], fine[2]), (fine[1], fine[2]),
+             (centers, polys[1].vertices)]
+    for a, b in pairs:
+        assert pairwise_d2(a, b).tobytes() == reference(a, b).tobytes()

@@ -17,6 +17,7 @@ from vortexlink.tubes import (
     meridian_period,
     tube_2form,
     tube_d_residual,
+    validate_scene,
 )
 
 
@@ -58,12 +59,12 @@ def test_tube_flux_translation_invariance(grid96):
 
 
 def test_tube_too_thin_and_overlap(grid96):
-    c = circle((0, 0, 0), (0, 0, 1), 1.0)
+    thin = hopf_link(tube_radius=2 * grid96.spacing)
     with pytest.raises(TubeTooThin):
-        tube_2form(c, TubeParams(2 * grid96.spacing), grid96)
+        validate_scene(thin, grid96)
     near = hopf_link(tube_radius=0.51)  # min distance 1.0 <= 2r
     with pytest.raises(TubeOverlap):
-        near.validate(grid96)
+        validate_scene(near, grid96)
 
 
 def test_hopf_partner_flux_is_linking(grid96, hopf_fields):
