@@ -394,7 +394,9 @@ def cmd_export(args) -> tuple[int, dict]:
         "schema": "vortexlink-report-1",
         "command": "export",
         "scene": scene_to_doc(grid, link),
-        "written": sorted(written),
+        # names inside out_dir: the report does not depend on how the
+        # directory was spelled or where the command ran
+        "written": sorted(os.path.basename(p) for p in written),
     }
     report_path = os.path.join(out_dir, "export_report.json")
     dump_report(report_path, report)

@@ -232,7 +232,13 @@ def borromean_venn(eps=0.25, n_samples=132, tube_radius=0.1) -> Link:
     the Venn arrangement, lifted by frequency-3 height oscillations whose
     phases realize the cyclic over/under pattern.  A vertical projection is
     the minimal 6-crossing diagram (each pair crossing twice with opposite
-    signs); the phases below were solved from the crossing positions."""
+    signs); the phases below were solved from the crossing positions.
+
+    Only its diagram is used: no field-building command accepts this link.
+    Its components come within 0.064 of each other, so any tube that
+    resolves on a shipped grid (r >= 3h, 0.196 at N = 96, L = 2 pi) overlaps
+    its neighbours, and it reaches |y| = 1.580 > L/4 = 1.571 at L = 2 pi,
+    outside the central half-box that tubes.validate_scene requires."""
     d, R = 0.58, 1.0
     phases = (np.pi / 3, 5 * np.pi / 6, 5 * np.pi / 6)
     comps = []

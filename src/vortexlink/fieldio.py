@@ -19,6 +19,10 @@ from .grid import FORM_COMPONENTS, Grid3, GridField, VectorField
 
 _MAGIC = b"VLF1"
 
+# rows per formatted VTK chunk: a few thousand keeps each % call's tuple and
+# string small while most chunks of a tube 2-form are all zero
+_CHUNK_ROWS = 4096
+
 _COMPONENT_NAMES = {
     0: ("value",),
     1: ("dx", "dy", "dz"),
@@ -57,8 +61,16 @@ def read_vlf(path):
 
 def write_vtk(path, field, name="field") -> None:
     """ASCII legacy VTK structured points; one SCALARS block per form
-    component, a VECTORS block for vector fields.  Each block is formatted
-    from Python floats in one pass and written before the next is made."""
+    component, a VECTORS block for vector fields, each value as "%.17g".
+
+    Each block is copied once into rows (x fastest, as VTK iterates), written
+    before the next is made, and walked in chunks of _CHUNK_ROWS rows (the
+    last one shorter).  A chunk is formatted by one % call on a format
+    string of its rows, which gives the bytes "{:.17g}".format gives for
+    every double.  A chunk whose bit patterns are all zero holds only +0.0,
+    which formats as "0", so it is written as a prebuilt run of zero rows;
+    -0.0 has its sign bit set, so a chunk holding it is formatted ("-0").
+    """
     grid = field.grid
     n, h = grid.n_points, grid.spacing
     origin = -grid.box_length / 2
@@ -72,22 +84,30 @@ def write_vtk(path, field, name="field") -> None:
         f"SPACING {h:.17g} {h:.17g} {h:.17g}",
         f"POINT_DATA {n**3}",
     ]
-    # VTK structured points iterate x fastest: transpose from (x,y,z) C order
-    def flat(a):
-        return a.transpose(2, 1, 0).reshape(-1).tolist()
+    # VTK structured points iterate x fastest: (C, x, y, z) in C order becomes
+    # one (z, y, x) row of C values per point, copied once
+    def rows(comps):
+        return comps.transpose(3, 2, 1, 0).reshape(-1, comps.shape[0])
 
     with open(path, "w") as fh:
-
-        def block(title, lines):
-            fh.write(title + "\n")
-            fh.write("\n".join(lines))
-            fh.write("\n")
-
         fh.write("\n".join(header) + "\n")
         if isinstance(field, VectorField):
-            row = "{:.17g} {:.17g} {:.17g}".format
-            block(f"VECTORS {name} double", map(row, *(flat(c) for c in field.comps)))
+            fh.write(f"VECTORS {name} double\n")
+            _write_rows(fh, rows(field.comps))
         else:
             for comp, cname in zip(field.comps, _COMPONENT_NAMES[field.degree]):
-                block(f"SCALARS {name}_{cname} double 1\nLOOKUP_TABLE default",
-                      map("{:.17g}".format, flat(comp)))
+                fh.write(f"SCALARS {name}_{cname} double 1\nLOOKUP_TABLE default\n")
+                _write_rows(fh, rows(comp[None]))
+
+
+def _write_rows(fh, rows) -> None:
+    """Write a (count, width) float64 array as text rows of width
+    space-separated "%.17g" values, chunk by chunk (see write_vtk)."""
+    row_format = " ".join(["%.17g"] * rows.shape[1]) + "\n"
+    zero_row = row_format % ((0.0,) * rows.shape[1])
+    for start in range(0, rows.shape[0], _CHUNK_ROWS):
+        chunk = rows[start:start + _CHUNK_ROWS]
+        if chunk.view(np.uint64).any():
+            fh.write(row_format * chunk.shape[0] % tuple(chunk.ravel().tolist()))
+        else:
+            fh.write(zero_row * chunk.shape[0])

@@ -17,8 +17,8 @@ so iteration counts stay modest and runs are bitwise deterministic.
 
 The CG state lives in rfft3 coefficients.  There d, delta and the
 preconditioner are diagonal symbols, and only the products with m^2 and the
-core weight go through physical space: one inverse and one forward
-transform of six stacked components per iteration.  Inner products are
+core weight go through physical space: two inverse and two forward
+transforms of three components each per iteration.  Inner products are
 Parseval sums over the half spectrum (the kz = 0 and Nyquist planes weighted
 once, the others twice, over N^3), which make the coefficients an isometric
 image of the real fields; the iterates are therefore those of the same CG
@@ -246,22 +246,20 @@ def solve_primitive(omega: GridField, dom: MaskedDomain,
                 "telemetry": _telemetry(t_start, 0, 0.0, [])}
         return GridField(grid, 1, np.zeros_like(rhs)), info
 
-    K, K2, _ = _symbols(grid)
+    K, _, _ = _symbols(grid)
     weights = _parseval_weights(grid.n_points)
     symbols = _precondition_symbols(grid, cfg.reg, shift)
     shift_core = shift * dom.core
-    # [i k x p, p] in, [F(m^2 curl p), F(shift core p)] out
-    stacked = np.empty((6,) + K2.shape, dtype=complex)
 
+    # three-component transforms: a six-component stack is past glibc's mmap
+    # threshold, so each call would fault in a fresh 42 MB result
     def apply_A(ph):
-        _k_cross(K, ph, out=stacked[:3])
-        stacked[3:] = ph
-        phys = irfft3(stacked, grid.shape)
-        phys[:3] *= m2
-        phys[3:] *= shift_core
-        fh = rfft3(phys)
-        out = _k_cross(K, fh[:3])
-        out += fh[3:]
+        phys = irfft3(_k_cross(K, ph), grid.shape)
+        phys *= m2
+        out = _k_cross(K, rfft3(phys))
+        phys = irfft3(ph, grid.shape)
+        phys *= shift_core
+        out += rfft3(phys)
         # reg d delta p is reg K (K . p): delta = -div on 1-forms (CODIFF_SIGN)
         kdot = cfg.reg * (K[0] * ph[0] + K[1] * ph[1] + K[2] * ph[2])
         for i, k in enumerate(K):
@@ -312,12 +310,12 @@ def solve_primitive(omega: GridField, dom: MaskedDomain,
 
 def _telemetry(t_start, niter, loop_s, history) -> dict:
     """Wall-clock figures of one solve, for the timings sidecar (never the
-    report): the loop's transforms are the rhs in, two per apply_A and v out."""
+    report): the loop's transforms are the rhs in, four per apply_A and v out."""
     return {
         "iterations": niter,
         "wall_s": time.perf_counter() - t_start,
         "ms_per_iteration": 1e3 * loop_s / niter if niter else 0.0,
-        "fft_calls": 2 * niter + 2 if niter else 0,
+        "fft_calls": 4 * niter + 2 if niter else 0,
         "residual_every_16": history,
     }
 

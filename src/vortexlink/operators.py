@@ -75,12 +75,11 @@ def irfft3(ah: np.ndarray, shape) -> np.ndarray:
     return sfft.irfftn(ah, s=shape, axes=(-3, -2, -1), workers=_workers())
 
 
-def _k_cross(K, vh, out=None):
-    """Curl symbol: i k x v for a spectral vector field vh of shape (3, ...),
-    written into `out` when given.  Each component is 1j * (K_a v_b - K_b v_a),
-    computed in place with one scratch component."""
-    if out is None:
-        out = np.empty_like(vh)
+def _k_cross(K, vh):
+    """Curl symbol: i k x v for a spectral vector field vh of shape (3, ...).
+    Each component is 1j * (K_a v_b - K_b v_a), computed in place with one
+    scratch component."""
+    out = np.empty_like(vh)
     tmp = np.empty_like(out[0])
     for c, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
         np.multiply(K[a], vh[b], out=out[c])

@@ -1,10 +1,17 @@
 """VLF1 binary and VTK text export."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 
-from vortexlink.fieldio import _COMPONENT_NAMES, read_vlf, write_vlf, write_vtk
+from vortexlink import cli
+from vortexlink.fieldio import _CHUNK_ROWS, _COMPONENT_NAMES, read_vlf, write_vlf, write_vtk
 from vortexlink.grid import FORM_COMPONENTS, Grid3, GridField, VectorField
 from vortexlink.random_fields import random_form, random_vector_field
+
+# split_triple(tube_radius=0.42) at N = 48: an export in about a second
+SPLIT_TRIPLE_N48 = Path(__file__).resolve().parent / "golden" / "split_triple_n48_scene.json"
 
 
 def test_vlf_roundtrip_form(tmp_path, rng):
@@ -103,16 +110,58 @@ def _write_vtk_lines(path, field, name="field"):
         fh.write("\n".join(lines) + "\n")
 
 
+def _vtk_order(flat, n):
+    """Component array whose VTK (x fastest) flattening is `flat`."""
+    return flat.reshape(n, n, n).transpose(2, 1, 0)
+
+
 def test_vtk_bytes_match_line_writer(tmp_path, rng):
-    g = Grid3(12, 2.0)
+    # N = 20: blocks of 8000 rows, so every block spans a full chunk and a
+    # shorter last one
+    g = Grid3(20, 2.0)
+    size = g.n_points**3
+    assert _CHUNK_ROWS < size < 2 * _CHUNK_ROWS
     special = np.array([0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1.0, 1.0 / 3.0])
-    vec = rng.standard_normal((3,) + g.shape) * 10.0 ** rng.integers(-300, 300, (3,) + g.shape)
-    vec.reshape(3, -1)[:, : special.size] = special
-    fields = [VectorField(g, vec)] + [
-        GridField(g, k, vec[: FORM_COMPONENTS[k]].copy()) for k in range(4)
-    ]
+    dense = rng.standard_normal((3,) + g.shape) * 10.0 ** rng.integers(-300, 300, (3,) + g.shape)
+    dense.reshape(3, -1)[:, : special.size] = special
+    # VTK order: whole chunks of +0.0; a lone -0.0 in an otherwise zero
+    # chunk; nan and +-inf; a nonzero last value
+    sparse = np.zeros((3, size))
+    sparse[1, 1234] = -0.0
+    sparse[1, [_CHUNK_ROWS + 5, _CHUNK_ROWS + 6, _CHUNK_ROWS + 7]] = [np.nan, np.inf, -np.inf]
+    sparse[2, -1] = 2.5
+    sparse = np.stack([_vtk_order(c, g.n_points) for c in sparse])
+    # sparse[[0, 0, 2]] has a zero first VECTORS chunk
+    fields = [VectorField(g, sparse[[0, 0, 2]])]
+    for comps in (dense, sparse):
+        fields.append(VectorField(g, comps.copy()))
+        fields.extend(GridField(g, k, comps[: FORM_COMPONENTS[k]].copy()) for k in range(4))
     for i, f in enumerate(fields):
         new, old = tmp_path / f"new{i}.vtk", tmp_path / f"old{i}.vtk"
         write_vtk(new, f, name="w")
         _write_vtk_lines(old, f, name="w")
         assert new.read_bytes() == old.read_bytes()
+
+
+def _export(out, monkeypatch, cwd):
+    monkeypatch.chdir(cwd)
+    assert cli.main(["export", "--scene", str(SPLIT_TRIPLE_N48), "--out", out]) == 0
+
+
+def test_export_vtk_matches_line_writer(tmp_path, monkeypatch):
+    _export(str(tmp_path), monkeypatch, tmp_path)
+    names = ["omega_1", "omega_2", "omega_3", "velocity_primitive"]
+    report = json.loads((tmp_path / "export_report.json").read_text())
+    assert report["written"] == sorted(f"{b}.{e}" for b in names for e in ("vlf", "vtk"))
+    for name in names:
+        ref = tmp_path / f"{name}.ref"
+        _write_vtk_lines(ref, read_vlf(tmp_path / f"{name}.vlf"), name=name)
+        assert (tmp_path / f"{name}.vtk").read_bytes() == ref.read_bytes()
+
+
+def test_export_report_ignores_out_spelling(tmp_path, monkeypatch):
+    reports = []
+    for out in ("out", "./out/", str(tmp_path / "out")):
+        _export(out, monkeypatch, tmp_path)
+        reports.append((tmp_path / "out" / "export_report.json").read_bytes())
+    assert reports[0] == reports[1] == reports[2]

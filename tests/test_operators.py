@@ -269,7 +269,3 @@ def test_k_cross_in_place_matches_expression_bitwise(grid32, rng):
     want[1] = 1j * (KZ * vh[0] - KX * vh[2])
     want[2] = 1j * (KX * vh[1] - KY * vh[0])
     assert _k_cross(K, vh).tobytes() == want.tobytes()
-    stacked = np.full((6,) + vh.shape[1:], np.nan, dtype=complex)
-    _k_cross(K, vh, out=stacked[:3])
-    assert stacked[:3].tobytes() == want.tobytes()
-    assert np.isnan(stacked[3:]).all()

@@ -120,5 +120,5 @@ def test_spectral_cg_matches_physical_cg(grid24, masked24, rng, reg, cg_tol):
     assert np.max(np.abs(v.comps - want)) <= 1e-12 * np.max(np.abs(want))
     tele = info["telemetry"]
     assert tele["iterations"] == iterations
-    assert tele["fft_calls"] == 2 * iterations + 2
+    assert tele["fft_calls"] == 4 * iterations + 2
     assert len(tele["residual_every_16"]) == iterations // 16

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from vortexlink.curves import PlanarCurve, TubeParams, circle, hopf_link, split_link
+from vortexlink.curves import (
+    PlanarCurve,
+    TubeParams,
+    borromean_venn,
+    circle,
+    hopf_link,
+    split_link,
+)
 from vortexlink.errors import TubeOverlap, TubeTooThin
 from vortexlink.grid import Grid3, VectorField
 from vortexlink import tubes
@@ -65,6 +72,15 @@ def test_tube_too_thin_and_overlap(grid96):
     near = hopf_link(tube_radius=0.51)  # min distance 1.0 <= 2r
     with pytest.raises(TubeOverlap):
         validate_scene(near, grid96)
+
+
+def test_borromean_venn_is_diagram_only(grid96):
+    # its components come within 0.064: thin at the default r = 0.1 < 3h,
+    # overlapping once the tube resolves
+    with pytest.raises(TubeTooThin):
+        validate_scene(borromean_venn(), grid96)
+    with pytest.raises(TubeOverlap):
+        validate_scene(borromean_venn(tube_radius=0.2), grid96)
 
 
 def test_hopf_partner_flux_is_linking(grid96, hopf_fields):
