@@ -23,13 +23,13 @@ whose obstruction exceeds tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import DEFAULT_TOLERANCES, TOWER_BRACKET_SIGN
 from .errors import ObstructedPotential, OpenCurve
-from .grid import GridField, VectorField, cross, dot
+from .grid import Grid3, GridField, VectorField, cross, dot
 from .operators import (
     alpha,
     codiff,
@@ -43,6 +43,8 @@ from .operators import (
     require_zero_mean,
     spectral_curl,
 )
+from .random_fields import tower_pair, tower_triple
+from .reports import checked
 
 
 def hydro_bracket(x1: VectorField, x2: VectorField, eps_div=None) -> VectorField:
@@ -258,53 +260,66 @@ def loop_2form(gamma, u: np.ndarray, v: np.ndarray) -> float:
     return float(np.sum(seg * np.cross(um, vm)))
 
 
-# -- assembled certificate pack ----------------------------------------------
+# -- the identity suite ------------------------------------------------------
 
-@dataclass
-class ComomentumPack:
-    """Co-momentum data for a family of named solenoidal fields, with the
-    residual certificates of the defining identities."""
+def abc_flow(grid, A=1.0, B=1.0, C=1.0) -> VectorField:
+    """The Arnold-Beltrami-Childress field; curl v = v when L = 2 pi."""
+    x, y, z = grid.meshgrid()
+    return VectorField(grid, np.stack([
+        A * np.sin(z) + C * np.cos(y),
+        B * np.sin(x) + A * np.cos(z),
+        C * np.sin(y) + B * np.cos(x),
+    ]))
 
-    f1_forms: dict = field(default_factory=dict)
-    f2_values: dict = field(default_factory=dict)
-    certificates: dict = field(default_factory=dict)
 
-    @classmethod
-    def build(cls, fields: dict, triples=(), eps_ham=None) -> "ComomentumPack":
-        if eps_ham is None:
-            eps_ham = DEFAULT_TOLERANCES["eps_ham"]
-        pack = cls()
-        names = list(fields)
-        eq25 = {}
-        gauge = {}
-        for name in names:
-            b = fields[name]
-            h = f1(b)
-            pack.f1_forms[name] = h
-            eq25[name] = hamiltonian_residual(h, b)
-            sup = h.sup_norm()
-            gauge[name] = codiff(h).sup_norm() / sup if sup > 0 else 0.0
-        eq26, eq29, harm = {}, {}, {}
-        for i, ni in enumerate(names):
-            for nj in names[i + 1:]:
-                key = f"{ni},{nj}"
-                pack.f2_values[key] = f2(fields[ni], fields[nj])
-                eq26[key] = eq_potential_residual(fields[ni], fields[nj])
-                eq29[key] = bracket_defect_residual(fields[ni], fields[nj])
-                harm[key] = mu2_certificates(mu2(fields[ni], fields[nj]))[
-                    "harmonic_part"
-                ]
-        eq27 = {}
-        for (na, nb, nc) in triples:
-            eq27[f"{na},{nb},{nc}"] = triple_evaluation_residual(
-                fields[na], fields[nb], fields[nc]
-            )
-        pack.certificates = {
-            "eq25": eq25,
-            "eq26": eq26,
-            "eq27": eq27,
-            "eq29": eq29,
-            "gauge": gauge,
-            "mu2_harmonic": harm,
-        }
-        return pack
+def comomentum_report(grid, rng, tolerances, pairs, triples, timer) -> dict:
+    """The `comomentum` report section: the largest residuals of eq. 25
+    (with the Coulomb gauge), eqs. 26 and 29 (with the harmonic part of
+    mu2) over `pairs` tower pairs, of eq. 27 over `triples` tower triples,
+    all drawn from `rng` in that order, and eq. 25 and the equivariance
+    defect of the ABC flow on the 2 pi box of the same N.
+
+    Stages "eq25_suite", "eq26_eq29_suite", "eq27_suite" and "abc_fixture"
+    are timed on `timer`.
+    """
+    timer.start("eq25_suite")
+    eq25, gauge = [], []
+    for _ in range(pairs):
+        b, c = tower_pair(grid, rng)
+        h = f1(b)
+        eq25.append(hamiltonian_residual(h, b))
+        gauge.append(codiff(h).sup_norm() / max(h.sup_norm(), 1e-300))
+    timer.stop()
+    timer.start("eq26_eq29_suite")
+    eq26, eq29, harm = [], [], []
+    for _ in range(pairs):
+        b, c = tower_pair(grid, rng)
+        eq26.append(eq_potential_residual(b, c))
+        eq29.append(bracket_defect_residual(b, c))
+        harm.append(mu2_certificates(mu2(b, c))["harmonic_part"])
+    timer.stop()
+    timer.start("eq27_suite")
+    eq27 = [triple_evaluation_residual(*tower_triple(grid, rng)) for _ in range(triples)]
+    timer.stop()
+    timer.start("abc_fixture")
+    if abs(grid.box_length - 2 * np.pi) > 1e-12:
+        v = abc_flow(Grid3(grid.n_points, 2 * np.pi))
+    else:
+        v = abc_flow(grid)
+    abc_eq25 = hamiltonian_residual(f1(v), v)
+    defect = equivariance_defect(v, v)
+    defect_norm = defect.sup_norm() / float(np.max(dot(v, v)))
+    timer.stop()
+    return {
+        "eq25": checked(max(eq25 + [abc_eq25]), tolerances["eps_ham"]),
+        "eq26": checked(max(eq26), 1e-6),
+        "eq27": checked(max(eq27), 1e-5) if eq27 else None,
+        "eq29": checked(max(eq29), 1e-6),
+        "gauge": checked(max(gauge), 1e-9),
+        "mu2_harmonic_part": checked(max(harm), tolerances["eps_obstruction"]),
+        "equivariance_defect_norm": {
+            "value": defect_norm,
+            "threshold": 0.1,
+            "exceeds": bool(defect_norm > 0.1),
+        },
+    }

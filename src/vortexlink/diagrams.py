@@ -291,3 +291,27 @@ def mu_bar(d: LinkDiagram, index, check_lower: bool = True) -> int:
     word = longitude_word(d, index[-1] - 1, depth=truncation)
     series = word_series(word, truncation)
     return series.coefficient(index[:-1])
+
+
+def scene_diagram(link, rng) -> LinkDiagram:
+    """The diagram of a scene, projected along the first generic direction
+    drawn from `rng`."""
+    from .linking import DIRECTION_TRIES, with_generic_direction
+
+    return with_generic_direction(
+        lambda d: diagram_from_curves(link.components, d), rng, DIRECTION_TRIES
+    )
+
+
+def oracle_report(diagram: LinkDiagram, index: str, timer) -> dict:
+    """The `oracle` report section: mu-bar of the multi-index `index` (a
+    digit string such as "123") and, as the vanishing-check trail, mu-bar of
+    every proper subsequence of length >= 2.  Timed as the stage "mu_bar"."""
+    digits = tuple(int(ch) for ch in index)
+    timer.start("mu_bar")
+    trail = {}
+    for sub in _proper_subsequences(digits):
+        trail["".join(map(str, sub))] = mu_bar(diagram, sub, check_lower=False)
+    value = mu_bar(diagram, digits)
+    timer.stop()
+    return {"index": index, "value": int(value), "vanishing_checks": trail}

@@ -1,8 +1,16 @@
-"""Exception types raised by validation gates across the package."""
+"""Exception types raised by validation gates across the package.
+
+Each error the command line reports carries its exit code as the class
+constant `exit_code`: 2 input validation, 3 numerical precondition, 4
+topological obstruction, 5 invariant indeterminacy.  Errors without one
+(`MixedGridError`, `OpenCurve`, `MissingPrimitive`) are programming errors
+that no input should provoke, and propagate with a traceback.
+"""
 
 
 class VortexLinkError(Exception):
     """Base class for all package errors."""
+    exit_code = None
 
 
 class MixedGridError(VortexLinkError):
@@ -11,18 +19,22 @@ class MixedGridError(VortexLinkError):
 
 class NonzeroHarmonicPart(VortexLinkError):
     """Inversion input has a harmonic (constant) component; project first."""
+    exit_code = 3
 
 
 class NotDivergenceFree(VortexLinkError):
     """A vector field failed the spectral divergence test."""
+    exit_code = 3
 
 
 class NonzeroMean(VortexLinkError):
     """An inversion input has a nonzero component mean."""
+    exit_code = 3
 
 
 class ObstructedPotential(VortexLinkError):
     """mu2 has a harmonic part on the torus; no scalar potential exists."""
+    exit_code = 3
 
 
 class OpenCurve(VortexLinkError):
@@ -31,37 +43,46 @@ class OpenCurve(VortexLinkError):
 
 class CurvesIntersect(VortexLinkError):
     """Curves are too close for the Gauss kernel quadrature."""
+    exit_code = 3
 
 
 class DegenerateProjection(VortexLinkError):
     """Projection direction produced tangencies, near-parallel crossings or
     coincident crossing points; the caller should retry with a perturbed
     direction."""
+    exit_code = 3
 
 
 class TubeTooThin(VortexLinkError):
     """Tube radius below 3 grid spacings; the mollifier is unresolvable."""
+    exit_code = 3
 
 
 class TubeOverlap(VortexLinkError):
     """Tubes of distinct components intersect."""
+    exit_code = 3
 
 
 class NotPlanar(VortexLinkError):
     """A planar curve (flat Seifert disc) was required."""
+    exit_code = 3
 
 
 class ObstructedClass(VortexLinkError):
     """A meridian period exceeds the gate: the cohomology class is nonzero
-    and the Massey step is undefined."""
+    and the Massey step is undefined.  `pair` names the (i, j) whose
+    primitive was being solved, when the hierarchy raised it."""
+    exit_code = 4
 
-    def __init__(self, message, periods=None):
+    def __init__(self, message, periods=None, pair=None):
         super().__init__(message)
         self.periods = periods or {}
+        self.pair = pair
 
 
 class NoConvergence(VortexLinkError):
     """Iterative solve hit its iteration cap above tolerance."""
+    exit_code = 3
 
 
 class MissingPrimitive(VortexLinkError):
@@ -70,11 +91,13 @@ class MissingPrimitive(VortexLinkError):
 
 class InconsistentDiagram(VortexLinkError):
     """Link-diagram incidence data is inconsistent."""
+    exit_code = 2
 
 
 class IndeterminateInvariant(VortexLinkError):
     """A lower-order Milnor invariant is nonzero, so the requested one is
     defined only modulo it; carries the offending sub-index."""
+    exit_code = 5
 
     def __init__(self, message, sub_index=None):
         super().__init__(message)
@@ -84,3 +107,4 @@ class IndeterminateInvariant(VortexLinkError):
 class SceneError(VortexLinkError):
     """A scene or diagram failed validation (malformed JSON, or a geometry
     the grid pipeline cannot represent)."""
+    exit_code = 2

@@ -14,6 +14,10 @@ import numpy as np
 from .constants import DEFAULT_TOLERANCES
 from .curves import PolygonalCurve, as_polygon
 from .errors import CurvesIntersect, DegenerateProjection
+from .reports import checked
+
+# projection directions tried before a scene is declared degenerate
+DIRECTION_TRIES = 32
 
 
 # -- Gauss double integral -----------------------------------------------------
@@ -302,3 +306,45 @@ def with_generic_direction(fn, rng, tries):
 def stable_crossing_linking(c1, c2, rng, tries=8):
     """crossing_linking with deterministic retries on degenerate directions."""
     return with_generic_direction(lambda d: crossing_linking(c1, c2, d), rng, tries)
+
+
+def linking_report(link, rng, timer) -> dict:
+    """The `lk` report section: the Gauss and crossing linking matrices,
+    writhe and blackboard framing per component, and the largest
+    disagreement of the two linking estimators (gate 1e-3).
+
+    Projection directions come from `rng`; the stages "linking_matrix" and
+    "writhe_framing" are timed on `timer`.
+    """
+    comps = link.components
+    n = len(comps)
+    gauss = [[0.0] * n for _ in range(n)]
+    crossing = [[0] * n for _ in range(n)]
+    timer.start("linking_matrix")
+    for i in range(n):
+        for j in range(i + 1, n):
+            gauss[i][j] = gauss[j][i] = gauss_linking(comps[i], comps[j])
+            crossing[i][j] = crossing[j][i] = with_generic_direction(
+                lambda d: crossing_linking(comps[i], comps[j], d), rng, DIRECTION_TRIES
+            )
+    timer.stop()
+    timer.start("writhe_framing")
+    writhe, framing = [], []
+    for c in comps:
+        w, f = with_generic_direction(
+            lambda d: writhe_framing(c, d), rng, DIRECTION_TRIES
+        )
+        writhe.append(w)
+        framing.append(f)
+    timer.stop()
+    agreement = max(
+        (abs(gauss[i][j] - crossing[i][j]) for i in range(n) for j in range(n) if i != j),
+        default=0.0,
+    )
+    return {
+        "gauss": gauss,
+        "crossing": crossing,
+        "writhe": writhe,
+        "framing": framing,
+        "estimator_agreement": checked(agreement, 1e-3),
+    }

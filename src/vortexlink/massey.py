@@ -36,8 +36,9 @@ from operator import add
 import numpy as np
 
 from .comomentum import pair_contraction
-from .constants import DEFAULT_TOLERANCES, MERIDIAN_PANELS
+from .constants import DEFAULT_TOLERANCES, MERIDIAN_PANELS, TRIPLE_LINKING_SIGN
 from .curves import Link, as_polygon
+from .diagrams import mu_bar, scene_diagram
 from .errors import MissingPrimitive, NoConvergence, ObstructedClass
 from .grid import Grid3, GridField, VectorField
 from .operators import (
@@ -53,7 +54,7 @@ from .operators import (
     rfft3,
     wedge,
 )
-from .reports import checked
+from .reports import checked, checked_window
 from .tubes import LinkFields, LocalBox, disc_dual_1form, meridian_period
 
 
@@ -380,7 +381,11 @@ class MasseyHierarchy:
     def solve(self, i: int, j: int):
         """Solve d v_ij = -Omega_ij on the masked complement."""
         om = self.obstruction_form(i, j)
-        v, info = solve_primitive(om, self.dom, self.config)
+        try:
+            v, info = solve_primitive(om, self.dom, self.config)
+        except ObstructedClass as exc:
+            exc.pair = (i, j)
+            raise
         if info["masked_residual"] > self.config.eps_massey:
             raise NoConvergence(
                 f"masked residual {info['masked_residual']:.3f} exceeds "
@@ -575,3 +580,100 @@ def involution_report(h: MasseyHierarchy, xi_L: VectorField | None = None) -> di
             closed = harm = 0.0
         report["pb_certificates"][name] = {"closedness": closed, "harmonic_part": harm}
     return report
+
+
+# -- the report -------------------------------------------------------------------
+
+def massey_report(link: Link, grid: Grid3, tolerances: dict, rng, timer):
+    """The `massey` report section of a scene: the pairwise meridian periods,
+    the primitive solves of (1, 2) and, with three components, (2, 3), and
+    then the triple period against the oracle's mu-bar(123), the closedness,
+    Cartan/Bianchi and involution certificates.
+
+    Stages "scene_fields", "pairwise", "solves", "triple", "oracle",
+    "cartan_bianchi" and "involution" are timed on `timer`, and each solve's
+    telemetry goes to `timer.solver`.  The oracle's projection direction
+    comes from `rng`.
+
+    Returns (section, obstruction).  When a solve is obstructed the section
+    holds the periods and the obstructed pair, and `obstruction` is the
+    ObstructedClass raised; otherwise it is None.
+    """
+    cfg = MasseyConfig(
+        eps_period=tolerances["eps_period"],
+        eps_massey=tolerances["eps_massey"],
+        cg_tol=tolerances["cg_tol"],
+        cg_maxiter=int(tolerances["cg_maxiter"]),
+    )
+    timer.start("scene_fields")
+    h = MasseyHierarchy.from_scene(link, grid, cfg)
+    timer.stop()
+    n = len(link.components)
+    periods = {}
+    timer.start("pairwise")
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            h.obstruction_form(i, j)
+            periods[f"{i}{j}"] = {
+                str(k): v for k, v in h.certificates[("periods", (i, j))].items()
+            }
+    timer.stop()
+    prim_res = {}
+    try:
+        timer.start("solves")
+        for (i, j) in ((1, 2), (2, 3)) if n >= 3 else ((1, 2),):
+            _, info = h.solve(i, j)
+            prim_res[f"{i}{j}"] = {
+                "masked_residual": checked(info["masked_residual"], cfg.eps_massey),
+                "iterations": info["iterations"],
+            }
+            timer.solver[f"{i}{j}"] = info["telemetry"]
+        timer.stop()
+    except ObstructedClass as exc:
+        timer.stop()
+        obstructed = {"pair": "{},{}".format(*exc.pair), "message": str(exc)}
+        return {"periods": periods, "obstructed": obstructed}, exc
+
+    section = {"periods": periods, "primitive_residuals": prim_res}
+    if n < 3:
+        return section, None
+    timer.start("triple")
+    h.massey_triple()
+    mu_grid = h.triple_linking(3)
+    timer.stop()
+    timer.start("oracle")
+    mu_oracle = mu_bar(scene_diagram(link, rng), (1, 2, 3))
+    timer.stop()
+    timer.start("cartan_bianchi")
+    cartan = cartan_bianchi_report(h)
+    timer.stop()
+    timer.start("involution")
+    invol = involution_report(h)
+    inv_max = max(
+        (v for part in ("iota", "lie", "pb") for v in invol[part].values()), default=0.0
+    )
+    timer.stop()
+    section.update(
+        {
+            "closedness": {
+                "".join(map(str, key)):
+                    checked(h.certificates[("closedness", key)], cfg.eps_massey)
+                for key in ((1, 2), (2, 3), (1, 2, 3))
+            },
+            "mu123_grid": mu_grid,
+            "mu123_grid_calibrated": TRIPLE_LINKING_SIGN * mu_grid,
+            "mu123_oracle": int(mu_oracle),
+            "calibrated_sign": TRIPLE_LINKING_SIGN,
+            # a zero oracle value has no ratio: the grid period must
+            # then pass the meridian-period gate for a vanishing class
+            "agreement": (
+                checked_window(abs(mu_grid) / abs(mu_oracle), 0.85, 1.15)
+                if mu_oracle
+                else checked(abs(mu_grid), cfg.eps_period)
+            ),
+            "cartan_bianchi": cartan,
+            "involution": invol,
+            "involution_max_residual": checked(inv_max, cfg.eps_massey),
+        }
+    )
+    return section, None

@@ -8,14 +8,28 @@ intended change of a report) with
     PYTHONPATH=src python tests/test_cli.py
 """
 
+import importlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from vortexlink import cli, massey, tubes
-from vortexlink.curves import Link, as_polygon, borromean_rings, split_triple
+from vortexlink import cli, linking, massey, tubes
+from vortexlink import errors as E
+from vortexlink.curves import (
+    Link,
+    PlanarCurve,
+    PolygonalCurve,
+    TubeParams,
+    as_polygon,
+    borromean_rings,
+    split_triple,
+)
 from vortexlink.grid import Grid3
 from vortexlink.scenes import dump_scene
 
@@ -186,6 +200,128 @@ def test_split_triple_massey_report_is_valid_json(tmp_path, monkeypatch):
     massey = report["massey"]
     assert massey["mu123_oracle"] == 0
     assert massey["agreement"]["pass"]
+
+
+def _trefoil_scene(path):
+    t = np.linspace(0.0, 2 * np.pi, 96, endpoint=False)
+    knot = np.stack([np.sin(t) + 2 * np.sin(2 * t), np.cos(t) - 2 * np.cos(2 * t),
+                     -np.sin(3 * t)], axis=1) / 3
+    dump_scene(path, Grid3(96, 2 * math.pi), Link([PolygonalCurve(knot)], TubeParams(0.1)))
+
+
+def test_seedless_lk_is_deterministic(tmp_path):
+    # the framing of a non-planar polygon depends on the projection direction
+    scene = tmp_path / "trefoil.json"
+    _trefoil_scene(scene)
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    for out in outs:
+        assert cli.main(["lk", "--scene", str(scene), "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+# (module, report builder) that receives the command's generator
+SEEDED = {
+    "lk": ("linking", "linking_report", {}),
+    "oracle": ("diagrams", "scene_diagram", None),
+    "massey": ("massey", "massey_report", ({}, None)),
+    "comomentum": ("comomentum", "comomentum_report", {}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SEEDED))
+@pytest.mark.parametrize("flag, config, seed", [
+    (None, None, 0), (None, 7, 7), (3, 7, 3), (3, None, 3),
+])
+def test_one_seed_policy(command, flag, config, seed, tmp_path, monkeypatch):
+    # --seed, else the config's "seed", else the config default 0
+    module, name, result = SEEDED[command]
+    owner = importlib.import_module(f"vortexlink.{module}")
+    real = getattr(owner, name)
+    states = []
+
+    def capture(*args):
+        rng = next(a for a in args if isinstance(a, np.random.Generator))
+        states.append(rng.bit_generator.state)
+        return real(*args) if result is None else result
+
+    monkeypatch.setattr(owner, name, capture)
+    argv = [command] + (["12"] if command == "oracle" else [])
+    if command != "comomentum":
+        argv += ["--scene", str(ROOT / "fixtures" / "hopf.json")]
+    if config is not None:
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"seed": config}))
+        argv += ["--config", str(cfg)]
+    if flag is not None:
+        argv += ["--seed", str(flag)]
+    assert cli.main(argv + ["--out", str(tmp_path / "out.json")]) == 0
+    assert states == [np.random.default_rng(seed).bit_generator.state]
+
+
+# two unlinked rings (1, 2), each linked once with ring 3: the (1, 3) and
+# (2, 3) classes are nonzero, and the (2, 3) solve is the one that raises
+CHAIN = [((-0.9, 0, 0), (0.6, 0, 0), (0, 0.6, 0)),
+         ((0.9, 0, 0), (0.6, 0, 0), (0, 0.6, 0)),
+         ((0, 0, 0), (0.9, 0, 0), (0, 0, 0.6))]
+
+
+def test_obstructed_report_names_the_failed_solve(tmp_path, capsys):
+    comps = [PlanarCurve(*map(np.array, ellipse)) for ellipse in CHAIN]
+    scene = tmp_path / "chain.json"
+    dump_scene(scene, Grid3(128, 2 * math.pi), Link(comps, TubeParams(0.15)))
+    out = tmp_path / "report.json"
+    assert cli.main(["massey", "--scene", str(scene), "--out", str(out)]) == 4
+    obstructed = json.loads(out.read_text())["massey"]["obstructed"]
+    assert obstructed["pair"] == "2,3"
+    assert "dT2" in obstructed["message"] and "dT3" in obstructed["message"]
+    assert "dT1" not in obstructed["message"]
+    assert capsys.readouterr().err == f"ObstructedClass: {obstructed['message']}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["lk", "--scene", "fixtures/borromean.json"],
+    ["oracle", "123", "--scene", "fixtures/borromean.json"],
+])
+def test_lk_and_oracle_never_import_scipy(argv, tmp_path):
+    # scipy.fft costs more to import than the whole of vortexlink.cli
+    code = ("import sys; from vortexlink import cli; "
+            f"assert cli.main({argv + ['--out', str(tmp_path / 'r.json')]!r}) == 0; "
+            "print('scipy' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "False"
+
+
+EXIT_CODES = {
+    "SceneError": 2, "InconsistentDiagram": 2,
+    "NotDivergenceFree": 3, "NonzeroMean": 3, "NonzeroHarmonicPart": 3,
+    "ObstructedPotential": 3, "NoConvergence": 3, "TubeTooThin": 3,
+    "TubeOverlap": 3, "CurvesIntersect": 3, "DegenerateProjection": 3,
+    "NotPlanar": 3,
+    "ObstructedClass": 4,
+    "IndeterminateInvariant": 5,
+    # programming errors: uncaught, with a traceback
+    "VortexLinkError": None, "MixedGridError": None, "OpenCurve": None,
+    "MissingPrimitive": None,
+}
+
+
+def test_every_error_carries_its_exit_code():
+    errors = {name: cls for name, cls in vars(E).items()
+              if isinstance(cls, type) and issubclass(cls, E.VortexLinkError)}
+    assert {name: cls.exit_code for name, cls in errors.items()} == EXIT_CODES
+    assert (cli.EXIT_VALIDATION, cli.EXIT_NUMERICAL, cli.EXIT_OBSTRUCTION,
+            cli.EXIT_INDETERMINATE) == (2, 3, 4, 5)
+
+
+def test_programming_errors_propagate(monkeypatch):
+    def broken(*args):
+        raise E.MissingPrimitive("primitive (1, 2) not solved")
+
+    monkeypatch.setattr(linking, "linking_report", broken)
+    with pytest.raises(E.MissingPrimitive):
+        cli.main(["lk", "--scene", str(ROOT / "fixtures" / "hopf.json")])
 
 
 if __name__ == "__main__":
