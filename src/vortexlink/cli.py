@@ -17,6 +17,7 @@ gives the order of the checks.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 import numpy as np
@@ -103,7 +104,8 @@ def cmd_oracle(args) -> tuple[int, dict]:
     if args.diagram:
         with open(args.diagram) as fh:
             diagram = LinkDiagram.from_json(fh.read())
-        scene = {"diagram": args.diagram}
+        # the document itself, so the report does not depend on the path
+        scene = json.loads(diagram.to_json())
     elif args.scene:
         rng = np.random.default_rng(_seed(args, Config.load(args.config)))
         grid, link = load_scene(args.scene)

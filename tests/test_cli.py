@@ -202,6 +202,20 @@ def test_split_triple_massey_report_is_valid_json(tmp_path, monkeypatch):
     assert massey["agreement"]["pass"]
 
 
+def test_diagram_report_ignores_path_spelling(tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    spellings = ["fixtures/hopf_diagram.json", "./fixtures/hopf_diagram.json",
+                 str(ROOT / "fixtures" / "hopf_diagram.json")]
+    reports = []
+    for k, path in enumerate(spellings):
+        out = tmp_path / f"{k}.json"
+        assert cli.main(["oracle", "12", "--diagram", path, "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1] == reports[2]
+    fixture = json.loads((ROOT / "fixtures" / "hopf_diagram.json").read_text())
+    assert json.loads(reports[0])["scene"] == fixture
+
+
 def _trefoil_scene(path):
     t = np.linspace(0.0, 2 * np.pi, 96, endpoint=False)
     knot = np.stack([np.sin(t) + 2 * np.sin(2 * t), np.cos(t) - 2 * np.cos(2 * t),
