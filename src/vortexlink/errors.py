@@ -74,10 +74,10 @@ class ObstructedClass(VortexLinkError):
     primitive was being solved, when the hierarchy raised it."""
     exit_code = 4
 
-    def __init__(self, message, periods=None, pair=None):
+    def __init__(self, message, periods=None):
         super().__init__(message)
         self.periods = periods or {}
-        self.pair = pair
+        self.pair = None
 
 
 class NoConvergence(VortexLinkError):

@@ -216,24 +216,22 @@ def test_diagram_report_ignores_path_spelling(tmp_path, monkeypatch):
     assert json.loads(reports[0])["scene"] == fixture
 
 
-def _trefoil_scene(path):
+def test_seedless_lk_is_deterministic(tmp_path):
+    # the framing of a non-planar polygon (a trefoil) depends on the
+    # projection direction
     t = np.linspace(0.0, 2 * np.pi, 96, endpoint=False)
     knot = np.stack([np.sin(t) + 2 * np.sin(2 * t), np.cos(t) - 2 * np.cos(2 * t),
                      -np.sin(3 * t)], axis=1) / 3
-    dump_scene(path, Grid3(96, 2 * math.pi), Link([PolygonalCurve(knot)], TubeParams(0.1)))
-
-
-def test_seedless_lk_is_deterministic(tmp_path):
-    # the framing of a non-planar polygon depends on the projection direction
     scene = tmp_path / "trefoil.json"
-    _trefoil_scene(scene)
+    dump_scene(scene, Grid3(96, 2 * math.pi), Link([PolygonalCurve(knot)], TubeParams(0.1)))
     outs = [tmp_path / "a.json", tmp_path / "b.json"]
     for out in outs:
         assert cli.main(["lk", "--scene", str(scene), "--out", str(out)]) == 0
     assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
-# (module, report builder) that receives the command's generator
+# command -> (module, the function given the command's generator, the stub's
+# return value, or None to call the function itself)
 SEEDED = {
     "lk": ("linking", "linking_report", {}),
     "oracle": ("diagrams", "scene_diagram", None),

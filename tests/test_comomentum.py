@@ -28,6 +28,7 @@ from vortexlink.curves import circle
 from vortexlink.errors import NotDivergenceFree
 from vortexlink.grid import Grid3, GridField, VectorField, cross, dot
 from vortexlink.operators import (
+    codiff,
     ext_d,
     harmonic_proj,
     musical,
@@ -235,3 +236,11 @@ def test_comomentum_report_passes(grid32, rng):
     gated = {k: v for k, v in section.items() if "pass" in v}
     assert set(gated) == {"eq25", "eq26", "eq27", "eq29", "gauge", "mu2_harmonic_part"}
     assert all(v["pass"] for v in gated.values()), gated
+    # the suite pairs the first two tower shells; pairs with the third here
+    a, b, c = tower_triple(grid32, rng)
+    h = f1(c)
+    assert hamiltonian_residual(h, c) < 1e-8
+    assert codiff(h).sup_norm() < 1e-9 * h.sup_norm()
+    for x in (a, b):
+        assert eq_potential_residual(x, c) < 1e-6
+        assert bracket_defect_residual(x, c) < 1e-6
