@@ -8,14 +8,13 @@ evaluation, and the non-equivariance witnessed by the ABC flow.
 import numpy as np
 
 from vortexlink.comomentum import (
-    bracket_defect_residual,
-    eq_potential_residual,
     equivariance_defect,
     f1,
     hamiltonian_residual,
     kks_pairing,
     mu2,
     mu2_certificates,
+    pair_identities,
     triple_evaluation_residual,
 )
 from vortexlink.grid import Grid3, VectorField, dot
@@ -30,8 +29,9 @@ print("Hamiltonian residual d f1(b) + iota_b nu:", hamiltonian_residual(f1(b), b
 m = mu2(b, c)
 cert = mu2_certificates(m)
 print("mu2 closedness:", cert["closedness"], " harmonic part:", cert["harmonic_part"])
-print("potential residual d f2 = mu2:", eq_potential_residual(b, c))
-print("bracket-defect identity:", bracket_defect_residual(b, c))
+ident = pair_identities(b, c)
+print("potential residual d f2 = mu2:", ident["eq26"])
+print("bracket-defect identity:", ident["eq29"])
 
 x1, x2, x3 = tower_triple(grid, rng)
 print("triple evaluation f2(boundary) = nu(x1,x2,x3):",

@@ -19,6 +19,14 @@ On the torus the constant Fourier mode of mu2 is a genuine obstruction to
 exactness (it equals -mean(b x c), which need not vanish); every identity
 involving f2 therefore carries a harmonic certificate, and f2 refuses inputs
 whose obstruction exceeds tolerance.
+
+Each tower object is computed once where a suite needs it more than once.
+`pair_identities` builds the bracket [b, c], its f1, mu2(b, c), the harmonic
+part, the potential f2(b, c) and its d once per pair for eqs. 26 and 29.
+The f2 gate reads the harmonic part alone, without the closedness
+certificate that mu2_certificates adds.  `equivariance_defect` takes the
+caller's f1(b), and `curl_inv` transforms its input once for both its
+divergence gate and the inversion.
 """
 
 from __future__ import annotations
@@ -102,16 +110,41 @@ def mu2(x1: VectorField, x2: VectorField, eps_div=None) -> GridField:
     return f1(b) - pair_contraction(x1, x2)
 
 
+def _harmonic_part(m: GridField) -> float:
+    """Torus-exactness certificate of a 1-form: its largest component mean
+    (the harmonic part on the flat torus) relative to its sup norm."""
+    sup = m.sup_norm()
+    harm = float(np.max(np.abs(m.comps.reshape(3, -1).mean(axis=1))))
+    return harm / sup if sup > 0 else harm
+
+
 def mu2_certificates(m: GridField) -> dict:
     """Closedness and torus-exactness (harmonic part) certificates."""
     sup = m.sup_norm()
     dm = ext_d(m).sup_norm()
-    # the harmonic part on the flat torus is the componentwise mean
-    harm = float(np.max(np.abs(m.comps.reshape(3, -1).mean(axis=1))))
     return {
         "closedness": dm / sup if sup > 0 else dm,
-        "harmonic_part": harm / sup if sup > 0 else harm,
+        "harmonic_part": _harmonic_part(m),
     }
+
+
+def _mu2_potential(m: GridField, eps_obstruction=None) -> tuple[GridField, float]:
+    """The zero-mean potential Delta^-1 delta m of a closed 1-form and the
+    harmonic part of m.
+
+    Raises ObstructedPotential when the harmonic part exceeds tolerance, in
+    which case no potential exists on the torus.
+    """
+    if eps_obstruction is None:
+        eps_obstruction = DEFAULT_TOLERANCES["eps_obstruction"]
+    harm = _harmonic_part(m)
+    if harm > eps_obstruction:
+        raise ObstructedPotential(
+            f"harmonic part of mu2 is {harm:.3e} "
+            f"(> {eps_obstruction:.1e}); no potential exists on the torus"
+        )
+    m_clean = m - harmonic_proj(m)
+    return laplace_inv(codiff(m_clean), eps_harm=np.inf), harm
 
 
 def f2(x1: VectorField, x2: VectorField, eps_div=None, eps_obstruction=None) -> GridField:
@@ -120,17 +153,7 @@ def f2(x1: VectorField, x2: VectorField, eps_div=None, eps_obstruction=None) -> 
     Raises ObstructedPotential when mu2 has a harmonic part beyond
     tolerance, in which case no potential exists on the torus.
     """
-    if eps_obstruction is None:
-        eps_obstruction = DEFAULT_TOLERANCES["eps_obstruction"]
-    m = mu2(x1, x2, eps_div)
-    cert = mu2_certificates(m)
-    if cert["harmonic_part"] > eps_obstruction:
-        raise ObstructedPotential(
-            f"harmonic part of mu2 is {cert['harmonic_part']:.3e} "
-            f"(> {eps_obstruction:.1e}); no potential exists on the torus"
-        )
-    m_clean = m - harmonic_proj(m)
-    return laplace_inv(codiff(m_clean), eps_harm=np.inf)
+    return _mu2_potential(mu2(x1, x2, eps_div), eps_obstruction)[0]
 
 
 def boundary_triple_terms(x1, x2, x3):
@@ -160,25 +183,31 @@ def poisson_bracket(h1: HamiltonianPair, h2: HamiltonianPair) -> GridField:
     return pair_contraction(h1.field, h2.field)
 
 
-def bracket_defect_residual(b: VectorField, c: VectorField) -> float:
-    """Relative residual of {f1(b),f1(c)} - f1([b,c]) + d f2(b^c) = 0,
-    measured on the non-harmonic sector (the harmonic obstruction is
-    reported by mu2_certificates)."""
+def _relative_nonharmonic(lhs: GridField, den: float) -> float:
+    """sup norm of lhs minus its harmonic part, relative to den when den > 0.
+    lhs is a temporary: its harmonic part is removed in place."""
+    lhs.comps -= harmonic_proj(lhs).comps
+    return lhs.sup_norm() / den if den > 0 else lhs.sup_norm()
+
+
+def pair_identities(b: VectorField, c: VectorField) -> dict:
+    """Relative residuals, on the non-harmonic sector, of the potential
+    equation d f2(b^c) = mu2(b, c) ("eq26") and the bracket-defect identity
+    {f1(b), f1(c)} - f1([b, c]) + d f2(b^c) = 0 ("eq29"), with the harmonic
+    part of mu2(b, c) ("harmonic_part").  The bracket, its f1, mu2, f2(b, c)
+    and its d are computed once, by the operations mu2, f2 and f1 apply, so
+    the values carry the bits of the identities evaluated one by one.
+    """
     pb = pair_contraction(b, c)
-    lhs = pb - f1(tower_bracket(b, c)) + ext_d(f2(b, c))
-    lhs = lhs - harmonic_proj(lhs)
-    den = pb.sup_norm()
-    return lhs.sup_norm() / den if den > 0 else lhs.sup_norm()
-
-
-def eq_potential_residual(b: VectorField, c: VectorField) -> float:
-    """Relative residual of d f2(b^c) = mu2(b,c) (the potential equation),
-    non-harmonic sector."""
-    m = mu2(b, c)
-    lhs = ext_d(f2(b, c)) - m
-    lhs = lhs - harmonic_proj(lhs)
-    den = m.sup_norm()
-    return lhs.sup_norm() / den if den > 0 else lhs.sup_norm()
+    h_bracket = f1(tower_bracket(b, c))
+    m = h_bracket - pb
+    potential, harm = _mu2_potential(m)
+    d_potential = ext_d(potential)
+    return {
+        "eq26": _relative_nonharmonic(d_potential - m, m.sup_norm()),
+        "eq29": _relative_nonharmonic(pb - h_bracket + d_potential, pb.sup_norm()),
+        "harmonic_part": harm,
+    }
 
 
 def triple_evaluation_residual(x1, x2, x3) -> float:
@@ -191,13 +220,15 @@ def triple_evaluation_residual(x1, x2, x3) -> float:
     return res / den if den > 0 else res
 
 
-def equivariance_defect(xi: VectorField, b: VectorField, eps_div=None) -> GridField:
+def equivariance_defect(xi: VectorField, b: VectorField, eps_div=None,
+                        h: GridField | None = None) -> GridField:
     """L_xi f1(b) - f1([xi, b]); nonzero in general (Theorem on
     non-equivariance).  For xi = b this equals -d<B, b>, minus the
-    differential of the helicity density."""
+    differential of the helicity density.  `h` is f1(b) when the caller
+    already holds it."""
     require_divergence_free(xi, eps_div, "equivariance xi")
     require_divergence_free(b, eps_div, "equivariance b")
-    lie = lie_derivative(xi, f1(b))
+    lie = lie_derivative(xi, f1(b) if h is None else h)
     return lie - f1(tower_bracket(xi, b))
 
 
@@ -293,10 +324,12 @@ def comomentum_report(grid, rng, tolerances, pairs, triples, timer) -> dict:
     timer.start("eq26_eq29_suite")
     eq26, eq29, harm = [], [], []
     for _ in range(pairs):
+        # rebinding b, c releases the eq25 suite's pair and each previous pair
         b, c = tower_pair(grid, rng)
-        eq26.append(eq_potential_residual(b, c))
-        eq29.append(bracket_defect_residual(b, c))
-        harm.append(mu2_certificates(mu2(b, c))["harmonic_part"])
+        ident = pair_identities(b, c)
+        eq26.append(ident["eq26"])
+        eq29.append(ident["eq29"])
+        harm.append(ident["harmonic_part"])
     timer.stop()
     timer.start("eq27_suite")
     eq27 = [triple_evaluation_residual(*tower_triple(grid, rng)) for _ in range(triples)]
@@ -306,8 +339,9 @@ def comomentum_report(grid, rng, tolerances, pairs, triples, timer) -> dict:
         v = abc_flow(Grid3(grid.n_points, 2 * np.pi))
     else:
         v = abc_flow(grid)
-    abc_eq25 = hamiltonian_residual(f1(v), v)
-    defect = equivariance_defect(v, v)
+    h = f1(v)
+    abc_eq25 = hamiltonian_residual(h, v)
+    defect = equivariance_defect(v, v, h=h)
     defect_norm = defect.sup_norm() / float(np.max(dot(v, v)))
     timer.stop()
     return {

@@ -303,11 +303,6 @@ def with_generic_direction(fn, rng, tries):
     raise DegenerateProjection(f"no generic direction found in {tries} tries")
 
 
-def stable_crossing_linking(c1, c2, rng, tries=8):
-    """crossing_linking with deterministic retries on degenerate directions."""
-    return with_generic_direction(lambda d: crossing_linking(c1, c2, d), rng, tries)
-
-
 def linking_report(link, rng, timer) -> dict:
     """The `lk` report section: the Gauss and crossing linking matrices,
     writhe and blackboard framing per component, and the largest

@@ -144,9 +144,9 @@ class MaskedDomain:
 
     def masked_rms(self, f: GridField) -> float:
         """RMS of the masked form (volume-normalized L2)."""
-        return float(
-            np.sqrt(np.mean(np.sum((self.mask[None] * f.comps) ** 2, axis=0)))
-        )
+        t = self.mask[None] * f.comps
+        t *= t
+        return float(np.sqrt(np.mean(np.sum(t, axis=0))))
 
     def periods(self, form2: GridField) -> dict:
         out = {}

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import resource
+import sys
 import time
 
 
@@ -37,25 +38,37 @@ def report_text(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
+def _fft_calls() -> int:
+    """The spectral layer's transform count so far; 0 while it is not
+    imported, so that timing a command never imports scipy."""
+    operators = sys.modules.get(f"{__package__}.operators")
+    return 0 if operators is None else operators.fft_calls
+
+
 class StageTimer:
     """Collects per-stage wall times, written to a sidecar file.
 
-    `solver` holds per-solve CG telemetry (keyed by the solved pair) and
+    `solver` holds per-solve CG telemetry (keyed by the solved pair),
     `peak_rss_mb` the process's peak resident set at the end of each stage
-    (a high-water mark, so it never falls from one stage to the next).  Both
-    are written beside the stages under their own keys, so "timings" lists
-    stage seconds only.
+    (a high-water mark, so it never falls from one stage to the next) and
+    `fft_calls` the `rfft3`/`irfft3` calls made in each stage.  They are
+    written beside the stages under their own keys, so "timings" lists stage
+    seconds only; "solver" is written only when there were solves and
+    "fft_calls" only when some stage transformed.
     """
 
     def __init__(self):
         self.stages = {}
         self.solver = {}
         self.peak_rss_mb = {}
+        self.fft_calls = {}
         self._t0 = None
+        self._ffts0 = None
         self._name = None
 
     def start(self, name):
         self._t0 = time.perf_counter()
+        self._ffts0 = _fft_calls()
         self._name = name
 
     def stop(self):
@@ -66,6 +79,7 @@ class StageTimer:
             # ru_maxrss counts KiB (Linux)
             rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
             self.peak_rss_mb[self._name] = round(rss / 1024, 1)
+            self.fft_calls[self._name] = _fft_calls() - self._ffts0
             self._name = None
 
     def write_sidecar(self, report_path):
@@ -74,5 +88,7 @@ class StageTimer:
             doc = {"timings": self.stages, "peak_rss_mb": self.peak_rss_mb}
             if self.solver:
                 doc["solver"] = self.solver
+            if any(self.fft_calls.values()):
+                doc["fft_calls"] = self.fft_calls
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")

@@ -125,7 +125,8 @@ class _Depositor:
             # the bump is exactly zero outside the ball: skipped (see above)
             vals = (1.0 - u2[inside]) ** _BUMP_POWER * self.norm
             idx = idx[inside]
-            w = weights[lo + np.nonzero(inside)[0]]
+            # the weight row of each kept node, in the row-major order of idx
+            w = np.repeat(weights[lo:lo + len(inside)], np.count_nonzero(inside, axis=1), axis=0)
             for c, channel in enumerate(flat_data):
                 keep = w[:, c] != 0.0
                 np.add.at(channel, idx[keep], w[keep, c] * vals[keep])

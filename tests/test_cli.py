@@ -120,6 +120,19 @@ def test_sidecar_reports_peak_rss_per_stage(tmp_path, monkeypatch):
     assert 0 < rss["linking_matrix"] <= rss["writhe_framing"]
 
 
+def test_comomentum_sidecar_counts_transforms(tmp_path, monkeypatch):
+    # one pair and one triple: each tower object is computed once, so the
+    # suites make 114 rfft3/irfft3 calls in all (182 when the eq26/eq29
+    # suite, the f2 gate, curl_inv and the ABC stage repeated work)
+    monkeypatch.chdir(ROOT)
+    argv = ["comomentum", "--pairs", "1", "--triples", "1", "--config", COMOMENTUM_CONFIG]
+    _run(argv, tmp_path / "report.json")
+    sidecar = json.loads((tmp_path / "report.json.timings.json").read_text())
+    assert sidecar["fft_calls"] == {
+        "eq25_suite": 11, "eq26_eq29_suite": 19, "eq27_suite": 63, "abc_fixture": 21,
+    }
+
+
 # invalid scenes: (builder, commands, exception name, message fragment, exit
 # code); the gate gives one verdict per scene whatever the command
 def _polygonal_split_triple():

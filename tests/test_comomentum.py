@@ -6,8 +6,6 @@ import pytest
 from vortexlink.comomentum import (
     HamiltonianPair,
     abc_flow,
-    bracket_defect_residual,
-    eq_potential_residual,
     equivariance_defect,
     euler_vorticity_rhs,
     f1,
@@ -18,9 +16,12 @@ from vortexlink.comomentum import (
     loop_2form,
     mu2,
     mu2_certificates,
+    pair_contraction,
+    pair_identities,
     poisson_bracket,
     rasetti_regge,
     comomentum_report,
+    tower_bracket,
     triple_evaluation_residual,
 )
 from vortexlink.constants import DEFAULT_TOLERANCES
@@ -111,8 +112,26 @@ def test_mu2_harmonic_part_is_the_largest_component_mean(grid32, rng):
 def test_f2_identities(grid32, rng):
     b, c = tower_pair(grid32, rng)
     assert f2(b, b).sup_norm() == 0.0
-    assert eq_potential_residual(b, c) < 1e-6
+    assert pair_identities(b, c)["eq26"] < 1e-6
     assert abs(float(f2(b, c).comps[0].mean())) < 1e-12
+
+
+def _nonharmonic_residual(lhs, den):
+    lhs = lhs - harmonic_proj(lhs)
+    return lhs.sup_norm() / den
+
+
+def test_pair_identities_match_one_by_one_evaluation(grid32, rng):
+    # the shared objects give the bits of mu2, f2 and f1 evaluated separately
+    b, c = tower_pair(grid32, rng)
+    got = pair_identities(b, c)
+    m = mu2(b, c)
+    eq26 = _nonharmonic_residual(ext_d(f2(b, c)) - m, m.sup_norm())
+    pb = pair_contraction(b, c)
+    eq29 = _nonharmonic_residual(pb - f1(tower_bracket(b, c)) + ext_d(f2(b, c)), pb.sup_norm())
+    harm = mu2_certificates(mu2(b, c))["harmonic_part"]
+    assert got == {"eq26": eq26, "eq29": eq29, "harmonic_part": harm}
+    assert 0 < eq26 < 1e-6 and 0 < eq29 < 1e-6
 
 
 def test_triple_evaluation(grid32, rng):
@@ -130,7 +149,7 @@ def test_poisson_bracket_cross_product(grid32, rng):
 
 def test_bracket_defect_identity(grid32, rng):
     b, c = tower_pair(grid32, rng)
-    assert bracket_defect_residual(b, c) < 1e-6
+    assert pair_identities(b, c)["eq29"] < 1e-6
 
 
 def test_equivariance_defect_abc(grid48):
@@ -138,6 +157,7 @@ def test_equivariance_defect_abc(grid48):
 
     v = abc_flow(grid48)
     defect = equivariance_defect(v, v)
+    assert np.array_equal(equivariance_defect(v, v, h=f1(v)).comps, defect.comps)
     # equals -d<B, b> = -d|v|^2 for the curl eigenfield
     dh = ext_d(GridField(grid48, 0, dot(v, v)[None]))
     assert (defect + dh).sup_norm() < 1e-10 * dh.sup_norm()
@@ -242,5 +262,6 @@ def test_comomentum_report_passes(grid32, rng):
     assert hamiltonian_residual(h, c) < 1e-8
     assert codiff(h).sup_norm() < 1e-9 * h.sup_norm()
     for x in (a, b):
-        assert eq_potential_residual(x, c) < 1e-6
-        assert bracket_defect_residual(x, c) < 1e-6
+        ident = pair_identities(x, c)
+        assert ident["eq26"] < 1e-6
+        assert ident["eq29"] < 1e-6

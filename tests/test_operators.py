@@ -6,6 +6,7 @@ import pytest
 from vortexlink.errors import (
     MixedGridError,
     NonzeroHarmonicPart,
+    NonzeroMean,
     NotDivergenceFree,
 )
 from vortexlink.grid import Grid3, GridField, VectorField, cross, dot
@@ -212,6 +213,18 @@ def test_curl_inv_roundtrip_and_gates(grid32, rng):
     assert curl_inv(zero).sup_norm() == 0.0
     with pytest.raises(NotDivergenceFree):
         curl_inv(random_vector_field(grid32, rng))
+
+
+def test_curl_inv_checks_divergence_before_mean(grid32, rng):
+    # the divergence gate reads the spectrum curl_inv inverts; it still runs
+    # first, so a field failing both gates reports its divergence
+    constant = VectorField(grid32, np.broadcast_to(
+        np.array([0.5, -1.0, 0.25])[:, None, None, None], (3,) + grid32.shape).copy())
+    with pytest.raises(NonzeroMean, match="curl_inv input: component mean"):
+        curl_inv(constant)
+    both = random_vector_field(grid32, rng) + constant
+    with pytest.raises(NotDivergenceFree, match="curl_inv input: relative divergence"):
+        curl_inv(both)
 
 
 def test_curl_grad_and_div_curl_vanish(grid32, rng):
