@@ -20,13 +20,13 @@ exactness (it equals -mean(b x c), which need not vanish); every identity
 involving f2 therefore carries a harmonic certificate, and f2 refuses inputs
 whose obstruction exceeds tolerance.
 
-Each tower object is computed once where a suite needs it more than once.
-`pair_identities` builds the bracket [b, c], its f1, mu2(b, c), the harmonic
-part, the potential f2(b, c) and its d once per pair for eqs. 26 and 29.
-The f2 gate reads the harmonic part alone, without the closedness
-certificate that mu2_certificates adds.  `equivariance_defect` takes the
-caller's f1(b), and `curl_inv` transforms its input once for both its
-divergence gate and the inversion.
+Checks run once, where outside fields enter: each public function gates
+its inputs' divergence, then calls an unchecked core (`_hydro`, `_bracket`,
+`_mu2`, `_f2`) that the tower shares.  A bracket is a spectral curl, so it is
+never re-checked; `curl_inv` keeps its gate.  Each tower object is computed
+once (`pair_identities`), and no suite's fields outlive it: each suite of
+`comomentum_report` drops its fields before the next begins, and
+`f2_of_boundary_triple` builds each bracket just before its f2.
 """
 
 from __future__ import annotations
@@ -48,23 +48,35 @@ from .operators import (
     lie_derivative,
     musical,
     require_divergence_free,
-    require_zero_mean,
     spectral_curl,
 )
 from .random_fields import tower_pair, tower_triple
 from .reports import checked
 
 
+def _require_solenoidal(what, eps_div, *fields):
+    for i, x in enumerate(fields, 1):
+        require_divergence_free(x, eps_div, f"{what} arg {i}")
+
+
+def _hydro(x1, x2):
+    return spectral_curl(cross(x1, x2))
+
+
 def hydro_bracket(x1: VectorField, x2: VectorField, eps_div=None) -> VectorField:
     """curl(x1 x x2); closes in the divergence-free algebra."""
-    require_divergence_free(x1, eps_div, "hydro_bracket arg 1")
-    require_divergence_free(x2, eps_div, "hydro_bracket arg 2")
-    return spectral_curl(cross(x1, x2))
+    _require_solenoidal("hydro_bracket", eps_div, x1, x2)
+    return _hydro(x1, x2)
+
+
+def _bracket(x1, x2):
+    return TOWER_BRACKET_SIGN * _hydro(x1, x2)
 
 
 def tower_bracket(x1: VectorField, x2: VectorField, eps_div=None) -> VectorField:
     """The bracket entering mu2 / the wedge boundary / the defect identity."""
-    return TOWER_BRACKET_SIGN * hydro_bracket(x1, x2, eps_div)
+    _require_solenoidal("tower_bracket", eps_div, x1, x2)
+    return _bracket(x1, x2)
 
 
 def pair_contraction(x1: VectorField, x2: VectorField) -> GridField:
@@ -104,10 +116,14 @@ class HamiltonianPair:
         return cls(b, h, res)
 
 
+def _mu2(x1, x2):
+    return f1(_bracket(x1, x2)) - pair_contraction(x1, x2)
+
+
 def mu2(x1: VectorField, x2: VectorField, eps_div=None) -> GridField:
     """The closed 1-form f1([x1,x2]) - nu(x1,x2,.) whose potential is f2."""
-    b = tower_bracket(x1, x2, eps_div)
-    return f1(b) - pair_contraction(x1, x2)
+    _require_solenoidal("mu2", eps_div, x1, x2)
+    return _mu2(x1, x2)
 
 
 def _harmonic_part(m: GridField) -> float:
@@ -130,11 +146,7 @@ def mu2_certificates(m: GridField) -> dict:
 
 def _mu2_potential(m: GridField, eps_obstruction=None) -> tuple[GridField, float]:
     """The zero-mean potential Delta^-1 delta m of a closed 1-form and the
-    harmonic part of m.
-
-    Raises ObstructedPotential when the harmonic part exceeds tolerance, in
-    which case no potential exists on the torus.
-    """
+    harmonic part of m, gated on that part as f2 is."""
     if eps_obstruction is None:
         eps_obstruction = DEFAULT_TOLERANCES["eps_obstruction"]
     harm = _harmonic_part(m)
@@ -147,33 +159,27 @@ def _mu2_potential(m: GridField, eps_obstruction=None) -> tuple[GridField, float
     return laplace_inv(codiff(m_clean), eps_harm=np.inf), harm
 
 
+def _f2(x1, x2, eps_obstruction=None):
+    return _mu2_potential(_mu2(x1, x2), eps_obstruction)[0]
+
+
 def f2(x1: VectorField, x2: VectorField, eps_div=None, eps_obstruction=None) -> GridField:
     """Scalar potential of mu2 (zero mean): f2 = Delta^-1 delta mu2.
 
     Raises ObstructedPotential when mu2 has a harmonic part beyond
     tolerance, in which case no potential exists on the torus.
     """
-    return _mu2_potential(mu2(x1, x2, eps_div), eps_obstruction)[0]
-
-
-def boundary_triple_terms(x1, x2, x3):
-    """Boundary of x1^x2^x3 as signed wedge pairs: sum of s * [xi,xj] ^ xk.
-
-    Returns [(sign, bracket_field, partner_field), ...] following
-    d(x1^x2^x3) = -[x1,x2]^x3 + [x1,x3]^x2 - [x2,x3]^x1.
-    """
-    return [
-        (-1, tower_bracket(x1, x2), x3),
-        (+1, tower_bracket(x1, x3), x2),
-        (-1, tower_bracket(x2, x3), x1),
-    ]
+    _require_solenoidal("f2", eps_div, x1, x2)
+    return _f2(x1, x2, eps_obstruction)
 
 
 def f2_of_boundary_triple(x1, x2, x3) -> GridField:
-    """f2 evaluated on the boundary of a wedge triple."""
+    """f2 on the boundary d(x1^x2^x3) = -[x1,x2]^x3 + [x1,x3]^x2 - [x2,x3]^x1,
+    building each bracket just before its f2 and dropping it after."""
+    _require_solenoidal("f2_of_boundary_triple", None, x1, x2, x3)
     out = None
-    for sign, br, partner in boundary_triple_terms(x1, x2, x3):
-        term = sign * f2(br, partner)
+    for sign, a, b, partner in ((-1, x1, x2, x3), (+1, x1, x3, x2), (-1, x2, x3, x1)):
+        term = sign * _f2(_bracket(a, b), partner)
         out = term if out is None else out + term
     return out
 
@@ -214,7 +220,7 @@ def triple_evaluation_residual(x1, x2, x3) -> float:
     """Pointwise relative residual of f2(boundary(x1^x2^x3)) = nu(x1,x2,x3)."""
     lhs = f2_of_boundary_triple(x1, x2, x3)
     target = dot(cross(x1, x2), x3)
-    target = target - target.mean()
+    target -= target.mean()
     den = float(np.max(np.abs(target)))
     res = float(np.max(np.abs(lhs.comps[0] - target)))
     return res / den if den > 0 else res
@@ -226,10 +232,8 @@ def equivariance_defect(xi: VectorField, b: VectorField, eps_div=None,
     non-equivariance).  For xi = b this equals -d<B, b>, minus the
     differential of the helicity density.  `h` is f1(b) when the caller
     already holds it."""
-    require_divergence_free(xi, eps_div, "equivariance xi")
-    require_divergence_free(b, eps_div, "equivariance b")
-    lie = lie_derivative(xi, f1(b) if h is None else h)
-    return lie - f1(tower_bracket(xi, b))
+    _require_solenoidal("equivariance_defect", eps_div, xi, b)
+    return lie_derivative(xi, f1(b) if h is None else h) - f1(_bracket(xi, b))
 
 
 def kks_pairing(w: VectorField, b: VectorField, c: VectorField) -> float:
@@ -240,10 +244,9 @@ def kks_pairing(w: VectorField, b: VectorField, c: VectorField) -> float:
 
 def euler_vorticity_rhs(w: VectorField, eps_div=None, eps_mean=None) -> VectorField:
     """Instantaneous right-hand side of the vorticity equation:
-    dw/dt = -[w, v] with v = curl^-1 w (hydrodynamical bracket)."""
-    require_zero_mean(w, eps_mean, "vorticity")
-    v = curl_inv(w, eps_div, eps_mean)
-    return -1 * hydro_bracket(w, v, eps_div)
+    dw/dt = -[w, v] with v = curl^-1 w (hydrodynamical bracket).  curl_inv
+    gates w, and v is a Coulomb potential, so neither is checked again."""
+    return -1 * _hydro(w, curl_inv(w, eps_div, eps_mean))
 
 
 # -- loop-space operations ---------------------------------------------------
@@ -303,6 +306,12 @@ def abc_flow(grid, A=1.0, B=1.0, C=1.0) -> VectorField:
     ]))
 
 
+def _eq25_and_gauge(b: VectorField) -> tuple[float, float]:
+    """The eq. 25 residual of f1(b) and its Coulomb-gauge certificate."""
+    h = f1(b)
+    return hamiltonian_residual(h, b), codiff(h).sup_norm() / max(h.sup_norm(), 1e-300)
+
+
 def comomentum_report(grid, rng, tolerances, pairs, triples, timer) -> dict:
     """The `comomentum` report section: the largest residuals of eq. 25
     (with the Coulomb gauge), eqs. 26 and 29 (with the harmonic part of
@@ -311,46 +320,36 @@ def comomentum_report(grid, rng, tolerances, pairs, triples, timer) -> dict:
     defect of the ABC flow on the 2 pi box of the same N.
 
     Stages "eq25_suite", "eq26_eq29_suite", "eq27_suite" and "abc_fixture"
-    are timed on `timer`.
+    are timed on `timer`.  Each drawn field's divergence is checked once, and
+    brackets are not re-checked.  No suite's fields outlive it: each pair or
+    triple goes to one call that returns residuals only.
     """
     timer.start("eq25_suite")
-    eq25, gauge = [], []
-    for _ in range(pairs):
-        b, c = tower_pair(grid, rng)
-        h = f1(b)
-        eq25.append(hamiltonian_residual(h, b))
-        gauge.append(codiff(h).sup_norm() / max(h.sup_norm(), 1e-300))
+    # each pair's second field is drawn only to keep rng's stream
+    eq25, gauge = zip(*[_eq25_and_gauge(tower_pair(grid, rng)[0]) for _ in range(pairs)])
     timer.stop()
     timer.start("eq26_eq29_suite")
-    eq26, eq29, harm = [], [], []
-    for _ in range(pairs):
-        # rebinding b, c releases the eq25 suite's pair and each previous pair
-        b, c = tower_pair(grid, rng)
-        ident = pair_identities(b, c)
-        eq26.append(ident["eq26"])
-        eq29.append(ident["eq29"])
-        harm.append(ident["harmonic_part"])
+    idents = [pair_identities(*tower_pair(grid, rng)) for _ in range(pairs)]
     timer.stop()
     timer.start("eq27_suite")
     eq27 = [triple_evaluation_residual(*tower_triple(grid, rng)) for _ in range(triples)]
     timer.stop()
     timer.start("abc_fixture")
     if abs(grid.box_length - 2 * np.pi) > 1e-12:
-        v = abc_flow(Grid3(grid.n_points, 2 * np.pi))
-    else:
-        v = abc_flow(grid)
+        grid = Grid3(grid.n_points, 2 * np.pi)
+    v = abc_flow(grid)
     h = f1(v)
     abc_eq25 = hamiltonian_residual(h, v)
-    defect = equivariance_defect(v, v, h=h)
-    defect_norm = defect.sup_norm() / float(np.max(dot(v, v)))
+    defect_norm = equivariance_defect(v, v, h=h).sup_norm() / float(np.max(dot(v, v)))
     timer.stop()
     return {
-        "eq25": checked(max(eq25 + [abc_eq25]), tolerances["eps_ham"]),
-        "eq26": checked(max(eq26), 1e-6),
+        "eq25": checked(max(*eq25, abc_eq25), tolerances["eps_ham"]),
+        "eq26": checked(max(i["eq26"] for i in idents), 1e-6),
         "eq27": checked(max(eq27), 1e-5) if eq27 else None,
-        "eq29": checked(max(eq29), 1e-6),
+        "eq29": checked(max(i["eq29"] for i in idents), 1e-6),
         "gauge": checked(max(gauge), 1e-9),
-        "mu2_harmonic_part": checked(max(harm), tolerances["eps_obstruction"]),
+        "mu2_harmonic_part": checked(max(i["harmonic_part"] for i in idents),
+                                     tolerances["eps_obstruction"]),
         "equivariance_defect_norm": {
             "value": defect_norm,
             "threshold": 0.1,

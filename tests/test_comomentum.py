@@ -1,5 +1,7 @@
 """The co-momentum tower: defining identities and bracket structure."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -65,9 +67,26 @@ def test_hydro_bracket_single_modes(grid48):
 
 
 def test_hydro_bracket_rejects_nonsolenoidal(grid32, rng):
+    # every public tower function gates each field argument it takes, also
+    # where the fields are checked once and the brackets not at all
     b = shell_solenoidal(grid32, rng, (1, 3))
-    with pytest.raises(NotDivergenceFree):
-        hydro_bracket(b, random_vector_field(grid32, rng))
+    c = shell_solenoidal(grid32, rng, (3, 4))
+    bad = random_vector_field(grid32, rng)
+    calls = {
+        "hydro_bracket": lambda: hydro_bracket(b, bad),
+        "tower_bracket": lambda: tower_bracket(bad, b),
+        "mu2": lambda: mu2(b, bad),
+        "f2": lambda: f2(bad, b),
+        "triple slot 1": lambda: triple_evaluation_residual(bad, b, c),
+        "triple slot 2": lambda: triple_evaluation_residual(b, bad, c),
+        "triple slot 3": lambda: triple_evaluation_residual(b, c, bad),
+        "equivariance xi": lambda: equivariance_defect(bad, b),
+        "equivariance b": lambda: equivariance_defect(b, bad),
+    }
+    for name, call in calls.items():
+        with pytest.raises(NotDivergenceFree):
+            call()
+            pytest.fail(f"{name} accepted a non-solenoidal field")
 
 
 def test_f1_abc_eigenfield(grid48):
@@ -265,3 +284,57 @@ def test_comomentum_report_passes(grid32, rng):
         ident = pair_identities(x, c)
         assert ident["eq26"] < 1e-6
         assert ident["eq29"] < 1e-6
+
+
+# -- lifetimes, in units of one (3, N, N, N) float64 field -------------------
+
+def _fields(nbytes, grid):
+    return nbytes / (3 * grid.n_points**3 * 8)
+
+
+class _LiveTimer(StageTimer):
+    """A stage timer that also records the traced bytes still allocated when
+    each stage stops."""
+
+    def __init__(self):
+        super().__init__()
+        self.live = {}
+
+    def stop(self):
+        self.live[self._name] = tracemalloc.get_traced_memory()[0]
+        super().stop()
+
+
+def _traced(run):
+    """Run `run()` under tracemalloc: its value, the traced bytes at the
+    start and the traced peak."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        value = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return value, base, peak
+
+
+def test_no_suite_field_outlives_its_suite(grid32, rng):
+    # warm the per-grid symbol cache outside the trace
+    comomentum_report(grid32, np.random.default_rng(0), DEFAULT_TOLERANCES, 1, 1, StageTimer())
+    timer = _LiveTimer()
+    _, base, peak = _traced(
+        lambda: comomentum_report(grid32, rng, DEFAULT_TOLERANCES, 1, 1, timer))
+    for stage in ("eq25_suite", "eq26_eq29_suite", "eq27_suite"):
+        assert _fields(timer.live[stage] - base, grid32) < 0.1, (stage, timer.live)
+    # a pair's or a triple's working set, not the suites' leftovers (13.8
+    # fields when each suite kept its last fields and eq. 27 built its three
+    # brackets up front)
+    assert _fields(peak - base, grid32) <= 9
+
+
+def test_triple_evaluation_builds_one_bracket_at_a_time(grid32, rng):
+    x = tower_triple(grid32, rng)
+    triple_evaluation_residual(*x)  # warm the symbol cache
+    value, base, peak = _traced(lambda: triple_evaluation_residual(*x))
+    assert value < 1e-5
+    assert _fields(peak - base, grid32) <= 6  # 7.8 with all three brackets alive
