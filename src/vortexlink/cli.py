@@ -155,6 +155,18 @@ def cmd_export(args) -> tuple[int, dict]:
     return 0, report
 
 
+def _count(least):
+    """argparse type: an integer of at least `least`, else a usage error that
+    argparse prefixes with the flag's name."""
+    def parse(text):
+        n = int(text)
+        if n < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {n}")
+        return n
+    parse.__name__ = "count"
+    return parse
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="vortexlink",
@@ -178,8 +190,10 @@ def build_parser():
 
     sp = sub.add_parser("comomentum", help="co-momentum residual suite")
     common(sp, scene_required=False)
-    sp.add_argument("--pairs", type=int, default=20)
-    sp.add_argument("--triples", type=int, default=10)
+    sp.add_argument("--pairs", type=_count(1), default=20,
+                    help="tower pairs to draw (at least 1)")
+    sp.add_argument("--triples", type=_count(0), default=10,
+                    help="tower triples to draw (0 skips eq. 27)")
     sp.add_argument(
         "--non-solenoidal", action="store_true",
         help="feed a non-solenoidal field (validation-path check)",

@@ -131,7 +131,7 @@ class GridField:
         return GridField(self.grid, self.degree, -self.comps)
 
     def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.comps)))
+        return sup_abs(self.comps)
 
     def l2_norm(self) -> float:
         """L2 norm with the midpoint-rule measure."""
@@ -175,27 +175,45 @@ class VectorField:
         return VectorField(self.grid, -self.comps)
 
     def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.comps)))
+        return sup_abs(self.comps)
 
     def mean(self) -> np.ndarray:
         return self.comps.reshape(3, -1).mean(axis=1)
 
 
+def sup_abs(a: np.ndarray) -> float:
+    """max |a| without an |a| temporary.  On an all-zero array max() can be
+    -0.0; the + 0.0 makes it +0.0, as np.abs would."""
+    return float(max(a.max(), -a.min()) + 0.0)
+
+
+def cross_comps(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u x v of two (3, ...) component arrays, written into one output with
+    one scalar scratch array: component c is u_a v_b - u_b v_a."""
+    out = np.empty_like(u)
+    tmp = np.empty_like(u[0])
+    for c, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
+        np.multiply(u[a], v[b], out=out[c])
+        out[c] -= np.multiply(u[b], v[a], out=tmp)
+    return out
+
+
+def dot_comps(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u . v of two (3, ...) component arrays, summed in place in the order
+    np.sum(u * v, axis=0) uses: from +0.0, + u0 v0, + u1 v1, + u2 v2."""
+    out = np.multiply(u[0], v[0])
+    out += 0.0  # the sum's +0.0 start turns a -0.0 first product into +0.0
+    tmp = np.empty_like(out)
+    for a, b in zip(u[1:], v[1:]):
+        out += np.multiply(a, b, out=tmp)
+    return out
+
+
 def cross(a: VectorField, b: VectorField) -> VectorField:
     _check_same_grid(a, b)
-    u, v = a.comps, b.comps
-    return VectorField(
-        a.grid,
-        np.stack(
-            [
-                u[1] * v[2] - u[2] * v[1],
-                u[2] * v[0] - u[0] * v[2],
-                u[0] * v[1] - u[1] * v[0],
-            ]
-        ),
-    )
+    return VectorField(a.grid, cross_comps(a.comps, b.comps))
 
 
 def dot(a: VectorField, b: VectorField) -> np.ndarray:
     _check_same_grid(a, b)
-    return np.sum(a.comps * b.comps, axis=0)
+    return dot_comps(a.comps, b.comps)

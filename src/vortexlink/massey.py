@@ -23,15 +23,23 @@ Parseval sums over the half spectrum (the kz = 0 and Nyquist planes weighted
 once, the others twice, over N^3), which make the coefficients an isometric
 image of the real fields; the iterates are therefore those of the same CG
 run in physical space, up to the order of rounding.
+
+Where the forms live.  The hierarchy owns the v_I, the Omega_I and their
+certificates, and keeps in `MasseyHierarchy.d` the exterior derivative of
+each form that more than one certificate reads.  The certificate stages own
+nothing that outlives them: `cartan_bianchi_report` builds, certifies and
+drops one connection at a time, each curvature and Bianchi entry is summed
+into one accumulator as its terms are made, and a shared derivative or a
+stored Omega_I is read and never written.  Between the stages the hierarchy
+keeps only d v_I, and `involution_report` drops each one right after its
+Lie derivative.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import combinations, product
-from operator import add
 
 import numpy as np
 
@@ -40,7 +48,7 @@ from .constants import DEFAULT_TOLERANCES, MERIDIAN_PANELS, TRIPLE_LINKING_SIGN
 from .curves import Link, as_polygon
 from .diagrams import mu_bar, scene_diagram
 from .errors import MissingPrimitive, NoConvergence, ObstructedClass
-from .grid import Grid3, GridField, VectorField
+from .grid import Grid3, GridField, VectorField, sup_abs
 from .operators import (
     _k_cross,
     _symbols,
@@ -143,10 +151,17 @@ class MaskedDomain:
                    cfg.panels)
 
     def masked_rms(self, f: GridField) -> float:
-        """RMS of the masked form (volume-normalized L2)."""
-        t = self.mask[None] * f.comps
-        t *= t
-        return float(np.sqrt(np.mean(np.sum(t, axis=0))))
+        """RMS of the masked form (volume-normalized L2).  One masked
+        component at a time is squared into one scalar buffer and added to
+        the sum in component order, the order of np.sum(..., axis=0)."""
+        acc = np.multiply(self.mask, f.comps[0])
+        acc *= acc
+        sq = np.empty_like(acc)
+        for c in f.comps[1:]:
+            np.multiply(self.mask, c, out=sq)
+            sq *= sq
+            acc += sq
+        return float(np.sqrt(np.mean(acc)))
 
     def periods(self, form2: GridField) -> dict:
         out = {}
@@ -360,6 +375,10 @@ class MasseyHierarchy:
         kept = {id(f) for f in keep}
         self._derivatives = {k: v for k, v in self._derivatives.items() if k in kept}
 
+    def release_derivative(self, form: GridField):
+        """Drop the kept derivative of one form, if any."""
+        self._derivatives.pop(id(form), None)
+
     def _certify_closed(self, key, om):
         den = self.dom.masked_rms(om)
         r = self.dom.link.tube.radius
@@ -453,52 +472,88 @@ class NilpotentConnection:
         return cls(n, entries, level, h)
 
 
+def _add_term(acc, term: GridField, sign: int = 1) -> GridField:
+    """acc + sign * term, added into acc in place; the first term (acc None)
+    is the fresh `term` itself, negated in place when sign < 0."""
+    if acc is None:
+        if sign < 0:
+            term.comps *= -1.0
+        return term
+    if sign < 0:
+        acc.comps -= term.comps
+    else:
+        acc.comps += term.comps
+    return acc
+
+
 def connection_curvature(c: NilpotentConnection) -> dict:
     """Entrywise Cartan structure equation: w = d v + v ^ v.
 
     Computed once per connection and kept on it, so the report's exactness
     checks and bianchi_residual share one evaluation; the entries must not
-    change afterwards, and callers must not modify the returned forms.  A
-    pure product entry w_ij = sum_k v_ik ^ v_kj is replaced by the stored
-    Omega_I of the same index range when their bits agree, so it shares that
-    form's derivative.
+    change afterwards, and callers must not modify the returned forms.
+
+    Each entry's products are added into one accumulator as they are made.
+    d v_ij is computed before them, so its transforms run with fewer fields
+    alive, and added after them (the bits of d v + (sum of products)).  An
+    entry without products is the hierarchy's shared d v_ij itself.  A pure
+    product entry w_ij = sum_k v_ik ^ v_kj is replaced by the stored Omega_I
+    of the same index range when their bits agree, so it shares that form's
+    derivative.  The result holds the entries first, then the product-only
+    entries, in the order the Bianchi denominator sums them.
     """
     if c._curvature is not None:
         return c._curvature
     h, v = c.hierarchy, c.entries
-    out = {ij: h.d(vij) for ij, vij in v.items()}
+    out = dict.fromkeys(v)
     for i, j in product(range(c.size), repeat=2):
-        terms = [wedge(v[(i, k)], v[(k, j)]) for k in range(c.size)
-                 if (i, k) in v and (k, j) in v]
-        if not terms:
-            continue
-        acc = reduce(add, terms)
-        if (i, j) in out:
-            out[(i, j)] = out[(i, j)] + acc
-            continue
-        stored = h.omega.get(tuple(range(i + 1, j + 1)))
-        same = stored is not None and np.array_equal(stored.comps, acc.comps)
-        out[(i, j)] = stored if same else acc
+        dv = h.d(v[(i, j)]) if (i, j) in v else None
+        acc = None
+        for k in range(c.size):
+            if (i, k) in v and (k, j) in v:
+                acc = _add_term(acc, wedge(v[(i, k)], v[(k, j)]))
+        if dv is not None:
+            out[(i, j)] = dv if acc is None else _add_term(acc, dv)
+        elif acc is not None:
+            stored = h.omega.get(tuple(range(i + 1, j + 1)))
+            same = stored is not None and np.array_equal(stored.comps, acc.comps)
+            out[(i, j)] = stored if same else acc
     c._curvature = out
     return out
 
 
 def bianchi_residual(c: NilpotentConnection, dom: MaskedDomain) -> float:
-    """Masked norm of d w + v ^ w - w ^ v relative to ||w||."""
+    """Masked norm of d w + v ^ w - w ^ v relative to ||w||.
+
+    Each entry's terms are added, in that order, into one 3-form accumulator
+    as they are made, and the accumulator is dropped once its norm is read.
+    It starts from a copy of d w_ij, which stays in the hierarchy's
+    derivative cache."""
     w, v = connection_curvature(c), c.entries
     num2 = 0.0
     r = dom.link.tube.radius
     for i, j in product(range(c.size), repeat=2):
-        terms = [c.hierarchy.d(w[(i, j)])] if (i, j) in w else []
+        acc = c.hierarchy.d(w[(i, j)]).copy() if (i, j) in w else None
         for k in range(c.size):
             if (i, k) in v and (k, j) in w:
-                terms.append(wedge(v[(i, k)], w[(k, j)]))
+                acc = _add_term(acc, wedge(v[(i, k)], w[(k, j)]))
             if (i, k) in w and (k, j) in v:
-                terms.append(-1 * wedge(w[(i, k)], v[(k, j)]))
-        if terms:
-            num2 += dom.masked_rms(reduce(add, terms)) ** 2
+                acc = _add_term(acc, wedge(w[(i, k)], v[(k, j)]), -1)
+        if acc is not None:
+            num2 += dom.masked_rms(acc) ** 2
+            acc = None  # not alive while the next entry's terms are made
     den2 = sum((dom.masked_rms(val) / r) ** 2 for val in w.values())
     return float(np.sqrt(num2 / den2)) if den2 > 0 else 0.0
+
+
+def _certify_connection(h: MasseyHierarchy, level: int, top: tuple) -> tuple:
+    """(exactness, Bianchi residual) of one level's connection, which lives
+    only in this call.  Exactness is sup |w_0n - Omega_top| for the corner
+    entry w_0n, and 0.0 without a difference when that entry is Omega_top."""
+    c = NilpotentConnection.from_hierarchy(h, level)
+    corner, stored = connection_curvature(c)[(0, len(top))], h.omega[top]
+    exact = 0.0 if corner is stored else sup_abs(corner.comps - stored.comps)
+    return exact, bianchi_residual(c, h.dom)
 
 
 def cartan_bianchi_report(h: MasseyHierarchy) -> dict:
@@ -506,24 +561,27 @@ def cartan_bianchi_report(h: MasseyHierarchy) -> dict:
     entries that must equal Omega_12 and Omega_123 bit for bit, and both
     Bianchi residuals.
 
-    The connections live only here.  On return the hierarchy keeps the
-    derivatives d v_I alone, for the Lie derivatives of involution_report.
+    Level 1 is built, certified and dropped before level 2 is built.  Its
+    curvature is the shared d v_i and the stored Omega_12 and Omega_23.  Of
+    the derivatives kept so far, only d v_I, d(d v_i) and the closedness
+    certificate's d Omega_123 carry over to level 2, which reads them again.
+    Level 2's curvature adds the fresh w = d v_ij + v_i ^ v_j, dropped with
+    its connection, and the stored Omega_123.  On return the hierarchy keeps
+    the derivatives d v_I alone, for the Lie derivatives of
+    involution_report.
     """
-    lvl1 = NilpotentConnection.from_hierarchy(h, 1)
-    lvl2 = NilpotentConnection.from_hierarchy(h, 2)
-    exact1 = float(np.max(np.abs(
-        connection_curvature(lvl1)[(0, 2)].comps - h.omega[(1, 2)].comps)))
-    exact2 = float(np.max(np.abs(
-        connection_curvature(lvl2)[(0, 3)].comps - h.omega[(1, 2, 3)].comps)))
     eps = h.config.eps_massey
-    out = {
+    exact1, bianchi1 = _certify_connection(h, 1, (1, 2))
+    singles = [vI for key, vI in h.v.items() if len(key) == 1]
+    h.release_derivatives(keep=[*h.v.values(), *map(h.d, singles), h.omega[(1, 2, 3)]])
+    exact2, bianchi2 = _certify_connection(h, 2, (1, 2, 3))
+    h.release_derivatives(keep=h.v.values())
+    return {
         "level1_matches_obstruction": checked(exact1, 0.0, exact1 == 0.0),
         "level2_matches_triple": checked(exact2, 0.0, exact2 == 0.0),
-        "bianchi_level1": checked(bianchi_residual(lvl1, h.dom), eps),
-        "bianchi_level2": checked(bianchi_residual(lvl2, h.dom), eps),
+        "bianchi_level1": checked(bianchi1, eps),
+        "bianchi_level2": checked(bianchi2, eps),
     }
-    h.release_derivatives(keep=h.v.values())
-    return out
 
 
 # -- first integrals in involution ------------------------------------------------
@@ -537,8 +595,9 @@ def involution_report(h: MasseyHierarchy, xi_L: VectorField | None = None) -> di
     involved), so structurally vanishing overlaps report as zero.
 
     The xi_I are views of the Omega_I and the Lie derivatives read the
-    hierarchy's shared d v_I, so nothing here may mutate them.  The shared
-    derivatives are released once the Lie derivatives are done.
+    hierarchy's shared d v_I, so nothing here may mutate them.  iota_{xi_L}
+    v_I is made once, for its residual and for its Lie derivative, and each
+    d v_I is dropped from the hierarchy right after that Lie derivative.
     """
     dom = h.dom
     if xi_L is None:
@@ -554,8 +613,10 @@ def involution_report(h: MasseyHierarchy, xi_L: VectorField | None = None) -> di
         sup_v = vI.sup_norm()
         den_i = sup_xi * sup_v
         den_l = sup_xi * sup_v / r
-        iota = dom.masked_rms(contract(xi_L, vI))
-        lie = dom.masked_rms(lie_derivative(xi_L, vI, h.d(vI)))
+        iota_v = contract(xi_L, vI)
+        iota = dom.masked_rms(iota_v)
+        lie = dom.masked_rms(lie_derivative(xi_L, vI, h.d(vI), iota_v))
+        h.release_derivative(vI)
         report["iota"][key_name(key)] = iota / den_i if den_i > 0 else 0.0
         report["lie"][key_name(key)] = lie / den_l if den_l > 0 else 0.0
     h.release_derivatives()

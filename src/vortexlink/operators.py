@@ -13,6 +13,12 @@ they are the only FFT entry points, and they count their calls in
 per grid, and the curl symbol `_k_cross` and the Leray split `_leray` are
 written once here for every caller.
 
+Pointwise products (`wedge`, `contract`, and `grid.cross`/`grid.dot`
+underneath) write one output array: each component is a product written
+into it, and further products are added or subtracted in place through one
+scalar scratch array, in the order the stacked expressions used, so the bits
+are those of the stacked form without its temporaries.
+
 Sign conventions come from constants.py; the Laplacian is Riemannian
 (Delta = d delta + delta d, Fourier symbol +|k|^2).
 """
@@ -27,7 +33,7 @@ import scipy.fft as sfft
 
 from .constants import CODIFF_SIGN, DEFAULT_TOLERANCES
 from .errors import NonzeroHarmonicPart, NonzeroMean, NotDivergenceFree
-from .grid import Grid3, GridField, VectorField, _check_same_grid
+from .grid import Grid3, GridField, VectorField, _check_same_grid, cross_comps, dot_comps
 
 
 def _workers() -> int:
@@ -99,9 +105,23 @@ def _k_cross(K, vh):
 
 
 def _k_dot(K, vh):
-    """Divergence symbol: i k . v for a spectral vector field vh of shape (3, ...)."""
-    KX, KY, KZ = K
-    return 1j * (KX * vh[0] + KY * vh[1] + KZ * vh[2])
+    """Divergence symbol: i k . v for a spectral vector field vh of shape (3, ...),
+    accumulated in place: K_x v_x, + K_y v_y, + K_z v_z, then times 1j."""
+    out = np.multiply(K[0], vh[0])
+    tmp = np.empty_like(out)
+    for k, c in zip(K[1:], vh[1:]):
+        out += np.multiply(k, c, out=tmp)
+    out *= 1j
+    return out
+
+
+def _k_grad(K, fh):
+    """Gradient symbol: i k f for a spectral scalar fh, written into one
+    (3, ...) output."""
+    out = np.empty((3,) + fh.shape, dtype=fh.dtype)
+    for c, k in enumerate(K):
+        np.multiply(1j * k, fh, out=out[c])
+    return out
 
 
 def _leray(K, K2, vh):
@@ -133,8 +153,7 @@ def _inverse_k2(vh, K2):
 
 def _grad(grid, f):
     K, _, _ = _symbols(grid)
-    fh = rfft3(f)
-    return irfft3(np.stack([1j * k * fh for k in K]), grid.shape)
+    return irfft3(_k_grad(K, rfft3(f)), grid.shape)
 
 
 def _div(grid, v):
@@ -205,16 +224,9 @@ def wedge(f: GridField, g: GridField) -> GridField:
         return GridField(f.grid, k, a[0][None] * b)
     if j == 1 and k == 1:
         # (a dx + ...) ^ (b dx + ...) = cross product in the 2-form basis
-        c = np.stack(
-            [
-                a[1] * b[2] - a[2] * b[1],
-                a[2] * b[0] - a[0] * b[2],
-                a[0] * b[1] - a[1] * b[0],
-            ]
-        )
-        return GridField(f.grid, 2, c)
+        return GridField(f.grid, 2, cross_comps(a, b))
     if j == 1 and k == 2:
-        return GridField(f.grid, 3, np.sum(a * b, axis=0)[None])
+        return GridField(f.grid, 3, dot_comps(a, b)[None])
     raise AssertionError("unreachable")
 
 
@@ -226,17 +238,10 @@ def contract(x: VectorField, f: GridField) -> GridField:
         raise ValueError("cannot contract a 0-form")
     v, a = x.comps, f.comps
     if k == 1:
-        return GridField(f.grid, 0, np.sum(v * a, axis=0)[None])
+        return GridField(f.grid, 0, dot_comps(v, a)[None])
     if k == 2:
         # iota_x beta = (beta_vec x x) flat
-        c = np.stack(
-            [
-                a[1] * v[2] - a[2] * v[1],
-                a[2] * v[0] - a[0] * v[2],
-                a[0] * v[1] - a[1] * v[0],
-            ]
-        )
-        return GridField(f.grid, 1, c)
+        return GridField(f.grid, 1, cross_comps(a, v))
     return GridField(f.grid, 2, a[0][None] * v)
 
 
@@ -351,18 +356,17 @@ def curl_inv(b: VectorField, eps_div=None, eps_mean=None) -> VectorField:
     return VectorField(b.grid, comps)
 
 
-def lie_derivative(x: VectorField, f: GridField, df: GridField | None = None) -> GridField:
-    """Cartan's formula: L_x f = d(iota_x f) + iota_x(d f); `df` is d f when
-    the caller already holds it."""
+def lie_derivative(x: VectorField, f: GridField, df: GridField | None = None,
+                   iota_f: GridField | None = None) -> GridField:
+    """Cartan's formula: L_x f = d(iota_x f) + iota_x(d f), the second term
+    added in place; `df` is d f and `iota_f` is iota_x f when the caller
+    already holds them."""
     k = f.degree
-    terms = []
-    if k >= 1:
-        terms.append(ext_d(contract(x, f)))
+    if k == 0:
+        return contract(x, ext_d(f) if df is None else df)
+    out = ext_d(contract(x, f) if iota_f is None else iota_f)
     if k <= 2:
-        terms.append(contract(x, ext_d(f) if df is None else df))
-    out = terms[0]
-    for t in terms[1:]:
-        out = out + t
+        out.comps += contract(x, ext_d(f) if df is None else df).comps
     return out
 
 

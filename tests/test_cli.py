@@ -107,6 +107,24 @@ def test_non_solenoidal_comomentum_exits_3(monkeypatch):
     assert cli.main(argv) == cli.EXIT_NUMERICAL == 3
 
 
+@pytest.mark.parametrize("flag, value", [("--pairs", "0"), ("--pairs", "-3"), ("--triples", "-1")])
+def test_comomentum_count_flags_are_checked_by_the_parser(flag, value, capsys, monkeypatch):
+    # a usage error naming the flag, before any field is drawn
+    monkeypatch.chdir(ROOT)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["comomentum", flag, value, "--config", COMOMENTUM_CONFIG])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be at least" in capsys.readouterr().err
+
+
+def test_comomentum_without_triples_reports_null_eq27(tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    argv = ["comomentum", "--pairs", "1", "--triples", "0", "--config", COMOMENTUM_CONFIG]
+    code, got = _run(argv, tmp_path / "report.json")
+    assert code == 0
+    assert json.loads(got)["comomentum"]["eq27"] is None
+
+
 def test_sidecar_reports_peak_rss_per_stage(tmp_path, monkeypatch):
     # the sidecar keeps stage seconds under "timings" and the process's peak
     # resident set at the end of each stage under its own key

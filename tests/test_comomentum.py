@@ -1,9 +1,8 @@
 """The co-momentum tower: defining identities and bracket structure."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
+from conftest import _fields, _LiveTimer, _traced
 
 from vortexlink.comomentum import (
     HamiltonianPair,
@@ -287,36 +286,6 @@ def test_comomentum_report_passes(grid32, rng):
 
 
 # -- lifetimes, in units of one (3, N, N, N) float64 field -------------------
-
-def _fields(nbytes, grid):
-    return nbytes / (3 * grid.n_points**3 * 8)
-
-
-class _LiveTimer(StageTimer):
-    """A stage timer that also records the traced bytes still allocated when
-    each stage stops."""
-
-    def __init__(self):
-        super().__init__()
-        self.live = {}
-
-    def stop(self):
-        self.live[self._name] = tracemalloc.get_traced_memory()[0]
-        super().stop()
-
-
-def _traced(run):
-    """Run `run()` under tracemalloc: its value, the traced bytes at the
-    start and the traced peak."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        value = run()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return value, base, peak
-
 
 def test_no_suite_field_outlives_its_suite(grid32, rng):
     # warm the per-grid symbol cache outside the trace

@@ -1,5 +1,7 @@
 """Exterior-calculus operator identities on the periodic grid."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -282,3 +284,92 @@ def test_k_cross_in_place_matches_expression_bitwise(grid32, rng):
     want[1] = 1j * (KZ * vh[0] - KX * vh[2])
     want[2] = 1j * (KX * vh[1] - KY * vh[0])
     assert _k_cross(K, vh).tobytes() == want.tobytes()
+
+
+# -- pointwise kernels against the stacked expressions they replaced ---------
+
+def _stacked_cross(u, v):
+    return np.stack([
+        u[1] * v[2] - u[2] * v[1],
+        u[2] * v[0] - u[0] * v[2],
+        u[0] * v[1] - u[1] * v[0],
+    ])
+
+
+def _kernel_inputs(grid, rng, case):
+    """Two (3, N, N, N) inputs: random fields, or an all-zero or all -0.0
+    first input against a random second one, or two all -0.0 inputs."""
+    shape = (3,) + grid.shape
+    b = rng.standard_normal(shape)
+    if case == "random":
+        return rng.standard_normal(shape), b
+    if case == "zero":
+        return np.zeros(shape), b
+    if case == "negative_zero":
+        return np.full(shape, -0.0), b
+    return np.full(shape, -0.0), np.full(shape, -0.0)
+
+
+KERNEL_CASES = ["random", "zero", "negative_zero", "both_negative_zero"]
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES)
+def test_pointwise_products_match_stacked_expressions_bitwise(grid32, rng, case):
+    u, v = _kernel_inputs(grid32, rng, case)
+    x, y = VectorField(grid32, u), VectorField(grid32, v)
+    one_u, one_v = GridField(grid32, 1, u), GridField(grid32, 1, v)
+    two_v = GridField(grid32, 2, v)
+    assert cross(x, y).comps.tobytes() == _stacked_cross(u, v).tobytes()
+    assert dot(x, y).tobytes() == np.sum(u * v, axis=0).tobytes()
+    # wedge 1^1 and 1^2 (and 2^1, which swaps its arguments with no sign)
+    assert wedge(one_u, one_v).comps.tobytes() == _stacked_cross(u, v).tobytes()
+    assert wedge(one_u, two_v).comps.tobytes() == np.sum(u * v, axis=0)[None].tobytes()
+    assert wedge(two_v, one_u).comps.tobytes() == np.sum(u * v, axis=0)[None].tobytes()
+    # contract of a 1-form and of a 2-form (iota_x beta = beta_vec x x)
+    assert contract(x, one_v).comps.tobytes() == np.sum(u * v, axis=0)[None].tobytes()
+    assert contract(x, two_v).comps.tobytes() == _stacked_cross(v, u).tobytes()
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES)
+def test_spectral_symbols_match_stacked_expressions_bitwise(grid32, rng, case):
+    from vortexlink.operators import _grad, _k_dot, _k_grad, _symbols
+
+    K, _, _ = _symbols(grid32)
+    KX, KY, KZ = K
+    u, _ = _kernel_inputs(grid32, rng, case)
+    fh = rfft3(u[0])
+    want_grad = np.stack([1j * k * fh for k in K])
+    assert _k_grad(K, fh).tobytes() == want_grad.tobytes()
+    assert _grad(grid32, u[0]).tobytes() == irfft3(want_grad, grid32.shape).tobytes()
+    vh = rfft3(u)
+    want_div = 1j * (KX * vh[0] + KY * vh[1] + KZ * vh[2])
+    assert _k_dot(K, vh).tobytes() == want_div.tobytes()
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES)
+def test_sup_norm_matches_max_abs_bitwise(grid32, rng, case):
+    u, v = _kernel_inputs(grid32, rng, case)
+    for f in (GridField(grid32, 1, u), VectorField(grid32, v), GridField(grid32, 3, u[:1])):
+        want = float(np.max(np.abs(f.comps)))
+        got = f.sup_norm()
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    if case != "random":
+        # an all-zero or all -0.0 field has norm +0.0
+        assert math.copysign(1.0, GridField(grid32, 1, u).sup_norm()) == 1.0
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES)
+def test_masked_rms_matches_stacked_expression_bitwise(grid32, rng, case):
+    from vortexlink.massey import MaskedDomain
+
+    mask = rng.uniform(0.0, 1.0, grid32.shape)
+    mask[0] = 0.0
+    # masked_rms reads the mask alone
+    dom = MaskedDomain(grid32, mask, None, None, 0.0, 0.0)
+    u, _ = _kernel_inputs(grid32, rng, case)
+    for f in (GridField(grid32, 2, u), GridField(grid32, 3, u[:1])):
+        t = mask[None] * f.comps
+        t *= t
+        want = float(np.sqrt(np.mean(np.sum(t, axis=0))))
+        assert np.float64(dom.masked_rms(f)).tobytes() == np.float64(want).tobytes()
