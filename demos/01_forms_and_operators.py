@@ -8,8 +8,6 @@ import numpy as np
 
 from vortexlink.grid import Grid3, cross, dot
 from vortexlink.operators import (
-    alpha,
-    alpha_inv,
     codiff,
     contract,
     curl_inv,
@@ -17,7 +15,6 @@ from vortexlink.operators import (
     hodge_star,
     l2_inner,
     laplace_inv,
-    musical,
     volume_form,
     wedge,
 )
@@ -43,10 +40,10 @@ print("adjointness sample  <d beta, omega> computed; pairing with codiff agrees 
 omega = random_form(grid, 2, rng, kmax=4)
 print("                   ", abs(l2_inner(ext_d(beta), omega) - l2_inner(beta, codiff(omega))))
 
-# the multisymplectic map alpha and interior products
+# the multisymplectic map iota_xi nu = *xi and interior products
 xi = random_solenoidal(grid, rng, kmax=4)
 nu = volume_form(grid)
-print("iota_xi iota_xi nu ", contract(xi, alpha(xi)).sup_norm())
+print("iota_xi iota_xi nu ", contract(xi, hodge_star(xi)).sup_norm())
 x1, x2, x3 = (random_solenoidal(grid, rng, kmax=3) for _ in range(3))
 triple = contract(x3, contract(x2, contract(x1, nu)))
 det = dot(cross(x1, x2), x3)
@@ -55,6 +52,6 @@ print("nu(x1,x2,x3) vs det", np.max(np.abs(triple.comps[0] - det)))
 # spectral inversions
 b = random_solenoidal(grid, rng, kmax=4)
 B = curl_inv(b)
-print("curl curl^-1 b - b ", (alpha_inv(ext_d(musical(B))) - b).sup_norm())
+print("curl curl^-1 b - b ", (hodge_star(ext_d(B)) - b).sup_norm())
 g = laplace_inv(beta)
 print("Delta Delta^-1     ", (codiff(ext_d(g)) + ext_d(codiff(g)) - beta).sup_norm())

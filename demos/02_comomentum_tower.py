@@ -17,7 +17,7 @@ from vortexlink.comomentum import (
     pair_identities,
     triple_evaluation_residual,
 )
-from vortexlink.grid import Grid3, VectorField, dot
+from vortexlink.grid import Grid3, GridField, dot
 from vortexlink.random_fields import tower_pair, tower_triple
 
 grid = Grid3(48, 2 * np.pi)
@@ -42,7 +42,7 @@ print("KKS pairing antisymmetry:",
 # the ABC flow is a curl eigenfield with non-constant helicity density,
 # which obstructs equivariance of the co-momentum map
 x, y, z = grid.meshgrid()
-abc = VectorField(grid, np.stack([
+abc = GridField(grid, 1, np.stack([
     np.sin(z) + np.cos(y), np.sin(x) + np.cos(z), np.sin(y) + np.cos(x),
 ]))
 defect = equivariance_defect(abc, abc)
@@ -50,5 +50,5 @@ print("ABC equivariance defect sup:", defect.sup_norm(),
       " vs 0.1*|v|^2:", 0.1 * float(np.max(dot(abc, abc))))
 
 # a single Fourier mode has pointwise-zero helicity density: no defect
-single = VectorField(grid, np.stack([np.zeros_like(x), np.sin(x), np.zeros_like(x)]))
+single = GridField(grid, 1, np.stack([np.zeros_like(x), np.sin(x), np.zeros_like(x)]))
 print("zero-helicity mode defect:", equivariance_defect(single, single).sup_norm())

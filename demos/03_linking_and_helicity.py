@@ -8,9 +8,9 @@ flow realizes the analytic helicity identity.
 import numpy as np
 
 from vortexlink.curves import borromean_rings, hopf_link, split_link
-from vortexlink.grid import Grid3, VectorField
+from vortexlink.grid import Grid3, GridField
 from vortexlink.linking import crossing_linking, gauss_linking, writhe_framing
-from vortexlink.operators import ext_d, musical
+from vortexlink.operators import ext_d
 from vortexlink.tubes import LinkFields, helicity, link_helicity
 
 grid = Grid3(96, 2 * np.pi)
@@ -40,11 +40,10 @@ print(np.array_str(fields.helicity_matrix(), precision=4, suppress_small=True))
 # the ABC eigenfield: H = integral |v|^2 = (2 pi)^3 (A^2+B^2+C^2)
 x, y, z = grid.meshgrid()
 A, B, C = 1.0, 1.0, 1.0
-abc = VectorField(grid, np.stack([
+abc = GridField(grid, 1, np.stack([
     A * np.sin(z) + C * np.cos(y),
     B * np.sin(x) + A * np.cos(z),
     C * np.sin(y) + B * np.cos(x),
 ]))
-one = musical(abc)
-print("ABC helicity:", helicity(one, ext_d(one)),
+print("ABC helicity:", helicity(abc, ext_d(abc)),
       " target:", (2 * np.pi) ** 3 * (A**2 + B**2 + C**2))

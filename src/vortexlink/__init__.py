@@ -1,7 +1,7 @@
 """Spectral exterior calculus, vortex helicity and higher-order linking
 numbers on the periodic box, with a combinatorial Milnor-invariant oracle."""
 
-from .grid import Grid3, GridField, VectorField
+from .grid import Grid3, GridField
 from .curves import (
     Link,
     PlanarCurve,
@@ -17,7 +17,6 @@ from .curves import (
 __all__ = [
     "Grid3",
     "GridField",
-    "VectorField",
     "Link",
     "PlanarCurve",
     "PolygonalCurve",

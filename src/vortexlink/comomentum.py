@@ -37,18 +37,16 @@ import numpy as np
 
 from .constants import DEFAULT_TOLERANCES, TOWER_BRACKET_SIGN
 from .errors import ObstructedPotential, OpenCurve
-from .grid import Grid3, GridField, VectorField, cross, dot
+from .grid import Grid3, GridField, cross, dot
 from .operators import (
-    alpha,
     codiff,
     curl_inv,
     ext_d,
     harmonic_proj,
+    hodge_star,
     laplace_inv,
     lie_derivative,
-    musical,
     require_divergence_free,
-    spectral_curl,
 )
 from .random_fields import tower_pair, tower_triple
 from .reports import checked
@@ -60,10 +58,10 @@ def _require_solenoidal(what, eps_div, *fields):
 
 
 def _hydro(x1, x2):
-    return spectral_curl(cross(x1, x2))
+    return hodge_star(ext_d(cross(x1, x2)))
 
 
-def hydro_bracket(x1: VectorField, x2: VectorField, eps_div=None) -> VectorField:
+def hydro_bracket(x1: GridField, x2: GridField, eps_div=None) -> GridField:
     """curl(x1 x x2); closes in the divergence-free algebra."""
     _require_solenoidal("hydro_bracket", eps_div, x1, x2)
     return _hydro(x1, x2)
@@ -73,27 +71,26 @@ def _bracket(x1, x2):
     return TOWER_BRACKET_SIGN * _hydro(x1, x2)
 
 
-def tower_bracket(x1: VectorField, x2: VectorField, eps_div=None) -> VectorField:
+def tower_bracket(x1: GridField, x2: GridField, eps_div=None) -> GridField:
     """The bracket entering mu2 / the wedge boundary / the defect identity."""
     _require_solenoidal("tower_bracket", eps_div, x1, x2)
     return _bracket(x1, x2)
 
 
-def pair_contraction(x1: VectorField, x2: VectorField) -> GridField:
+def pair_contraction(x1: GridField, x2: GridField) -> GridField:
     """iota_{x1 ^ x2} nu = nu(x1, x2, .) = (x1 x x2) flat."""
-    return musical(cross(x1, x2))
+    return cross(x1, x2)
 
 
-def f1(b: VectorField, eps_div=None, eps_mean=None) -> GridField:
+def f1(b: GridField, eps_div=None, eps_mean=None) -> GridField:
     """Hamiltonian 1-form of b: minus the Coulomb-gauge potential, flat."""
-    B = curl_inv(b, eps_div, eps_mean)
-    return -musical(B)
+    return -curl_inv(b, eps_div, eps_mean)
 
 
-def hamiltonian_residual(h: GridField, b: VectorField) -> float:
+def hamiltonian_residual(h: GridField, b: GridField) -> float:
     """Relative residual of d h + iota_b nu = 0."""
-    lhs = ext_d(h) + alpha(b)
-    den = alpha(b).sup_norm()
+    lhs = ext_d(h) + hodge_star(b)
+    den = b.sup_norm()
     return lhs.sup_norm() / den if den > 0 else lhs.sup_norm()
 
 
@@ -101,12 +98,12 @@ def hamiltonian_residual(h: GridField, b: VectorField) -> float:
 class HamiltonianPair:
     """A divergence-free field with its Hamiltonian 1-form and certificate."""
 
-    field: VectorField
+    field: GridField
     form: GridField
     residual: float
 
     @classmethod
-    def build(cls, b: VectorField, eps_ham=None) -> "HamiltonianPair":
+    def build(cls, b: GridField, eps_ham=None) -> "HamiltonianPair":
         if eps_ham is None:
             eps_ham = DEFAULT_TOLERANCES["eps_ham"]
         h = f1(b)
@@ -120,7 +117,7 @@ def _mu2(x1, x2):
     return f1(_bracket(x1, x2)) - pair_contraction(x1, x2)
 
 
-def mu2(x1: VectorField, x2: VectorField, eps_div=None) -> GridField:
+def mu2(x1: GridField, x2: GridField, eps_div=None) -> GridField:
     """The closed 1-form f1([x1,x2]) - nu(x1,x2,.) whose potential is f2."""
     _require_solenoidal("mu2", eps_div, x1, x2)
     return _mu2(x1, x2)
@@ -130,7 +127,7 @@ def _harmonic_part(m: GridField) -> float:
     """Torus-exactness certificate of a 1-form: its largest component mean
     (the harmonic part on the flat torus) relative to its sup norm."""
     sup = m.sup_norm()
-    harm = float(np.max(np.abs(m.comps.reshape(3, -1).mean(axis=1))))
+    harm = float(np.max(np.abs(m.mean())))
     return harm / sup if sup > 0 else harm
 
 
@@ -163,7 +160,7 @@ def _f2(x1, x2, eps_obstruction=None):
     return _mu2_potential(_mu2(x1, x2), eps_obstruction)[0]
 
 
-def f2(x1: VectorField, x2: VectorField, eps_div=None, eps_obstruction=None) -> GridField:
+def f2(x1: GridField, x2: GridField, eps_div=None, eps_obstruction=None) -> GridField:
     """Scalar potential of mu2 (zero mean): f2 = Delta^-1 delta mu2.
 
     Raises ObstructedPotential when mu2 has a harmonic part beyond
@@ -196,7 +193,7 @@ def _relative_nonharmonic(lhs: GridField, den: float) -> float:
     return lhs.sup_norm() / den if den > 0 else lhs.sup_norm()
 
 
-def pair_identities(b: VectorField, c: VectorField) -> dict:
+def pair_identities(b: GridField, c: GridField) -> dict:
     """Relative residuals, on the non-harmonic sector, of the potential
     equation d f2(b^c) = mu2(b, c) ("eq26") and the bracket-defect identity
     {f1(b), f1(c)} - f1([b, c]) + d f2(b^c) = 0 ("eq29"), with the harmonic
@@ -226,7 +223,7 @@ def triple_evaluation_residual(x1, x2, x3) -> float:
     return res / den if den > 0 else res
 
 
-def equivariance_defect(xi: VectorField, b: VectorField, eps_div=None,
+def equivariance_defect(xi: GridField, b: GridField, eps_div=None,
                         h: GridField | None = None) -> GridField:
     """L_xi f1(b) - f1([xi, b]); nonzero in general (Theorem on
     non-equivariance).  For xi = b this equals -d<B, b>, minus the
@@ -236,13 +233,13 @@ def equivariance_defect(xi: VectorField, b: VectorField, eps_div=None,
     return lie_derivative(xi, f1(b) if h is None else h) - f1(_bracket(xi, b))
 
 
-def kks_pairing(w: VectorField, b: VectorField, c: VectorField) -> float:
+def kks_pairing(w: GridField, b: GridField, c: GridField) -> float:
     """The coadjoint-orbit symplectic pairing: integral of det[w, b, c]."""
     integrand = dot(w, cross(b, c))
     return float(np.sum(integrand) * w.grid.cell_volume)
 
 
-def euler_vorticity_rhs(w: VectorField, eps_div=None, eps_mean=None) -> VectorField:
+def euler_vorticity_rhs(w: GridField, eps_div=None, eps_mean=None) -> GridField:
     """Instantaneous right-hand side of the vorticity equation:
     dw/dt = -[w, v] with v = curl^-1 w (hydrodynamical bracket).  curl_inv
     gates w, and v is a Coulomb potential, so neither is checked again."""
@@ -251,13 +248,15 @@ def euler_vorticity_rhs(w: VectorField, eps_div=None, eps_mean=None) -> VectorFi
 
 # -- loop-space operations ---------------------------------------------------
 
-def rasetti_regge(b: VectorField, gamma, eps_div=None, rel_tol=None, max_refine=8) -> float:
+def rasetti_regge(b: GridField, gamma, eps_div=None, rel_tol=None, max_refine=8) -> float:
     """Transgressed co-momentum along a closed curve: the line integral of
     f1(b), which equals minus the loop current of b.
 
-    The 1-form is interpolated trilinearly; each polygon segment uses the
-    composite midpoint rule with dyadic refinement until two successive
-    levels agree to `rel_tol` relative.
+    The 1-form is sampled by `interpolate.sample_form1_along`: exactly
+    (fourier_eval) when its active spectrum is small, as for band-limited
+    inputs, else trilinearly.  Each polygon segment uses the composite
+    midpoint rule with dyadic refinement until two successive levels agree
+    to `rel_tol` relative.
     """
     from .interpolate import sample_form1_along  # local: avoids cycle
 
@@ -296,17 +295,17 @@ def loop_2form(gamma, u: np.ndarray, v: np.ndarray) -> float:
 
 # -- the identity suite ------------------------------------------------------
 
-def abc_flow(grid, A=1.0, B=1.0, C=1.0) -> VectorField:
+def abc_flow(grid, A=1.0, B=1.0, C=1.0) -> GridField:
     """The Arnold-Beltrami-Childress field; curl v = v when L = 2 pi."""
     x, y, z = grid.meshgrid()
-    return VectorField(grid, np.stack([
+    return GridField(grid, 1, np.stack([
         A * np.sin(z) + C * np.cos(y),
         B * np.sin(x) + A * np.cos(z),
         C * np.sin(y) + B * np.cos(x),
     ]))
 
 
-def _eq25_and_gauge(b: VectorField) -> tuple[float, float]:
+def _eq25_and_gauge(b: GridField) -> tuple[float, float]:
     """The eq. 25 residual of f1(b) and its Coulomb-gauge certificate."""
     h = f1(b)
     return hamiltonian_residual(h, b), codiff(h).sup_norm() / max(h.sup_norm(), 1e-300)

@@ -26,7 +26,7 @@ TOWER_BRACKET_SIGN = -1
 # around n satisfies d(disc_dual) = +tube_2form(boundary).  Scene components
 # are oriented curves; their disc duals use the opposite normal so that
 # d(v_L) = -omega_L, matching dv_L + iota_{xi_L} nu = 0 with
-# xi_L = +alpha^{-1}(omega_L).
+# xi_L = *omega_L, the vector field (held as its flat) of omega_L.
 DISC_DUAL_SIGN = -1
 
 # Sign relating the dT3 meridian period of the triple Massey form to the

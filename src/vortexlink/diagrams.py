@@ -45,6 +45,10 @@ class LinkDiagram:
         raise InconsistentDiagram(f"arc {arc_id} belongs to no component")
 
     def validate(self):
+        if self.n_components != len(self.arcs):
+            raise InconsistentDiagram(
+                f"{self.n_components} components but {len(self.arcs)} arc lists"
+            )
         seen = set()
         for seq in self.arcs:
             if not seq:
@@ -296,11 +300,9 @@ def mu_bar(d: LinkDiagram, index, check_lower: bool = True) -> int:
 def scene_diagram(link, rng) -> LinkDiagram:
     """The diagram of a scene, projected along the first generic direction
     drawn from `rng`."""
-    from .linking import DIRECTION_TRIES, with_generic_direction
+    from .linking import with_generic_direction
 
-    return with_generic_direction(
-        lambda d: diagram_from_curves(link.components, d), rng, DIRECTION_TRIES
-    )
+    return with_generic_direction(lambda d: diagram_from_curves(link.components, d), rng)
 
 
 def oracle_report(diagram: LinkDiagram, index: str, timer) -> dict:

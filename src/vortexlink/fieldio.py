@@ -4,7 +4,7 @@ VLF1 layout (little endian):
     bytes 0-3   magic "VLF1"
     uint32      N (points per axis)
     float64     L (box length)
-    int32       degree (0..3 for forms, -1 for a vector field)
+    int32       degree (0..3)
     uint32      component count
     float64[]   components, C order, one block per component
 """
@@ -15,7 +15,7 @@ import struct
 
 import numpy as np
 
-from .grid import FORM_COMPONENTS, Grid3, GridField, VectorField
+from .grid import FORM_COMPONENTS, Grid3, GridField
 
 _MAGIC = b"VLF1"
 
@@ -31,16 +31,12 @@ _COMPONENT_NAMES = {
 }
 
 
-def write_vlf(path, field) -> None:
-    grid = field.grid
-    if isinstance(field, VectorField):
-        degree, comps = -1, field.comps
-    else:
-        degree, comps = field.degree, field.comps
+def write_vlf(path, field: GridField) -> None:
+    grid, comps = field.grid, field.comps
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<IdiI", grid.n_points, grid.box_length,
-                             degree, comps.shape[0]))
+                             field.degree, comps.shape[0]))
         fh.write(np.ascontiguousarray(comps, dtype="<f8").tobytes())
 
 
@@ -51,25 +47,25 @@ def read_vlf(path):
             raise ValueError(f"bad magic {magic!r}, expected {_MAGIC!r}")
         n, L, degree, ncomp = struct.unpack("<IdiI", fh.read(20))
         data = np.frombuffer(fh.read(), dtype="<f8").reshape(ncomp, n, n, n)
+    if degree not in FORM_COMPONENTS:
+        raise ValueError(f"degree {degree} is not a form degree 0..3")
     grid = Grid3(n, L)
-    if degree == -1:
-        return VectorField(grid, data.copy())
     if ncomp != FORM_COMPONENTS[degree]:
         raise ValueError(f"degree {degree} with {ncomp} components")
     return GridField(grid, degree, data.copy())
 
 
-def write_vtk(path, field, name="field") -> None:
+def write_vtk(path, field: GridField, name="field") -> None:
     """ASCII legacy VTK structured points; one SCALARS block per form
-    component, a VECTORS block for vector fields, each value as "%.17g".
+    component, each value as "%.17g".
 
-    Each block is copied once into rows (x fastest, as VTK iterates), written
-    before the next is made, and walked in chunks of _CHUNK_ROWS rows (the
-    last one shorter).  A chunk is formatted by one % call on a format
-    string of its rows, which gives the bytes "{:.17g}".format gives for
-    every double.  A chunk whose bit patterns are all zero holds only +0.0,
-    which formats as "0", so it is written as a prebuilt run of zero rows;
-    -0.0 has its sign bit set, so a chunk holding it is formatted ("-0").
+    Each block is copied once into VTK order (x fastest), written before
+    the next is made, and walked in chunks of _CHUNK_ROWS values (the last
+    one shorter).  A chunk is formatted by one % call on a format string of
+    its rows, which gives the bytes "{:.17g}".format gives for every double.
+    A chunk whose bit patterns are all zero holds only +0.0, which formats
+    as "0", so it is written as a prebuilt run of zero rows; -0.0 has its
+    sign bit set, so a chunk holding it is formatted ("-0").
     """
     grid = field.grid
     n, h = grid.n_points, grid.spacing
@@ -84,30 +80,20 @@ def write_vtk(path, field, name="field") -> None:
         f"SPACING {h:.17g} {h:.17g} {h:.17g}",
         f"POINT_DATA {n**3}",
     ]
-    # VTK structured points iterate x fastest: (C, x, y, z) in C order becomes
-    # one (z, y, x) row of C values per point, copied once
-    def rows(comps):
-        return comps.transpose(3, 2, 1, 0).reshape(-1, comps.shape[0])
-
     with open(path, "w") as fh:
         fh.write("\n".join(header) + "\n")
-        if isinstance(field, VectorField):
-            fh.write(f"VECTORS {name} double\n")
-            _write_rows(fh, rows(field.comps))
-        else:
-            for comp, cname in zip(field.comps, _COMPONENT_NAMES[field.degree]):
-                fh.write(f"SCALARS {name}_{cname} double 1\nLOOKUP_TABLE default\n")
-                _write_rows(fh, rows(comp[None]))
+        for comp, cname in zip(field.comps, _COMPONENT_NAMES[field.degree]):
+            fh.write(f"SCALARS {name}_{cname} double 1\nLOOKUP_TABLE default\n")
+            # (x, y, z) in C order, copied once into (z, y, x) order
+            _write_values(fh, comp.transpose(2, 1, 0).ravel())
 
 
-def _write_rows(fh, rows) -> None:
-    """Write a (count, width) float64 array as text rows of width
-    space-separated "%.17g" values, chunk by chunk (see write_vtk)."""
-    row_format = " ".join(["%.17g"] * rows.shape[1]) + "\n"
-    zero_row = row_format % ((0.0,) * rows.shape[1])
-    for start in range(0, rows.shape[0], _CHUNK_ROWS):
-        chunk = rows[start:start + _CHUNK_ROWS]
+def _write_values(fh, values) -> None:
+    """Write a flat float64 array as "%.17g" text rows, chunk by chunk (see
+    write_vtk)."""
+    for start in range(0, values.size, _CHUNK_ROWS):
+        chunk = values[start:start + _CHUNK_ROWS]
         if chunk.view(np.uint64).any():
-            fh.write(row_format * chunk.shape[0] % tuple(chunk.ravel().tolist()))
+            fh.write("%.17g\n" * chunk.size % tuple(chunk.tolist()))
         else:
-            fh.write(zero_row * chunk.shape[0])
+            fh.write("0\n" * chunk.size)

@@ -1,14 +1,15 @@
-"""Periodic grid and the field containers living on it.
+"""Periodic grid and the field container living on it.
 
 The computational domain is the flat torus [-L/2, L/2)^3 sampled on N^3
-points; all analytic objects (forms of every degree, vector fields) are
-arrays of point samples.  Degree-k forms are stored in the coordinate bases
+points; every analytic object is a GridField, an array of point samples of
+a form.  Degree-k forms are stored in the coordinate bases
 
     k=0: 1            k=1: dx, dy, dz
     k=2: dy^dz, dz^dx, dx^dy            k=3: dx^dy^dz
 
-so the Euclidean Hodge star and the musical isomorphisms are pure component
-relabelings.
+A vector field x is stored as its flat, the 1-form with the same components
+under the Euclidean metric.  The Hodge star is then a pure relabelling of
+the component array, and so is iota_x nu = *(x flat).
 """
 
 from __future__ import annotations
@@ -66,7 +67,8 @@ class Grid3:
         )
 
     def __hash__(self):
-        return hash((self.n_points, round(self.box_length, 14)))
+        # equal grids may differ in the last bits of box_length (see __eq__)
+        return hash(self.n_points)
 
 
 def _check_same_grid(a, b):
@@ -79,7 +81,8 @@ def _check_same_grid(a, b):
 
 @dataclass
 class GridField:
-    """A degree-k form sampled on a Grid3.
+    """A degree-k form sampled on a Grid3; a vector field is the 1-form of
+    its flat.
 
     `comps` has shape (C(3,k), N, N, N) with the component order fixed in the
     module docstring.
@@ -137,48 +140,9 @@ class GridField:
         """L2 norm with the midpoint-rule measure."""
         return float(np.sqrt(np.sum(self.comps**2) * self.grid.cell_volume))
 
-
-@dataclass
-class VectorField:
-    """A vector field on a Grid3; `comps` has shape (3, N, N, N)."""
-
-    grid: Grid3
-    comps: np.ndarray
-
-    def __post_init__(self):
-        self.comps = np.asarray(self.comps, dtype=np.float64)
-        want = (3,) + self.grid.shape
-        if self.comps.shape != want:
-            raise ValueError(f"component shape {self.comps.shape}, expected {want}")
-
-    @classmethod
-    def zeros(cls, grid):
-        return cls(grid, np.zeros((3,) + grid.shape))
-
-    def copy(self):
-        return VectorField(self.grid, self.comps.copy())
-
-    def __add__(self, other):
-        _check_same_grid(self, other)
-        return VectorField(self.grid, self.comps + other.comps)
-
-    def __sub__(self, other):
-        _check_same_grid(self, other)
-        return VectorField(self.grid, self.comps - other.comps)
-
-    def __mul__(self, scalar):
-        return VectorField(self.grid, self.comps * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return VectorField(self.grid, -self.comps)
-
-    def sup_norm(self) -> float:
-        return sup_abs(self.comps)
-
     def mean(self) -> np.ndarray:
-        return self.comps.reshape(3, -1).mean(axis=1)
+        """Componentwise mean: the harmonic part on the flat torus."""
+        return self.comps.reshape(self.comps.shape[0], -1).mean(axis=1)
 
 
 def sup_abs(a: np.ndarray) -> float:
@@ -209,11 +173,11 @@ def dot_comps(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def cross(a: VectorField, b: VectorField) -> VectorField:
+def cross(a: GridField, b: GridField) -> GridField:
     _check_same_grid(a, b)
-    return VectorField(a.grid, cross_comps(a.comps, b.comps))
+    return GridField(a.grid, 1, cross_comps(a.comps, b.comps))
 
 
-def dot(a: VectorField, b: VectorField) -> np.ndarray:
+def dot(a: GridField, b: GridField) -> np.ndarray:
     _check_same_grid(a, b)
     return dot_comps(a.comps, b.comps)

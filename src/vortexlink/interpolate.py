@@ -6,6 +6,11 @@ import numpy as np
 
 from .grid import Grid3, GridField
 
+# fourier_eval keeps the modes above _ACTIVE_TOL times the peak amplitude and
+# gives up (returns None) past _MODE_POINT_BUDGET modes x points
+_ACTIVE_TOL = 1e-14
+_MODE_POINT_BUDGET = 60_000_000
+
 
 def trilinear(grid: Grid3, comps: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Sample each component array at the given (M, 3) points.
@@ -42,8 +47,7 @@ def trilinear(grid: Grid3, comps: np.ndarray, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def fourier_eval(grid: Grid3, comps: np.ndarray, points: np.ndarray,
-                 active_tol: float = 1e-14, budget: int = 60_000_000):
+def fourier_eval(grid: Grid3, comps: np.ndarray, points: np.ndarray):
     """Evaluate the trigonometric interpolant of each component exactly at
     arbitrary points via a direct sum over its active Fourier modes.
 
@@ -59,8 +63,8 @@ def fourier_eval(grid: Grid3, comps: np.ndarray, points: np.ndarray,
     peak = float(power.max())
     if peak == 0.0:
         return np.zeros((comps.shape[0], len(p)))
-    active = np.argwhere(power > active_tol * peak)
-    if active.shape[0] * len(p) > budget:
+    active = np.argwhere(power > _ACTIVE_TOL * peak)
+    if active.shape[0] * len(p) > _MODE_POINT_BUDGET:
         return None
     freq = np.fft.fftfreq(n, d=1.0 / n)  # integer modes
     mx = freq[active[:, 0]]
@@ -76,14 +80,13 @@ def fourier_eval(grid: Grid3, comps: np.ndarray, points: np.ndarray,
     return out
 
 
-def sample_form1_along(form: GridField, curve, subdiv: int = 1,
-                       method: str = "auto") -> float:
+def sample_form1_along(form: GridField, curve, subdiv: int = 1) -> float:
     """Line integral of a 1-form along a closed polygonal curve.
 
     Each segment is split into `subdiv` equal pieces integrated by the
-    midpoint rule.  With method="auto", fields with a small active spectrum
-    are evaluated exactly (the quadrature is then the only error, spectrally
-    small on smooth closed curves); dense spectra fall back to trilinear
+    midpoint rule.  Fields with a small active spectrum are evaluated exactly
+    by fourier_eval (the quadrature is then the only error, spectrally small
+    on smooth closed curves); dense spectra fall back to trilinear
     interpolation.
     """
     if form.degree != 1:
@@ -94,11 +97,7 @@ def sample_form1_along(form: GridField, curve, subdiv: int = 1,
     ts = (np.arange(subdiv) + 0.5) / subdiv
     mids = (verts[:, None, :] + seg[:, None, :] * ts[None, :, None]).reshape(-1, 3)
     pieces = np.repeat(seg / subdiv, subdiv, axis=0)
-    vals = None
-    if method in ("auto", "fourier"):
-        vals = fourier_eval(form.grid, form.comps, mids)
-        if vals is None and method == "fourier":
-            raise ValueError("active spectrum too large for exact evaluation")
+    vals = fourier_eval(form.grid, form.comps, mids)
     if vals is None:
         vals = trilinear(form.grid, form.comps, mids)
     return float(np.sum(vals.T * pieces))

@@ -291,16 +291,17 @@ def writhe_framing(c, direction, rel_tol=None):
     return gauss_writhe(c, rel_tol), int(framing)
 
 
-def with_generic_direction(fn, rng, tries):
-    """fn(direction) on the first of `tries` directions rng.standard_normal(3)
-    for which it raises no DegenerateProjection (deterministic per rng)."""
-    for _ in range(tries):
+def with_generic_direction(fn, rng):
+    """fn(direction) on the first of DIRECTION_TRIES directions
+    rng.standard_normal(3) for which it raises no DegenerateProjection
+    (deterministic per rng)."""
+    for _ in range(DIRECTION_TRIES):
         direction = rng.standard_normal(3)
         try:
             return fn(direction)
         except DegenerateProjection:
             continue
-    raise DegenerateProjection(f"no generic direction found in {tries} tries")
+    raise DegenerateProjection(f"no generic direction found in {DIRECTION_TRIES} tries")
 
 
 def linking_report(link, rng, timer) -> dict:
@@ -320,15 +321,13 @@ def linking_report(link, rng, timer) -> dict:
         for j in range(i + 1, n):
             gauss[i][j] = gauss[j][i] = gauss_linking(comps[i], comps[j])
             crossing[i][j] = crossing[j][i] = with_generic_direction(
-                lambda d: crossing_linking(comps[i], comps[j], d), rng, DIRECTION_TRIES
+                lambda d: crossing_linking(comps[i], comps[j], d), rng
             )
     timer.stop()
     timer.start("writhe_framing")
     writhe, framing = [], []
     for c in comps:
-        w, f = with_generic_direction(
-            lambda d: writhe_framing(c, d), rng, DIRECTION_TRIES
-        )
+        w, f = with_generic_direction(lambda d: writhe_framing(c, d), rng)
         writhe.append(w)
         framing.append(f)
     timer.stop()

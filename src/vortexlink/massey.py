@@ -48,17 +48,16 @@ from .constants import DEFAULT_TOLERANCES, MERIDIAN_PANELS, TRIPLE_LINKING_SIGN
 from .curves import Link, as_polygon
 from .diagrams import mu_bar, scene_diagram
 from .errors import MissingPrimitive, NoConvergence, ObstructedClass
-from .grid import Grid3, GridField, VectorField, sup_abs
+from .grid import Grid3, GridField, sup_abs
 from .operators import (
     _k_cross,
     _symbols,
-    alpha_inv,
     codiff,
     contract,
     ext_d,
+    hodge_star,
     irfft3,
     lie_derivative,
-    musical_inv,
     rfft3,
     wedge,
 )
@@ -586,9 +585,9 @@ def cartan_bianchi_report(h: MasseyHierarchy) -> dict:
 
 # -- first integrals in involution ------------------------------------------------
 
-def involution_report(h: MasseyHierarchy, xi_L: VectorField | None = None) -> dict:
+def involution_report(h: MasseyHierarchy, xi_L: GridField | None = None) -> dict:
     """Masked residuals of iota_{xi_L} v_I, L_{xi_L} v_I, and the Poisson
-    brackets {v_I, v_J} = nu(xi_I, xi_J, .) with xi_I = alpha^{-1}(Omega_I).
+    brackets {v_I, v_J} = nu(xi_I, xi_J, .) with xi_I = *Omega_I.
 
     Numerators are masked RMS norms; denominators are products of input sup
     norms (with the tube radius as the length scale where a derivative is
@@ -622,8 +621,8 @@ def involution_report(h: MasseyHierarchy, xi_L: VectorField | None = None) -> di
     h.release_derivatives()
 
     # vector fields of the stored classes: singles use the tube forms
-    xi_of = {(idx + 1,): alpha_inv(om) for idx, om in enumerate(h.fields.omegas)}
-    xi_of.update((key, alpha_inv(om)) for key, om in h.omega.items())
+    xi_of = {(idx + 1,): hodge_star(om) for idx, om in enumerate(h.fields.omegas)}
+    xi_of.update((key, hodge_star(om)) for key, om in h.omega.items())
     sup = {key: x.sup_norm() for key, x in xi_of.items()}
 
     keys = sorted(xi_of, key=lambda k: (len(k), k))
@@ -636,7 +635,7 @@ def involution_report(h: MasseyHierarchy, xi_L: VectorField | None = None) -> di
         if sup_pb > 0:
             closed = ext_d(pb).sup_norm() * r / sup_pb
             # the harmonic part on the flat torus is the componentwise mean
-            harm = float(np.max(np.abs(musical_inv(pb).mean()))) / sup_pb
+            harm = float(np.max(np.abs(pb.mean()))) / sup_pb
         else:
             closed = harm = 0.0
         report["pb_certificates"][name] = {"closedness": closed, "harmonic_part": harm}

@@ -33,7 +33,7 @@ import scipy.fft as sfft
 
 from .constants import CODIFF_SIGN, DEFAULT_TOLERANCES
 from .errors import NonzeroHarmonicPart, NonzeroMean, NotDivergenceFree
-from .grid import Grid3, GridField, VectorField, _check_same_grid, cross_comps, dot_comps
+from .grid import Grid3, GridField, _check_same_grid, cross_comps, dot_comps
 
 
 def _workers() -> int:
@@ -166,46 +166,15 @@ def _curl(grid, v):
     return irfft3(_k_cross(K, rfft3(v)), grid.shape)
 
 
-def spectral_div(x: VectorField) -> np.ndarray:
-    return _div(x.grid, x.comps)
-
-
-def spectral_curl(x: VectorField) -> VectorField:
-    return VectorField(x.grid, _curl(x.grid, x.comps))
-
-
 # -- algebraic (pointwise) operations ---------------------------------------
-# The star, the musical maps and alpha only relabel components: the result
-# shares the input's array, so neither may be mutated while both are in use.
+# The star is the one relabelling: its result shares the input's array, so
+# neither may be mutated while both are in use.  A vector field x is held as
+# its flat, so iota_x nu = *x, and the vector field of a 2-form b is *b.
 
 def hodge_star(f: GridField) -> GridField:
     """Euclidean Hodge dual: a degree swap k -> 3-k on the same array, so
     ** = id exactly."""
     return GridField(f.grid, 3 - f.degree, f.comps)
-
-
-def musical(x: VectorField) -> GridField:
-    """Flat: vector field -> 1-form (Euclidean metric, shared array)."""
-    return GridField(x.grid, 1, x.comps)
-
-
-def musical_inv(f: GridField) -> VectorField:
-    """Sharp: 1-form -> vector field (shared array)."""
-    if f.degree != 1:
-        raise ValueError("sharp expects a 1-form")
-    return VectorField(f.grid, f.comps)
-
-
-def alpha(x: VectorField) -> GridField:
-    """iota_x nu = x^1 dy^dz + x^2 dz^dx + x^3 dx^dy  (= *(x flat)), shared array."""
-    return GridField(x.grid, 2, x.comps)
-
-
-def alpha_inv(f: GridField) -> VectorField:
-    """Inverse of alpha: (*beta) sharp, shared array."""
-    if f.degree != 2:
-        raise ValueError("alpha_inv expects a 2-form")
-    return VectorField(f.grid, f.comps)
 
 
 def wedge(f: GridField, g: GridField) -> GridField:
@@ -230,8 +199,9 @@ def wedge(f: GridField, g: GridField) -> GridField:
     raise AssertionError("unreachable")
 
 
-def contract(x: VectorField, f: GridField) -> GridField:
-    """Interior product iota_x f (pointwise)."""
+def contract(x: GridField, f: GridField) -> GridField:
+    """Interior product iota_x f (pointwise) by the vector field x held as
+    its flat."""
     _check_same_grid(x, f)
     k = f.degree
     if k < 1:
@@ -276,11 +246,8 @@ def codiff(f: GridField) -> GridField:
 
 
 def harmonic_proj(f: GridField) -> GridField:
-    """Componentwise mean: the harmonic part on the flat torus."""
-    means = f.comps.reshape(f.comps.shape[0], -1).mean(axis=1)
-    out = np.broadcast_to(
-        means[:, None, None, None], f.comps.shape
-    ).copy()
+    """The harmonic part on the flat torus: each component's mean, broadcast."""
+    out = np.broadcast_to(f.mean()[:, None, None, None], f.comps.shape).copy()
     return GridField(f.grid, f.degree, out)
 
 
@@ -292,7 +259,7 @@ def laplace_inv(f: GridField, eps_harm: float | None = None) -> GridField:
     if eps_harm is None:
         eps_harm = DEFAULT_TOLERANCES["eps_harm"]
     sup = f.sup_norm()
-    means = np.abs(f.comps.reshape(f.comps.shape[0], -1).mean(axis=1))
+    means = np.abs(f.mean())
     if sup > 0 and np.max(means) > eps_harm * sup:
         raise NonzeroHarmonicPart(
             f"harmonic part {np.max(means):.3e} exceeds {eps_harm:.1e} * sup"
@@ -302,7 +269,7 @@ def laplace_inv(f: GridField, eps_harm: float | None = None) -> GridField:
     return GridField(f.grid, f.degree, out)
 
 
-def divergence_residual(x: VectorField, xh: np.ndarray | None = None) -> float:
+def divergence_residual(x: GridField, xh: np.ndarray | None = None) -> float:
     """sup |div x| / sup |x|; `xh` is rfft3(x.comps) when the caller already
     holds it."""
     sup = x.sup_norm()
@@ -314,7 +281,7 @@ def divergence_residual(x: VectorField, xh: np.ndarray | None = None) -> float:
     return float(np.max(np.abs(irfft3(_k_dot(K, xh), x.grid.shape)))) / sup
 
 
-def require_divergence_free(x: VectorField, eps_div: float | None = None, what="field",
+def require_divergence_free(x: GridField, eps_div: float | None = None, what="field",
                             xh: np.ndarray | None = None):
     """Raise NotDivergenceFree unless divergence_residual(x, xh) <= eps_div."""
     if eps_div is None:
@@ -324,7 +291,7 @@ def require_divergence_free(x: VectorField, eps_div: float | None = None, what="
         raise NotDivergenceFree(f"{what}: relative divergence {r:.3e} > {eps_div:.1e}")
 
 
-def require_zero_mean(x: VectorField, eps_mean: float | None = None, what="field"):
+def require_zero_mean(x: GridField, eps_mean: float | None = None, what="field"):
     if eps_mean is None:
         eps_mean = DEFAULT_TOLERANCES["eps_mean"]
     sup = x.sup_norm()
@@ -334,14 +301,14 @@ def require_zero_mean(x: VectorField, eps_mean: float | None = None, what="field
         raise NonzeroMean(f"{what}: component mean exceeds {eps_mean:.1e} * sup")
 
 
-def solenoidal_part(x: VectorField) -> VectorField:
+def solenoidal_part(x: GridField) -> GridField:
     """Leray projection: remove the gradient part spectrally (zero mode kept)."""
     K, K2, _ = _symbols(x.grid)
     transverse, _ = _leray(K, K2, rfft3(x.comps))
-    return VectorField(x.grid, irfft3(transverse, x.grid.shape))
+    return GridField(x.grid, 1, irfft3(transverse, x.grid.shape))
 
 
-def curl_inv(b: VectorField, eps_div=None, eps_mean=None) -> VectorField:
+def curl_inv(b: GridField, eps_div=None, eps_mean=None) -> GridField:
     """Coulomb-gauge vector potential: curl B = b, div B = 0, zero mean.
 
     Fourier formula B(k) = i k x b(k) / |k|^2 with the zero mode set to zero.
@@ -353,10 +320,10 @@ def curl_inv(b: VectorField, eps_div=None, eps_mean=None) -> VectorField:
     require_zero_mean(b, eps_mean, what="curl_inv input")
     K, K2, _ = _symbols(b.grid)
     comps = irfft3(_inverse_k2(_k_cross(K, bh), K2), b.grid.shape)
-    return VectorField(b.grid, comps)
+    return GridField(b.grid, 1, comps)
 
 
-def lie_derivative(x: VectorField, f: GridField, df: GridField | None = None,
+def lie_derivative(x: GridField, f: GridField, df: GridField | None = None,
                    iota_f: GridField | None = None) -> GridField:
     """Cartan's formula: L_x f = d(iota_x f) + iota_x(d f), the second term
     added in place; `df` is d f and `iota_f` is iota_x f when the caller

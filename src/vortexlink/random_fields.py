@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import FORM_COMPONENTS, Grid3, GridField, VectorField
+from .grid import FORM_COMPONENTS, Grid3, GridField
 from .operators import _leray, _symbols, _zero_k2, irfft3, rfft3
 
 # default shells (integer mode magnitudes): pairwise disjoint and sumset-safe
@@ -47,26 +47,26 @@ def random_form(grid: Grid3, degree: int, rng: np.random.Generator, kmax=6.0, km
     return GridField(grid, degree, _sup_normalized(irfft3(vh, grid.shape)))
 
 
-def random_vector_field(grid: Grid3, rng, kmax=6.0, kmin=1.0) -> VectorField:
-    f = random_form(grid, 1, rng, kmax=kmax, kmin=kmin)
-    return VectorField(grid, f.comps)
+def random_vector_field(grid: Grid3, rng, kmax=6.0, kmin=1.0) -> GridField:
+    """Random band-limited vector field (held as its flat, a 1-form)."""
+    return random_form(grid, 1, rng, kmax=kmax, kmin=kmin)
 
 
-def random_solenoidal(grid: Grid3, rng, kmax=6.0, kmin=1.0) -> VectorField:
+def random_solenoidal(grid: Grid3, rng, kmax=6.0, kmin=1.0) -> GridField:
     """Random divergence-free, zero-mean, band-limited vector field."""
     K, K2, _ = _symbols(grid)
     transverse, _ = _leray(K, K2, _band_limited_hat(grid, 3, rng, kmax, kmin))
     vh = _zero_k2(transverse, K2)
-    return VectorField(grid, _sup_normalized(irfft3(vh, grid.shape)))
+    return GridField(grid, 1, _sup_normalized(irfft3(vh, grid.shape)))
 
 
-def shell_solenoidal(grid: Grid3, rng, shell) -> VectorField:
+def shell_solenoidal(grid: Grid3, rng, shell) -> GridField:
     """Solenoidal field supported on one Fourier shell (mode magnitudes)."""
     lo, hi = shell
     return random_solenoidal(grid, rng, kmax=hi, kmin=lo)
 
 
-def tower_pair(grid: Grid3, rng) -> tuple[VectorField, VectorField]:
+def tower_pair(grid: Grid3, rng) -> tuple[GridField, GridField]:
     """Solenoidal pair with structurally vanishing product zero modes."""
     return (
         shell_solenoidal(grid, rng, TOWER_SHELLS[0]),

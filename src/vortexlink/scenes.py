@@ -125,6 +125,8 @@ class Config:
         for k, val in tols.items():
             if not val > 0:
                 raise SceneError(f"tolerance {k} must be positive")
+            if k == "cg_maxiter" and not float(val).is_integer():
+                raise SceneError(f"tolerance cg_maxiter must be a whole number, got {val}")
             cfg.tolerances[k] = float(val)
         cfg.seed = int(doc.get("seed", 0))
         if cfg.grid_n < 16:

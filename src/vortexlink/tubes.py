@@ -41,17 +41,9 @@ import numpy as np
 from .constants import DISC_DUAL_SIGN
 from .curves import Link, PlanarCurve, TubeParams, as_polygon, min_distance, pairwise_d2
 from .errors import NotPlanar, SceneError, TubeOverlap, TubeTooThin
-from .grid import Grid3, GridField, VectorField
+from .grid import Grid3, GridField
 from .interpolate import trilinear
-from .operators import (
-    alpha,
-    alpha_inv,
-    curl_inv,
-    ext_d,
-    musical,
-    solenoidal_part,
-    wedge,
-)
+from .operators import curl_inv, ext_d, hodge_star, solenoidal_part, wedge
 
 _BUMP_POWER = 6
 # integral of (1-u^2)^p u^2 du on [0,1] = B(3/2, p+1)/2 in closed form
@@ -132,7 +124,7 @@ class _Depositor:
                 np.add.at(channel, idx[keep], w[keep, c] * vals[keep])
 
 
-def filament_field(curve, params: TubeParams, grid: Grid3) -> VectorField:
+def filament_field(curve, params: TubeParams, grid: Grid3) -> GridField:
     """Unit-flux smeared filament: flux * closed line integral of the unit
     tangent times psi_r(distance to the curve)."""
     poly = as_polygon(curve)
@@ -143,13 +135,13 @@ def filament_field(curve, params: TubeParams, grid: Grid3) -> VectorField:
     mids = verts + seg / 2
     dep = _Depositor(grid, params.radius, 3)
     dep.add(mids, params.flux * seg)
-    return VectorField(grid, dep.data)
+    return GridField(grid, 1, dep.data)
 
 
 def tube_2form(curve, params: TubeParams, grid: Grid3) -> GridField:
     """Poincaré-dual 2-form of a closed curve, localized in a tube of the
     given radius with total fibre flux equal to params.flux."""
-    return alpha(filament_field(curve, params, grid))
+    return hodge_star(filament_field(curve, params, grid))
 
 
 def _disc_quadrature(curve: PlanarCurve, spacing: float):
@@ -176,7 +168,7 @@ def disc_dual_1form(curve: PlanarCurve, params: TubeParams, grid: Grid3) -> Grid
 
     Satisfies d(disc_dual) = DISC_DUAL_SIGN * tube_2form(curve) up to
     quadrature error; the sign convention makes dv_L + iota_{xi_L} nu = 0
-    hold with xi_L = +alpha^{-1}(omega_L).
+    hold with xi_L = *omega_L.
     """
     if not isinstance(curve, PlanarCurve):
         raise NotPlanar("disc duals need a planar component")
@@ -267,7 +259,7 @@ def helicity(v: GridField, w: GridField) -> float:
 class LinkFields:
     """Grid realizations of one link: per-component tube forms and, built on
     first use, their Coulomb primitives.  The filament fields
-    xi_i = alpha^{-1}(omega_i) are views of the tube forms, and the Massey
+    xi_i = *omega_i are views of the tube forms, and the Massey
     brackets read them: no array here may be mutated.
     """
 
@@ -291,7 +283,7 @@ class LinkFields:
         formula is blind to the gradient part anyway).
         """
         return [
-            musical(curl_inv(solenoidal_part(alpha_inv(om)), eps_mean=1e-6))
+            curl_inv(solenoidal_part(hodge_star(om)), eps_mean=1e-6)
             for om in self.omegas
         ]
 
@@ -301,8 +293,8 @@ class LinkFields:
     def primitive_total(self) -> GridField:
         return reduce(add, self.primitives)
 
-    def xi_total(self) -> VectorField:
-        return alpha_inv(self.omega_total())
+    def xi_total(self) -> GridField:
+        return hodge_star(self.omega_total())
 
     def helicity_matrix(self) -> np.ndarray:
         n = len(self.omegas)

@@ -249,6 +249,30 @@ def test_diagram_report_ignores_path_spelling(tmp_path, monkeypatch):
     assert json.loads(reports[0])["scene"] == fixture
 
 
+@pytest.mark.parametrize("components", [1, 3])
+def test_diagram_component_count_must_match_its_arcs(components, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    doc = json.loads((ROOT / "fixtures" / "hopf_diagram.json").read_text())
+    doc["components"] = components
+    path = tmp_path / "diagram.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["oracle", "12", "--diagram", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"InconsistentDiagram: {components} components but 2 arc lists")
+
+
+@pytest.mark.parametrize("value", [0.5, 2.5, -1, 0])
+def test_cg_maxiter_must_be_a_whole_number(value, tmp_path, monkeypatch, capsys):
+    # the config is rejected before the scene is read or any field is built
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setattr(cli, "load_scene", lambda path: pytest.fail("scene loaded"))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"tolerances": {"cg_maxiter": value}}))
+    argv = ["massey", "--scene", "fixtures/borromean.json", "--config", str(config)]
+    assert cli.main(argv) == 2
+    assert "SceneError: tolerance cg_maxiter must be" in capsys.readouterr().err
+
+
 def test_seedless_lk_is_deterministic(tmp_path):
     # the framing of a non-planar polygon (a trefoil) depends on the
     # projection direction

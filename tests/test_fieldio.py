@@ -1,17 +1,23 @@
 """VLF1 binary and VTK text export."""
 
+import hashlib
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from vortexlink import cli
 from vortexlink.fieldio import _CHUNK_ROWS, _COMPONENT_NAMES, read_vlf, write_vlf, write_vtk
-from vortexlink.grid import FORM_COMPONENTS, Grid3, GridField, VectorField
-from vortexlink.random_fields import random_form, random_vector_field
+from vortexlink.grid import FORM_COMPONENTS, Grid3, GridField
+from vortexlink.random_fields import random_form
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
 # split_triple(tube_radius=0.42) at N = 48: an export in about a second
-SPLIT_TRIPLE_N48 = Path(__file__).resolve().parent / "golden" / "split_triple_n48_scene.json"
+SPLIT_TRIPLE_N48 = GOLDEN / "split_triple_n48_scene.json"
+# SHA-256 of each .vlf that export writes for that scene
+EXPORT_VLF_SHA256 = GOLDEN / "export_split_triple_n48_vlf_sha256.json"
 
 
 def test_vlf_roundtrip_form(tmp_path, rng):
@@ -26,14 +32,13 @@ def test_vlf_roundtrip_form(tmp_path, rng):
     assert np.array_equal(back.comps, f.comps)
 
 
-def test_vlf_roundtrip_vector(tmp_path, rng):
-    g = Grid3(16, 1.0)
-    v = random_vector_field(g, rng, kmax=3)
-    path = tmp_path / "vec.vlf"
-    write_vlf(path, v)
-    back = read_vlf(path)
-    assert isinstance(back, VectorField)
-    assert np.array_equal(back.comps, v.comps)
+@pytest.mark.parametrize("degree", [-1, 7])
+def test_vlf_rejects_unknown_degree(tmp_path, degree):
+    n = 8
+    path = tmp_path / "bad.vlf"
+    path.write_bytes(b"VLF1" + struct.pack("<IdiI", n, 1.0, degree, 3) + bytes(3 * n**3 * 8))
+    with pytest.raises(ValueError, match=f"degree {degree} "):
+        read_vlf(path)
 
 
 def test_vlf_magic(tmp_path):
@@ -57,12 +62,6 @@ def test_vtk_structure(tmp_path, rng):
     assert f"POINT_DATA {16**3}" in text
     scalars = [line for line in text if line.startswith("SCALARS")]
     assert len(scalars) == 3  # one block per 1-form component
-    v = random_vector_field(g, rng, kmax=2)
-    vpath = tmp_path / "vec.vtk"
-    write_vtk(vpath, v, name="xi")
-    vtext = vpath.read_text().splitlines()
-    vectors = [line for line in vtext if line.startswith("VECTORS")]
-    assert len(vectors) == 1
 
 
 def test_vtk_ordering(tmp_path):
@@ -97,15 +96,10 @@ def _write_vtk_lines(path, field, name="field"):
     def flat(a):
         return a.transpose(2, 1, 0).reshape(-1)
 
-    if isinstance(field, VectorField):
-        lines.append(f"VECTORS {name} double")
-        vx, vy, vz = (flat(c) for c in field.comps)
-        lines.extend(f"{a:.17g} {b:.17g} {c:.17g}" for a, b, c in zip(vx, vy, vz))
-    else:
-        for comp, cname in zip(field.comps, _COMPONENT_NAMES[field.degree]):
-            lines.append(f"SCALARS {name}_{cname} double 1")
-            lines.append("LOOKUP_TABLE default")
-            lines.extend(f"{v:.17g}" for v in flat(comp))
+    for comp, cname in zip(field.comps, _COMPONENT_NAMES[field.degree]):
+        lines.append(f"SCALARS {name}_{cname} double 1")
+        lines.append("LOOKUP_TABLE default")
+        lines.extend(f"{v:.17g}" for v in flat(comp))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -131,11 +125,8 @@ def test_vtk_bytes_match_line_writer(tmp_path, rng):
     sparse[1, [_CHUNK_ROWS + 5, _CHUNK_ROWS + 6, _CHUNK_ROWS + 7]] = [np.nan, np.inf, -np.inf]
     sparse[2, -1] = 2.5
     sparse = np.stack([_vtk_order(c, g.n_points) for c in sparse])
-    # sparse[[0, 0, 2]] has a zero first VECTORS chunk
-    fields = [VectorField(g, sparse[[0, 0, 2]])]
-    for comps in (dense, sparse):
-        fields.append(VectorField(g, comps.copy()))
-        fields.extend(GridField(g, k, comps[: FORM_COMPONENTS[k]].copy()) for k in range(4))
+    fields = [GridField(g, k, comps[: FORM_COMPONENTS[k]].copy())
+              for comps in (dense, sparse) for k in range(4)]
     for i, f in enumerate(fields):
         new, old = tmp_path / f"new{i}.vtk", tmp_path / f"old{i}.vtk"
         write_vtk(new, f, name="w")
@@ -157,6 +148,14 @@ def test_export_vtk_matches_line_writer(tmp_path, monkeypatch):
         ref = tmp_path / f"{name}.ref"
         _write_vtk_lines(ref, read_vlf(tmp_path / f"{name}.vlf"), name=name)
         assert (tmp_path / f"{name}.vtk").read_bytes() == ref.read_bytes()
+
+
+def test_export_vlf_matches_golden_digest(tmp_path, monkeypatch):
+    # the exported bits themselves: tube deposition and the Coulomb primitives
+    _export(str(tmp_path), monkeypatch, tmp_path)
+    want = json.loads(EXPORT_VLF_SHA256.read_text())
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in want}
+    assert got == want
 
 
 def test_export_report_ignores_out_spelling(tmp_path, monkeypatch):

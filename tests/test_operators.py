@@ -11,10 +11,8 @@ from vortexlink.errors import (
     NonzeroMean,
     NotDivergenceFree,
 )
-from vortexlink.grid import Grid3, GridField, VectorField, cross, dot
+from vortexlink.grid import Grid3, GridField, cross, dot
 from vortexlink.operators import (
-    alpha,
-    alpha_inv,
     codiff,
     contract,
     curl_inv,
@@ -26,10 +24,7 @@ from vortexlink.operators import (
     l2_inner,
     l2_inner_exact,
     laplace_inv,
-    musical,
-    musical_inv,
     rfft3,
-    spectral_div,
     volume_form,
     wedge,
 )
@@ -56,27 +51,14 @@ def test_hodge_star_involution(grid32, rng):
     assert np.array_equal(hodge_star(hodge_star(beta)).comps, beta.comps)
 
 
-def test_musical_roundtrip(grid32, rng):
-    x = random_vector_field(grid32, rng)
-    assert np.array_equal(musical_inv(musical(x)).comps, x.comps)
-    const = VectorField.zeros(grid32)
-    const.comps[0] = 1.0
-    assert np.array_equal(musical(const).comps, const.comps)
-
-
 def test_alpha_matches_star_flat(grid32, rng):
+    # iota_x nu = *(x flat): the interior product with the volume form is
+    # the star of the field held as its flat
     x = random_vector_field(grid32, rng)
-    assert np.array_equal(alpha(x).comps, hodge_star(musical(x)).comps)
-    assert np.array_equal(alpha_inv(alpha(x)).comps, x.comps)
-    zero = VectorField.zeros(grid32)
-    assert alpha(zero).sup_norm() == 0.0
-
-
-def test_alpha_coordinate_formula(grid32):
-    x = VectorField.zeros(grid32)
-    x.comps[0] = 1.0
-    a = alpha(x)
-    assert a.comps[0].min() == 1.0 and a.comps[1].max() == 0.0
+    a = contract(x, volume_form(grid32))
+    assert a.degree == 2
+    assert np.array_equal(a.comps, hodge_star(x).comps)
+    assert np.array_equal(hodge_star(hodge_star(x)).comps, x.comps)
 
 
 def test_ext_d_constant_and_dd(grid32, rng):
@@ -118,11 +100,12 @@ def test_codiff_squared_and_constant(grid32, rng):
     assert codiff(codiff(g)).sup_norm() < 1e-10
 
 
-def test_codiff_is_minus_div(grid32, rng):
-    xi = random_vector_field(grid32, rng)
-    lhs = codiff(musical(xi)).comps[0]
-    rhs = -spectral_div(xi)
-    assert np.max(np.abs(lhs - rhs)) < 1e-12
+def test_codiff_is_minus_div(grid48):
+    # xi = (sin x, cos y, sin z) on the 2 pi box: div xi = cos x - sin y + cos z
+    x, y, z = grid48.meshgrid()
+    xi = GridField(grid48, 1, np.stack([np.sin(x), np.cos(y), np.sin(z)]))
+    div = np.cos(x) - np.sin(y) + np.cos(z)
+    assert np.max(np.abs(codiff(xi).comps[0] + div)) < 1e-12
 
 
 def test_wedge_basis_and_alternation(grid32, rng):
@@ -145,11 +128,11 @@ def test_wedge_leibniz(grid32, rng):
 
 
 def test_contract_basics(grid32, rng):
-    ex = VectorField.zeros(grid32); ex.comps[0] = 1.0
+    # e_x held as its flat is dx
     dx = GridField.zeros(grid32, 1); dx.comps[0] = 1.0
-    assert np.all(contract(ex, dx).comps[0] == 1.0)
+    assert np.all(contract(dx, dx).comps[0] == 1.0)
     xi = random_vector_field(grid32, rng)
-    assert contract(xi, alpha(xi)).sup_norm() == 0.0
+    assert contract(xi, hodge_star(xi)).sup_norm() == 0.0
 
 
 def test_triple_contraction_is_determinant(grid32, rng):
@@ -196,7 +179,7 @@ def test_harmonic_proj(grid32, rng):
 def test_curl_inv_abc_eigenfield(grid48):
     x, y, z = grid48.meshgrid()
     A = B = C = 1.0
-    v = VectorField(grid48, np.stack([
+    v = GridField(grid48, 1, np.stack([
         A * np.sin(z) + C * np.cos(y),
         B * np.sin(x) + A * np.cos(z),
         C * np.sin(y) + B * np.cos(x),
@@ -208,10 +191,9 @@ def test_curl_inv_abc_eigenfield(grid48):
 def test_curl_inv_roundtrip_and_gates(grid32, rng):
     b = random_solenoidal(grid32, rng)
     B = curl_inv(b)
-    assert np.max(np.abs(spectral_div(B))) < 1e-10 * B.sup_norm()
-    d1 = ext_d(musical(B))
-    assert (alpha_inv(d1) - b).sup_norm() < 1e-8 * b.sup_norm()
-    zero = VectorField.zeros(grid32)
+    assert codiff(B).sup_norm() < 1e-10 * B.sup_norm()
+    assert (hodge_star(ext_d(B)) - b).sup_norm() < 1e-8 * b.sup_norm()
+    zero = GridField.zeros(grid32, 1)
     assert curl_inv(zero).sup_norm() == 0.0
     with pytest.raises(NotDivergenceFree):
         curl_inv(random_vector_field(grid32, rng))
@@ -220,7 +202,7 @@ def test_curl_inv_roundtrip_and_gates(grid32, rng):
 def test_curl_inv_checks_divergence_before_mean(grid32, rng):
     # the divergence gate reads the spectrum curl_inv inverts; it still runs
     # first, so a field failing both gates reports its divergence
-    constant = VectorField(grid32, np.broadcast_to(
+    constant = GridField(grid32, 1, np.broadcast_to(
         np.array([0.5, -1.0, 0.25])[:, None, None, None], (3,) + grid32.shape).copy())
     with pytest.raises(NonzeroMean, match="curl_inv input: component mean"):
         curl_inv(constant)
@@ -233,8 +215,8 @@ def test_curl_grad_and_div_curl_vanish(grid32, rng):
     f = random_form(grid32, 0, rng)
     assert ext_d(ext_d(f)).sup_norm() < 1e-10
     x = random_vector_field(grid32, rng)
-    curl_x = alpha_inv(ext_d(musical(x)))
-    assert np.max(np.abs(spectral_div(curl_x))) < 1e-10 * max(curl_x.sup_norm(), 1)
+    curl_x = hodge_star(ext_d(x))
+    assert codiff(curl_x).sup_norm() < 1e-10 * max(curl_x.sup_norm(), 1)
 
 
 def test_inner_product_translation_invariance(grid32, rng):
@@ -255,6 +237,14 @@ def test_mixed_grid_rejected(grid32, rng):
     g = GridField.zeros(other, 1)
     with pytest.raises(MixedGridError):
         l2_inner(f, g)
+
+
+def test_equal_grids_hash_equal():
+    # box lengths a few ulps apart: equal grids, so one hash
+    a, b = Grid3(96, 2 * math.pi), Grid3(96, 2 * math.pi * (1 + 1.5e-15))
+    assert a.box_length != b.box_length
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
 
 
 def test_integrate_volume(grid32):
@@ -316,18 +306,17 @@ KERNEL_CASES = ["random", "zero", "negative_zero", "both_negative_zero"]
 @pytest.mark.parametrize("case", KERNEL_CASES)
 def test_pointwise_products_match_stacked_expressions_bitwise(grid32, rng, case):
     u, v = _kernel_inputs(grid32, rng, case)
-    x, y = VectorField(grid32, u), VectorField(grid32, v)
     one_u, one_v = GridField(grid32, 1, u), GridField(grid32, 1, v)
     two_v = GridField(grid32, 2, v)
-    assert cross(x, y).comps.tobytes() == _stacked_cross(u, v).tobytes()
-    assert dot(x, y).tobytes() == np.sum(u * v, axis=0).tobytes()
+    assert cross(one_u, one_v).comps.tobytes() == _stacked_cross(u, v).tobytes()
+    assert dot(one_u, one_v).tobytes() == np.sum(u * v, axis=0).tobytes()
     # wedge 1^1 and 1^2 (and 2^1, which swaps its arguments with no sign)
     assert wedge(one_u, one_v).comps.tobytes() == _stacked_cross(u, v).tobytes()
     assert wedge(one_u, two_v).comps.tobytes() == np.sum(u * v, axis=0)[None].tobytes()
     assert wedge(two_v, one_u).comps.tobytes() == np.sum(u * v, axis=0)[None].tobytes()
     # contract of a 1-form and of a 2-form (iota_x beta = beta_vec x x)
-    assert contract(x, one_v).comps.tobytes() == np.sum(u * v, axis=0)[None].tobytes()
-    assert contract(x, two_v).comps.tobytes() == _stacked_cross(v, u).tobytes()
+    assert contract(one_u, one_v).comps.tobytes() == np.sum(u * v, axis=0)[None].tobytes()
+    assert contract(one_u, two_v).comps.tobytes() == _stacked_cross(v, u).tobytes()
 
 
 @pytest.mark.parametrize("case", KERNEL_CASES)
@@ -349,7 +338,7 @@ def test_spectral_symbols_match_stacked_expressions_bitwise(grid32, rng, case):
 @pytest.mark.parametrize("case", KERNEL_CASES)
 def test_sup_norm_matches_max_abs_bitwise(grid32, rng, case):
     u, v = _kernel_inputs(grid32, rng, case)
-    for f in (GridField(grid32, 1, u), VectorField(grid32, v), GridField(grid32, 3, u[:1])):
+    for f in (GridField(grid32, 1, u), GridField(grid32, 2, v), GridField(grid32, 3, u[:1])):
         want = float(np.max(np.abs(f.comps)))
         got = f.sup_norm()
         assert type(got) is float

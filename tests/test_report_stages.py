@@ -19,7 +19,7 @@ from conftest import _fields, _traced
 from vortexlink import massey, operators
 from vortexlink.comomentum import pair_contraction
 from vortexlink.curves import split_triple
-from vortexlink.grid import Grid3, VectorField
+from vortexlink.grid import Grid3, GridField
 from vortexlink.massey import (
     MaskedDomain,
     MasseyConfig,
@@ -103,7 +103,7 @@ def reference_bianchi(c, dom):
 
 
 def _xi_copy(om):
-    return VectorField(om.grid, om.comps.copy())
+    return GridField(om.grid, 1, om.comps.copy())
 
 
 def reference_involution(h):

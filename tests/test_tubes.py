@@ -12,9 +12,9 @@ from vortexlink.curves import (
     split_link,
 )
 from vortexlink.errors import TubeOverlap, TubeTooThin
-from vortexlink.grid import Grid3, VectorField
+from vortexlink.grid import Grid3, GridField
 from vortexlink import tubes
-from vortexlink.operators import alpha, alpha_inv, curl_inv, ext_d, musical, solenoidal_part
+from vortexlink.operators import curl_inv, ext_d, hodge_star, solenoidal_part
 from vortexlink.tubes import (
     LinkFields,
     disc_dual_1form,
@@ -115,27 +115,26 @@ def test_disc_dual_boundary_consistency(grid96, hopf_fields):
 
 
 def test_hamiltonian_form_identity(grid96, hopf_fields):
-    # dv_L + iota_{xi_L} nu = 0 with xi_L = + alpha^{-1}(omega_L)
+    # dv_L + iota_{xi_L} nu = 0 with xi_L = *omega_L
     link, lf = hopf_fields
     v_total = None
     for comp in link.components:
         v = disc_dual_1form(comp, link.tube, grid96)
         v_total = v if v_total is None else v_total + v
-    lhs = ext_d(v_total) + alpha(lf.xi_total())
-    rhs = alpha(lf.xi_total())
+    lhs = ext_d(v_total) + hodge_star(lf.xi_total())
+    rhs = hodge_star(lf.xi_total())
     assert lhs.l2_norm() / rhs.l2_norm() < 0.05
 
 
 def test_abc_helicity_identity(grid96):
     x, y, z = grid96.meshgrid()
     A, B, C = 1.1, 0.7, 0.4
-    v = VectorField(grid96, np.stack([
+    v = GridField(grid96, 1, np.stack([
         A * np.sin(z) + C * np.cos(y),
         B * np.sin(x) + A * np.cos(z),
         C * np.sin(y) + B * np.cos(x),
     ]))
-    one = musical(v)
-    H = helicity(one, ext_d(one))
+    H = helicity(v, ext_d(v))
     want = (2 * np.pi) ** 3 * (A**2 + B**2 + C**2)
     assert abs(H - want) < 1e-8 * want
 
@@ -176,7 +175,7 @@ def test_link_fields_build_primitives_on_first_use(monkeypatch):
     lf = LinkFields.build(link, grid)
     assert calls == []
     # the eager primitives the build used to compute
-    eager = [musical(curl_inv(solenoidal_part(alpha_inv(om)), eps_mean=1e-6))
+    eager = [curl_inv(solenoidal_part(hodge_star(om)), eps_mean=1e-6)
              for om in lf.omegas]
     assert all(np.array_equal(p.comps, e.comps) for p, e in zip(lf.primitives, eager))
     assert len(calls) == len(link.components)
