@@ -8,6 +8,11 @@ deterministic JSON (byte-identical under identical inputs/config/seed);
 per-stage timings go to a `<out>.timings.json` sidecar.  Commands that draw
 random numbers seed from `--seed`, else from the config's `seed`.
 
+A config (`--config`, JSON) may set `grid` (`N` and `L`, read by
+`comomentum`), `seed`, and under `tolerances` the four Massey tolerances
+`eps_massey`, `eps_period`, `cg_tol` and `cg_maxiter`; every other gate is a
+constant of `constants.py`, and any other tolerance key is rejected.
+
 Exit codes: 0 success, 2 for a missing or malformed input file, otherwise
 the `exit_code` of the raised error (see `errors.py`).  `massey` and
 `export` gate their scene once with `tubes.validate_scene`, whose docstring
@@ -75,7 +80,7 @@ def cmd_comomentum(args) -> tuple[int, dict]:
     if args.non_solenoidal:
         # deliberate validation-path failure
         f1(random_vector_field(grid, rng))
-    section = comomentum_report(grid, rng, cfg.tolerances, args.pairs, args.triples, timer)
+    section = comomentum_report(grid, rng, args.pairs, args.triples, timer)
     report = _envelope("comomentum", comomentum=section,
                        config={"N": cfg.grid_n, "L": cfg.grid_l, "seed": seed})
     _emit(report, args.out, timer)

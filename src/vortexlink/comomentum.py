@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import DEFAULT_TOLERANCES, TOWER_BRACKET_SIGN
+from .constants import EPS_HAM, EPS_OBSTRUCTION, QUAD_REFINE, TOWER_BRACKET_SIGN
 from .errors import ObstructedPotential, OpenCurve
 from .grid import Grid3, GridField, cross, dot
 from .operators import (
@@ -52,18 +52,18 @@ from .random_fields import tower_pair, tower_triple
 from .reports import checked
 
 
-def _require_solenoidal(what, eps_div, *fields):
+def _require_solenoidal(what, *fields):
     for i, x in enumerate(fields, 1):
-        require_divergence_free(x, eps_div, f"{what} arg {i}")
+        require_divergence_free(x, f"{what} arg {i}")
 
 
 def _hydro(x1, x2):
     return hodge_star(ext_d(cross(x1, x2)))
 
 
-def hydro_bracket(x1: GridField, x2: GridField, eps_div=None) -> GridField:
+def hydro_bracket(x1: GridField, x2: GridField) -> GridField:
     """curl(x1 x x2); closes in the divergence-free algebra."""
-    _require_solenoidal("hydro_bracket", eps_div, x1, x2)
+    _require_solenoidal("hydro_bracket", x1, x2)
     return _hydro(x1, x2)
 
 
@@ -71,9 +71,9 @@ def _bracket(x1, x2):
     return TOWER_BRACKET_SIGN * _hydro(x1, x2)
 
 
-def tower_bracket(x1: GridField, x2: GridField, eps_div=None) -> GridField:
+def tower_bracket(x1: GridField, x2: GridField) -> GridField:
     """The bracket entering mu2 / the wedge boundary / the defect identity."""
-    _require_solenoidal("tower_bracket", eps_div, x1, x2)
+    _require_solenoidal("tower_bracket", x1, x2)
     return _bracket(x1, x2)
 
 
@@ -82,9 +82,9 @@ def pair_contraction(x1: GridField, x2: GridField) -> GridField:
     return cross(x1, x2)
 
 
-def f1(b: GridField, eps_div=None, eps_mean=None) -> GridField:
+def f1(b: GridField) -> GridField:
     """Hamiltonian 1-form of b: minus the Coulomb-gauge potential, flat."""
-    return -curl_inv(b, eps_div, eps_mean)
+    return -curl_inv(b)
 
 
 def hamiltonian_residual(h: GridField, b: GridField) -> float:
@@ -103,13 +103,11 @@ class HamiltonianPair:
     residual: float
 
     @classmethod
-    def build(cls, b: GridField, eps_ham=None) -> "HamiltonianPair":
-        if eps_ham is None:
-            eps_ham = DEFAULT_TOLERANCES["eps_ham"]
+    def build(cls, b: GridField) -> "HamiltonianPair":
         h = f1(b)
         res = hamiltonian_residual(h, b)
-        if res > eps_ham:
-            raise ValueError(f"Hamiltonian residual {res:.3e} > {eps_ham:.1e}")
+        if res > EPS_HAM:
+            raise ValueError(f"Hamiltonian residual {res:.3e} > {EPS_HAM:.1e}")
         return cls(b, h, res)
 
 
@@ -117,9 +115,9 @@ def _mu2(x1, x2):
     return f1(_bracket(x1, x2)) - pair_contraction(x1, x2)
 
 
-def mu2(x1: GridField, x2: GridField, eps_div=None) -> GridField:
+def mu2(x1: GridField, x2: GridField) -> GridField:
     """The closed 1-form f1([x1,x2]) - nu(x1,x2,.) whose potential is f2."""
-    _require_solenoidal("mu2", eps_div, x1, x2)
+    _require_solenoidal("mu2", x1, x2)
     return _mu2(x1, x2)
 
 
@@ -141,39 +139,37 @@ def mu2_certificates(m: GridField) -> dict:
     }
 
 
-def _mu2_potential(m: GridField, eps_obstruction=None) -> tuple[GridField, float]:
+def _mu2_potential(m: GridField) -> tuple[GridField, float]:
     """The zero-mean potential Delta^-1 delta m of a closed 1-form and the
     harmonic part of m, gated on that part as f2 is."""
-    if eps_obstruction is None:
-        eps_obstruction = DEFAULT_TOLERANCES["eps_obstruction"]
     harm = _harmonic_part(m)
-    if harm > eps_obstruction:
+    if harm > EPS_OBSTRUCTION:
         raise ObstructedPotential(
             f"harmonic part of mu2 is {harm:.3e} "
-            f"(> {eps_obstruction:.1e}); no potential exists on the torus"
+            f"(> {EPS_OBSTRUCTION:.1e}); no potential exists on the torus"
         )
     m_clean = m - harmonic_proj(m)
-    return laplace_inv(codiff(m_clean), eps_harm=np.inf), harm
+    return laplace_inv(codiff(m_clean)), harm
 
 
-def _f2(x1, x2, eps_obstruction=None):
-    return _mu2_potential(_mu2(x1, x2), eps_obstruction)[0]
+def _f2(x1, x2):
+    return _mu2_potential(_mu2(x1, x2))[0]
 
 
-def f2(x1: GridField, x2: GridField, eps_div=None, eps_obstruction=None) -> GridField:
+def f2(x1: GridField, x2: GridField) -> GridField:
     """Scalar potential of mu2 (zero mean): f2 = Delta^-1 delta mu2.
 
     Raises ObstructedPotential when mu2 has a harmonic part beyond
     tolerance, in which case no potential exists on the torus.
     """
-    _require_solenoidal("f2", eps_div, x1, x2)
-    return _f2(x1, x2, eps_obstruction)
+    _require_solenoidal("f2", x1, x2)
+    return _f2(x1, x2)
 
 
 def f2_of_boundary_triple(x1, x2, x3) -> GridField:
     """f2 on the boundary d(x1^x2^x3) = -[x1,x2]^x3 + [x1,x3]^x2 - [x2,x3]^x1,
     building each bracket just before its f2 and dropping it after."""
-    _require_solenoidal("f2_of_boundary_triple", None, x1, x2, x3)
+    _require_solenoidal("f2_of_boundary_triple", x1, x2, x3)
     out = None
     for sign, a, b, partner in ((-1, x1, x2, x3), (+1, x1, x3, x2), (-1, x2, x3, x1)):
         term = sign * _f2(_bracket(a, b), partner)
@@ -223,13 +219,13 @@ def triple_evaluation_residual(x1, x2, x3) -> float:
     return res / den if den > 0 else res
 
 
-def equivariance_defect(xi: GridField, b: GridField, eps_div=None,
+def equivariance_defect(xi: GridField, b: GridField,
                         h: GridField | None = None) -> GridField:
     """L_xi f1(b) - f1([xi, b]); nonzero in general (Theorem on
     non-equivariance).  For xi = b this equals -d<B, b>, minus the
     differential of the helicity density.  `h` is f1(b) when the caller
     already holds it."""
-    _require_solenoidal("equivariance_defect", eps_div, xi, b)
+    _require_solenoidal("equivariance_defect", xi, b)
     return lie_derivative(xi, f1(b) if h is None else h) - f1(_bracket(xi, b))
 
 
@@ -239,38 +235,36 @@ def kks_pairing(w: GridField, b: GridField, c: GridField) -> float:
     return float(np.sum(integrand) * w.grid.cell_volume)
 
 
-def euler_vorticity_rhs(w: GridField, eps_div=None, eps_mean=None) -> GridField:
+def euler_vorticity_rhs(w: GridField) -> GridField:
     """Instantaneous right-hand side of the vorticity equation:
     dw/dt = -[w, v] with v = curl^-1 w (hydrodynamical bracket).  curl_inv
     gates w, and v is a Coulomb potential, so neither is checked again."""
-    return -1 * _hydro(w, curl_inv(w, eps_div, eps_mean))
+    return -1 * _hydro(w, curl_inv(w))
 
 
 # -- loop-space operations ---------------------------------------------------
 
-def rasetti_regge(b: GridField, gamma, eps_div=None, rel_tol=None, max_refine=8) -> float:
+def rasetti_regge(b: GridField, gamma) -> float:
     """Transgressed co-momentum along a closed curve: the line integral of
     f1(b), which equals minus the loop current of b.
 
     The 1-form is sampled by `interpolate.sample_form1_along`: exactly
     (fourier_eval) when its active spectrum is small, as for band-limited
     inputs, else trilinearly.  Each polygon segment uses the composite
-    midpoint rule with dyadic refinement until two successive levels agree
-    to `rel_tol` relative.
+    midpoint rule with dyadic refinement, up to 8 levels, until two
+    successive levels agree to QUAD_REFINE relative.
     """
     from .interpolate import sample_form1_along  # local: avoids cycle
 
-    if rel_tol is None:
-        rel_tol = DEFAULT_TOLERANCES["quad_refine"]
     if not gamma.closed:
         raise OpenCurve("rasetti_regge needs a closed curve")
-    h = f1(b, eps_div)
+    h = f1(b)
     prev = None
-    for level in range(max_refine):
+    for level in range(8):
         value = sample_form1_along(h, gamma, subdiv=2**level)
         if prev is not None:
             scale = max(abs(value), abs(prev), 1e-30)
-            if abs(value - prev) <= rel_tol * scale:
+            if abs(value - prev) <= QUAD_REFINE * scale:
                 return value
         prev = value
     return prev
@@ -311,7 +305,7 @@ def _eq25_and_gauge(b: GridField) -> tuple[float, float]:
     return hamiltonian_residual(h, b), codiff(h).sup_norm() / max(h.sup_norm(), 1e-300)
 
 
-def comomentum_report(grid, rng, tolerances, pairs, triples, timer) -> dict:
+def comomentum_report(grid, rng, pairs, triples, timer) -> dict:
     """The `comomentum` report section: the largest residuals of eq. 25
     (with the Coulomb gauge), eqs. 26 and 29 (with the harmonic part of
     mu2) over `pairs` tower pairs, of eq. 27 over `triples` tower triples,
@@ -342,13 +336,13 @@ def comomentum_report(grid, rng, tolerances, pairs, triples, timer) -> dict:
     defect_norm = equivariance_defect(v, v, h=h).sup_norm() / float(np.max(dot(v, v)))
     timer.stop()
     return {
-        "eq25": checked(max(*eq25, abc_eq25), tolerances["eps_ham"]),
+        "eq25": checked(max(*eq25, abc_eq25), EPS_HAM),
         "eq26": checked(max(i["eq26"] for i in idents), 1e-6),
         "eq27": checked(max(eq27), 1e-5) if eq27 else None,
         "eq29": checked(max(i["eq29"] for i in idents), 1e-6),
         "gauge": checked(max(gauge), 1e-9),
         "mu2_harmonic_part": checked(max(i["harmonic_part"] for i in idents),
-                                     tolerances["eps_obstruction"]),
+                                     EPS_OBSTRUCTION),
         "equivariance_defect_norm": {
             "value": defect_norm,
             "threshold": 0.1,

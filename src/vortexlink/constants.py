@@ -1,4 +1,4 @@
-"""Frozen sign conventions and default tolerances.
+"""Frozen sign conventions, fixed gates and default tolerances.
 
 Every sign that is a convention rather than a theorem lives here, so the
 numerics in the rest of the package can be audited against one table.
@@ -35,22 +35,26 @@ DISC_DUAL_SIGN = -1
 # magnitude and this sign separately.
 TRIPLE_LINKING_SIGN = +1
 
-# Default numerical tolerances.  Overridable through Config; these are the
-# values the test suite pins.
+# Tolerances a config may set: the four of the Massey hierarchy, which
+# massey_report reads for its gates and for the "tol" of the gates it
+# reports.  Config.from_doc rejects any other key.
 DEFAULT_TOLERANCES = {
-    "eps_div": 1e-10,        # relative divergence for "divergence-free"
-    "eps_mean": 1e-10,       # relative zero-mean test for inversion inputs
-    "eps_harm": 1e-8,        # relative harmonic part allowed by laplace_inv
-    "eps_ham": 1e-8,         # Hamiltonian-pair residual
-    "eps_obstruction": 1e-6, # harmonic part of mu2 tolerated by f2
     "eps_massey": 0.05,      # masked residual for stored Massey primitives
     "eps_period": 0.1,       # meridian-period gate for solve_primitive
     "cg_tol": 1e-8,          # normal-equation residual (relative)
     "cg_maxiter": 5000,
-    "quad_refine": 1e-4,     # adaptive Gauss-quadrature stopping rule
-    "cross_angle": 1e-3,     # min transversality angle (rad) for crossings
-    "cross_sep": 1e-3,       # min crossing separation, relative to diameter
 }
 
-# Default panel counts for meridian-torus surface quadrature.
+# Fixed gates, read where they are applied and in the reports that show
+# them; no config sets them.
+EPS_DIV = 1e-10          # relative divergence for "divergence-free"
+EPS_MEAN = 1e-10         # relative zero-mean test for inversion inputs
+EPS_HARM = 1e-8          # relative harmonic part allowed by laplace_inv
+EPS_HAM = 1e-8           # Hamiltonian-pair residual
+EPS_OBSTRUCTION = 1e-6   # harmonic part of mu2 tolerated by f2
+QUAD_REFINE = 1e-4       # adaptive quadrature stopping rule (relative)
+CROSS_ANGLE = 1e-3       # min transversality angle (rad) for crossings
+CROSS_SEP = 1e-3         # min crossing separation, relative to diameter
+
+# Panel counts for meridian-torus surface quadrature.
 MERIDIAN_PANELS = (64, 256)  # (cross-parameter, longitude)

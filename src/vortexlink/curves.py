@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NotPlanar
+from .errors import NotPlanar, SceneError
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,12 @@ class PlanarCurve:
 
     def __post_init__(self):
         for name in ("center", "axis_u", "axis_v"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            value = np.asarray(getattr(self, name), dtype=float)
+            if not np.all(np.isfinite(value)):
+                raise SceneError(f"planar curve {name} is not finite: {value.tolist()}")
+            object.__setattr__(self, name, value)
+        if not (np.any(self.axis_u) and np.any(self.axis_v)):
+            raise SceneError("planar curve has a zero semi-axis")
         if abs(np.dot(self.axis_u, self.axis_v)) > 1e-10 * (
             np.linalg.norm(self.axis_u) * np.linalg.norm(self.axis_v)
         ):
@@ -128,16 +133,26 @@ class PlanarCurve:
         return replace(self, center=self.center + np.asarray(offset, dtype=float))
 
 
+def orthonormal_frame(direction):
+    """Right-handed orthonormal frame (e1, e2, d) with d the unit vector of
+    `direction`; e1 is the x axis (the y axis when d is within 0.9 of x)
+    made orthogonal to d.  A zero or non-finite direction raises SceneError."""
+    d = np.asarray(direction, dtype=float)
+    nd = np.linalg.norm(d)
+    if not (np.isfinite(nd) and nd > 0):
+        raise SceneError(f"direction {d.tolist()} is zero or not finite")
+    d = d / nd
+    seed = np.array([1.0, 0.0, 0.0])
+    if abs(np.dot(seed, d)) > 0.9:
+        seed = np.array([0.0, 1.0, 0.0])
+    e1 = seed - np.dot(seed, d) * d
+    e1 /= np.linalg.norm(e1)
+    return e1, np.cross(d, e1), d
+
+
 def circle(center, normal, radius, phase=0.0, n_samples=256) -> PlanarCurve:
     """Round circle oriented right-handed around the given normal."""
-    normal = np.asarray(normal, dtype=float)
-    normal = normal / np.linalg.norm(normal)
-    seed = np.array([1.0, 0.0, 0.0])
-    if abs(np.dot(seed, normal)) > 0.9:
-        seed = np.array([0.0, 1.0, 0.0])
-    u = seed - np.dot(seed, normal) * normal
-    u /= np.linalg.norm(u)
-    v = np.cross(normal, u)
+    u, v, _ = orthonormal_frame(normal)
     return PlanarCurve(
         np.asarray(center, dtype=float), radius * u, radius * v, phase, n_samples
     )
@@ -162,12 +177,13 @@ def pairwise_d2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return d2
 
 
-def min_distance(c1, c2, subdiv=4) -> float:
-    """Minimum distance between two curves, brute force over refined samples."""
+def min_distance(c1, c2) -> float:
+    """Minimum distance between two curves, brute force over samples refined
+    to a quarter of each polygon's mean segment length."""
     p1 = as_polygon(c1)
     p2 = as_polygon(c2)
-    a = p1.refined(p1.length() / (subdiv * p1.n_vertices)).vertices
-    b = p2.refined(p2.length() / (subdiv * p2.n_vertices)).vertices
+    a = p1.refined(p1.length() / (4 * p1.n_vertices)).vertices
+    b = p2.refined(p2.length() / (4 * p2.n_vertices)).vertices
     return float(np.sqrt(pairwise_d2(a, b).min()))
 
 

@@ -128,7 +128,7 @@ class LinkDiagram:
             raise SceneError(f"diagram document missing key {k}") from None
 
 
-def diagram_from_curves(curves, direction, cross_angle=None, cross_sep=None) -> LinkDiagram:
+def diagram_from_curves(curves, direction) -> LinkDiagram:
     """Project curves along a generic direction and assemble the diagram.
 
     Arc ids are assigned per component in traversal order; raises
@@ -137,7 +137,7 @@ def diagram_from_curves(curves, direction, cross_angle=None, cross_sep=None) -> 
     """
     from .linking import find_crossings
 
-    crossings = find_crossings(curves, direction, cross_angle, cross_sep)
+    crossings = find_crossings(curves, direction)
     n = len(curves)
     # under-crossing parameter positions per component
     events = [[] for _ in range(n)]

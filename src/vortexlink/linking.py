@@ -11,13 +11,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import DEFAULT_TOLERANCES
-from .curves import PolygonalCurve, as_polygon
+from .constants import CROSS_ANGLE, CROSS_SEP, QUAD_REFINE
+from .curves import PolygonalCurve, as_polygon, orthonormal_frame
 from .errors import CurvesIntersect, DegenerateProjection
 from .reports import checked
 
 # projection directions tried before a scene is declared degenerate
 DIRECTION_TRIES = 32
+
+# sample rows per block of the Gauss double sums, bounding their
+# (rows, samples, 3) temporaries
+_GAUSS_CHUNK = 256
 
 
 # -- Gauss double integral -----------------------------------------------------
@@ -31,34 +35,31 @@ def _midpoints_tangents(poly: PolygonalCurve, subdiv: int):
     return mids, tans
 
 
-def _gauss_sum(m1, t1, m2, t2, chunk=256):
+def _gauss_sum(m1, t1, m2, t2):
     """(1/4pi) sum of det[t1, t2, r] / |r|^3 over all sample pairs."""
     total = 0.0
-    for lo in range(0, len(m1), chunk):
-        r = m1[lo:lo + chunk, None, :] - m2[None, :, :]
+    for lo in range(0, len(m1), _GAUSS_CHUNK):
+        r = m1[lo:lo + _GAUSS_CHUNK, None, :] - m2[None, :, :]
         d3 = np.sum(r * r, axis=2) ** 1.5
-        cr = np.cross(t1[lo:lo + chunk, None, :], t2[None, :, :])
+        cr = np.cross(t1[lo:lo + _GAUSS_CHUNK, None, :], t2[None, :, :])
         total += float(np.sum(np.sum(cr * r, axis=2) / d3))
     return total / (4 * np.pi)
 
 
-def gauss_linking(c1, c2, rel_tol=None, max_refine=6, min_sep=None) -> float:
+def gauss_linking(c1, c2) -> float:
     """Gauss linking integral of two disjoint closed curves.
 
-    Midpoint quadrature per sub-segment pair, dyadic refinement until two
-    successive levels agree to `rel_tol`; converges to the integer linking
-    number.
+    Midpoint quadrature per sub-segment pair, dyadic refinement (up to 6
+    levels) until two successive levels agree to QUAD_REFINE; converges to
+    the integer linking number.  Curves whose vertices come within 1e-6 of
+    their diameter raise CurvesIntersect.
     """
-    if rel_tol is None:
-        rel_tol = DEFAULT_TOLERANCES["quad_refine"]
     p1, p2 = as_polygon(c1), as_polygon(c2)
     # the kernel is symmetric; computing in a canonical argument order makes
     # l(1,2) = l(2,1) bitwise, not just mathematically
     if (p2.n_vertices, p2.vertices.tobytes()) < (p1.n_vertices, p1.vertices.tobytes()):
         p1, p2 = p2, p1
-    diam = max(p1.diameter(), p2.diameter())
-    if min_sep is None:
-        min_sep = 1e-6 * diam
+    min_sep = 1e-6 * max(p1.diameter(), p2.diameter())
     d2 = np.sum(
         (p1.vertices[:, None, :] - p2.vertices[None, :, :]) ** 2, axis=2
     )
@@ -67,32 +68,31 @@ def gauss_linking(c1, c2, rel_tol=None, max_refine=6, min_sep=None) -> float:
             f"curves at distance {np.sqrt(d2.min()):.3e} <= {min_sep:.3e}"
         )
     prev = None
-    for level in range(max_refine):
+    for level in range(6):
         sub = 2**level
         m1, t1 = _midpoints_tangents(p1, sub)
         m2, t2 = _midpoints_tangents(p2, sub)
         val = _gauss_sum(m1, t1, m2, t2)
-        if prev is not None and abs(val - prev) <= rel_tol * max(1.0, abs(val)):
+        if prev is not None and abs(val - prev) <= QUAD_REFINE * max(1.0, abs(val)):
             return val
         prev = val
     return prev
 
 
-def gauss_writhe(c, rel_tol=None, max_refine=5) -> float:
+def gauss_writhe(c) -> float:
     """Gauss self-integral (writhe), excluding self and adjacent segment
-    pairs of the original polygon.  Vanishes identically for planar curves."""
-    if rel_tol is None:
-        rel_tol = DEFAULT_TOLERANCES["quad_refine"]
+    pairs of the original polygon, refined as gauss_linking is (up to 5
+    levels).  Vanishes identically for planar curves."""
     poly = as_polygon(c)
     n = poly.n_vertices
     prev = None
-    for level in range(max_refine):
+    for level in range(5):
         sub = 2**level
         m, t = _midpoints_tangents(poly, sub)
         parent = np.repeat(np.arange(n), sub)
         total = 0.0
-        for lo in range(0, len(m), 256):
-            hi = min(lo + 256, len(m))
+        for lo in range(0, len(m), _GAUSS_CHUNK):
+            hi = min(lo + _GAUSS_CHUNK, len(m))
             r = m[lo:hi, None, :] - m[None, :, :]
             gap = np.abs(parent[lo:hi, None] - parent[None, :])
             keep = (gap > 1) & (gap < n - 1)
@@ -102,7 +102,7 @@ def gauss_writhe(c, rel_tol=None, max_refine=5) -> float:
             val = np.sum(cr * r, axis=2) / d3
             total += float(np.sum(np.where(keep, val, 0.0)))
         val = total / (4 * np.pi)
-        if prev is not None and abs(val - prev) <= rel_tol * max(1.0, abs(val)):
+        if prev is not None and abs(val - prev) <= QUAD_REFINE * max(1.0, abs(val)):
             return val
         prev = val
     return prev
@@ -122,21 +122,6 @@ class Crossing:
     s_under: float
     sign: int
     point2d: tuple
-
-
-def projection_frame(direction):
-    d = np.asarray(direction, dtype=float)
-    nd = np.linalg.norm(d)
-    if nd == 0:
-        raise ValueError("zero projection direction")
-    d = d / nd
-    seed = np.array([1.0, 0.0, 0.0])
-    if abs(np.dot(seed, d)) > 0.9:
-        seed = np.array([0.0, 1.0, 0.0])
-    e1 = seed - np.dot(seed, d) * d
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(d, e1)
-    return e1, e2, d
 
 
 def _cross2(a, b):
@@ -174,21 +159,17 @@ def _segment_pairs(n1, n2, same_curve):
     return i, j
 
 
-def find_crossings(curves, direction, cross_angle=None, cross_sep=None):
+def find_crossings(curves, direction):
     """All transverse double points of the projection of `curves` along
     `direction`, with over/under resolved by depth.
 
-    Raises DegenerateProjection on tangencies, near-coincident crossings or
-    ambiguous depths; the caller retries with a perturbed direction.
+    Raises DegenerateProjection on tangencies (angle below CROSS_ANGLE),
+    crossings or depths closer than CROSS_SEP of the diameter; the caller
+    retries with a perturbed direction.
     """
-    if cross_angle is None:
-        cross_angle = DEFAULT_TOLERANCES["cross_angle"]
-    if cross_sep is None:
-        cross_sep = DEFAULT_TOLERANCES["cross_sep"]
-    e1, e2, d = projection_frame(direction)
+    e1, e2, d = orthonormal_frame(direction)
     polys = [as_polygon(c) for c in curves]
-    diam = max(p.diameter() for p in polys)
-    sep = cross_sep * diam
+    sep = CROSS_SEP * max(p.diameter() for p in polys)
 
     proj = [np.stack([p.vertices @ e1, p.vertices @ e2], axis=1) for p in polys]
     depth = [p.vertices @ d for p in polys]
@@ -231,11 +212,11 @@ def find_crossings(curves, direction, cross_angle=None, cross_sep=None):
             la = np.linalg.norm(da, axis=1)
             lb = np.linalg.norm(db, axis=1)
             sin_angle = np.abs(denom) / np.where(la * lb > 0, la * lb, 1.0)
-            if np.any(hit & (sin_angle < cross_angle)):
+            if np.any(hit & (sin_angle < CROSS_ANGLE)):
                 raise DegenerateProjection("near-tangent crossing")
             # near-parallel segments are degenerate when they overlap: the
             # intersection solve cannot see tangencies of coincident shadows
-            par = sin_angle < cross_angle
+            par = sin_angle < CROSS_ANGLE
             if np.any(par):
                 if _parallel_overlap(a1[par], da[par], b1[par], db[par], sep):
                     raise DegenerateProjection("near-parallel overlapping segments")
@@ -281,14 +262,14 @@ def crossing_linking(c1, c2, direction) -> int:
     return total // 2
 
 
-def writhe_framing(c, direction, rel_tol=None):
+def writhe_framing(c, direction):
     """(Gauss writhe, blackboard framing) of one closed curve.
 
     The framing is the signed self-crossing count of the projection.
     """
     crossings = find_crossings([c], direction)
     framing = sum(cr.sign for cr in crossings)
-    return gauss_writhe(c, rel_tol), int(framing)
+    return gauss_writhe(c), int(framing)
 
 
 def with_generic_direction(fn, rng):

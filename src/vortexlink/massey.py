@@ -44,7 +44,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .comomentum import pair_contraction
-from .constants import DEFAULT_TOLERANCES, MERIDIAN_PANELS, TRIPLE_LINKING_SIGN
+from .constants import DEFAULT_TOLERANCES, TRIPLE_LINKING_SIGN
 from .curves import Link, as_polygon
 from .diagrams import mu_bar, scene_diagram
 from .errors import MissingPrimitive, NoConvergence, ObstructedClass
@@ -65,6 +65,10 @@ from .reports import checked, checked_window
 from .tubes import LinkFields, LocalBox, disc_dual_1form, meridian_period
 
 
+# the mask radius over the tube radius: r_mask = MASK_FACTOR * r
+MASK_FACTOR = 1.25
+
+
 @dataclass
 class MasseyConfig:
     eps_period: float = DEFAULT_TOLERANCES["eps_period"]
@@ -76,9 +80,7 @@ class MasseyConfig:
     # 1/r_mask^2; removes the objective's flat directions (hole-supported
     # co-exact fields) without touching the masked fit, so CG converges
     core_shift: float = 1.0
-    mask_factor: float = 1.25      # r_mask = mask_factor * tube radius
     meridian_factor: float = 1.5   # minor radius of dT_k over tube radius
-    panels: tuple = MERIDIAN_PANELS
 
 
 def _smoothstep(s):
@@ -130,14 +132,13 @@ class MaskedDomain:
     link: Link
     r_mask: float
     meridian_minor: float
-    panels: tuple = MERIDIAN_PANELS
 
     @classmethod
     def build(cls, link: Link, grid: Grid3, config: MasseyConfig | None = None):
         """The mask of a scene that passed validate_scene with this config."""
         cfg = config or MasseyConfig()
         r = link.tube.radius
-        r_mask = cfg.mask_factor * r
+        r_mask = MASK_FACTOR * r
         mask = np.ones(grid.shape)
         core = np.zeros(grid.shape)
         for comp in link.components:
@@ -146,8 +147,7 @@ class MaskedDomain:
             core = np.maximum(
                 core, 1.0 - _smoothstep((d - 0.8 * r_mask) / (0.2 * r_mask))
             )
-        return cls(grid, mask, core, link, r_mask, cfg.meridian_factor * r,
-                   cfg.panels)
+        return cls(grid, mask, core, link, r_mask, cfg.meridian_factor * r)
 
     def masked_rms(self, f: GridField) -> float:
         """RMS of the masked form (volume-normalized L2).  One masked
@@ -165,9 +165,7 @@ class MaskedDomain:
     def periods(self, form2: GridField) -> dict:
         out = {}
         for k, comp in enumerate(self.link.components):
-            out[k + 1] = meridian_period(
-                form2, comp, self.meridian_minor, self.panels
-            )
+            out[k + 1] = meridian_period(form2, comp, self.meridian_minor)
         return out
 
 
@@ -433,8 +431,7 @@ class MasseyHierarchy:
         """Period of the triple Massey form over the meridian torus dT_k."""
         om = self.massey_triple(i, j, m)
         return meridian_period(
-            om, self.dom.link.components[k - 1],
-            self.dom.meridian_minor, self.dom.panels,
+            om, self.dom.link.components[k - 1], self.dom.meridian_minor
         )
 
 

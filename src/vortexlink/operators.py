@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.fft as sfft
 
-from .constants import CODIFF_SIGN, DEFAULT_TOLERANCES
+from .constants import CODIFF_SIGN, EPS_DIV, EPS_HARM, EPS_MEAN
 from .errors import NonzeroHarmonicPart, NonzeroMean, NotDivergenceFree
 from .grid import Grid3, GridField, _check_same_grid, cross_comps, dot_comps
 
@@ -251,18 +251,16 @@ def harmonic_proj(f: GridField) -> GridField:
     return GridField(f.grid, f.degree, out)
 
 
-def laplace_inv(f: GridField, eps_harm: float | None = None) -> GridField:
+def laplace_inv(f: GridField) -> GridField:
     """Invert the Riemannian Hodge Laplacian (symbol +|k|^2) componentwise.
 
     Requires zero harmonic part; the output zero mode is set to zero.
     """
-    if eps_harm is None:
-        eps_harm = DEFAULT_TOLERANCES["eps_harm"]
     sup = f.sup_norm()
     means = np.abs(f.mean())
-    if sup > 0 and np.max(means) > eps_harm * sup:
+    if sup > 0 and np.max(means) > EPS_HARM * sup:
         raise NonzeroHarmonicPart(
-            f"harmonic part {np.max(means):.3e} exceeds {eps_harm:.1e} * sup"
+            f"harmonic part {np.max(means):.3e} exceeds {EPS_HARM:.1e} * sup"
         )
     _, K2, _ = _symbols(f.grid)
     out = irfft3(_inverse_k2(rfft3(f.comps), K2), f.grid.shape)
@@ -281,24 +279,11 @@ def divergence_residual(x: GridField, xh: np.ndarray | None = None) -> float:
     return float(np.max(np.abs(irfft3(_k_dot(K, xh), x.grid.shape)))) / sup
 
 
-def require_divergence_free(x: GridField, eps_div: float | None = None, what="field",
-                            xh: np.ndarray | None = None):
-    """Raise NotDivergenceFree unless divergence_residual(x, xh) <= eps_div."""
-    if eps_div is None:
-        eps_div = DEFAULT_TOLERANCES["eps_div"]
+def require_divergence_free(x: GridField, what="field", xh: np.ndarray | None = None):
+    """Raise NotDivergenceFree unless divergence_residual(x, xh) <= EPS_DIV."""
     r = divergence_residual(x, xh)
-    if r > eps_div:
-        raise NotDivergenceFree(f"{what}: relative divergence {r:.3e} > {eps_div:.1e}")
-
-
-def require_zero_mean(x: GridField, eps_mean: float | None = None, what="field"):
-    if eps_mean is None:
-        eps_mean = DEFAULT_TOLERANCES["eps_mean"]
-    sup = x.sup_norm()
-    if sup == 0:
-        return
-    if np.max(np.abs(x.mean())) > eps_mean * sup:
-        raise NonzeroMean(f"{what}: component mean exceeds {eps_mean:.1e} * sup")
+    if r > EPS_DIV:
+        raise NotDivergenceFree(f"{what}: relative divergence {r:.3e} > {EPS_DIV:.1e}")
 
 
 def solenoidal_part(x: GridField) -> GridField:
@@ -308,16 +293,19 @@ def solenoidal_part(x: GridField) -> GridField:
     return GridField(x.grid, 1, irfft3(transverse, x.grid.shape))
 
 
-def curl_inv(b: GridField, eps_div=None, eps_mean=None) -> GridField:
+def curl_inv(b: GridField, eps_mean: float = EPS_MEAN) -> GridField:
     """Coulomb-gauge vector potential: curl B = b, div B = 0, zero mean.
 
     Fourier formula B(k) = i k x b(k) / |k|^2 with the zero mode set to zero.
     b is transformed once: the divergence certificate reads the spectrum
-    that is inverted.  The divergence gate runs before the mean gate.
+    that is inverted.  The divergence gate runs before the mean gate, which
+    allows each component mean up to eps_mean * sup|b|.
     """
     bh = rfft3(b.comps)
-    require_divergence_free(b, eps_div, what="curl_inv input", xh=bh)
-    require_zero_mean(b, eps_mean, what="curl_inv input")
+    require_divergence_free(b, "curl_inv input", xh=bh)
+    sup = b.sup_norm()
+    if sup > 0 and np.max(np.abs(b.mean())) > eps_mean * sup:
+        raise NonzeroMean(f"curl_inv input: component mean exceeds {eps_mean:.1e} * sup")
     K, K2, _ = _symbols(b.grid)
     comps = irfft3(_inverse_k2(_k_cross(K, bh), K2), b.grid.shape)
     return GridField(b.grid, 1, comps)

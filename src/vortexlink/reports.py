@@ -28,14 +28,15 @@ def checked_window(value, lo, hi) -> dict:
     }
 
 
+def report_text(doc: dict) -> str:
+    """The package's one JSON layout for the files it writes: indented,
+    keys sorted, one trailing newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def dump_report(path, report: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def report_text(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+        fh.write(report_text(report))
 
 
 def _fft_calls() -> int:
@@ -90,5 +91,4 @@ class StageTimer:
                 doc["solver"] = self.solver
             if any(self.fft_calls.values()):
                 doc["fft_calls"] = self.fft_calls
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(report_text(doc))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -11,6 +12,7 @@ from .constants import DEFAULT_TOLERANCES
 from .curves import Link, PlanarCurve, PolygonalCurve, TubeParams, circle
 from .errors import SceneError
 from .grid import Grid3
+from .reports import report_text
 
 SCENE_SCHEMA = "vlink-1"
 
@@ -77,15 +79,19 @@ def scene_from_doc(doc) -> tuple[Grid3, Link]:
     return grid, Link(comps, tube)
 
 
-def load_scene(path) -> tuple[Grid3, Link]:
+def read_json(path):
+    """The JSON document in a file; malformed JSON raises SceneError."""
     with open(path) as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as e:
             raise SceneError(
                 f"malformed JSON at line {e.lineno}, column {e.colno}: {e.msg}"
             ) from None
-    return scene_from_doc(doc)
+
+
+def load_scene(path) -> tuple[Grid3, Link]:
+    return scene_from_doc(read_json(path))
 
 
 def scene_to_doc(grid: Grid3, link: Link) -> dict:
@@ -99,13 +105,32 @@ def scene_to_doc(grid: Grid3, link: Link) -> dict:
 
 def dump_scene(path, grid: Grid3, link: Link) -> None:
     with open(path, "w") as fh:
-        json.dump(scene_to_doc(grid, link), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(report_text(scene_to_doc(grid, link)))
+
+
+def _object(value, what) -> dict:
+    """A JSON object of a config document, else SceneError."""
+    if not isinstance(value, dict):
+        raise SceneError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
+def _number(value, what, whole=False):
+    """A finite, non-bool number of a config document (a whole one when
+    `whole`), else SceneError."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise SceneError(f"{what} must be a finite number, got {value!r}")
+    if whole and not float(value).is_integer():
+        raise SceneError(f"{what} must be a whole number, got {value!r}")
+    return value
 
 
 @dataclass
 class Config:
-    """Run configuration with documented defaults."""
+    """Run configuration with documented defaults.  `tolerances` holds the
+    four keys of constants.DEFAULT_TOLERANCES, the only ones a config may
+    set."""
 
     grid_n: int = 96
     grid_l: float = 2 * np.pi
@@ -115,20 +140,18 @@ class Config:
     @classmethod
     def from_doc(cls, doc) -> "Config":
         cfg = cls()
-        grid = doc.get("grid", {})
-        cfg.grid_n = int(grid.get("N", cfg.grid_n))
-        cfg.grid_l = float(grid.get("L", cfg.grid_l))
-        tols = doc.get("tolerances", {})
+        grid = _object(_object(doc, "config").get("grid", {}), "grid")
+        cfg.grid_n = int(_number(grid.get("N", cfg.grid_n), "grid N", whole=True))
+        cfg.grid_l = float(_number(grid.get("L", cfg.grid_l), "grid L"))
+        tols = _object(doc.get("tolerances", {}), "tolerances")
         bad = set(tols) - set(cfg.tolerances)
         if bad:
             raise SceneError(f"unknown tolerance keys: {sorted(bad)}")
         for k, val in tols.items():
-            if not val > 0:
+            if not _number(val, f"tolerance {k}", whole=k == "cg_maxiter") > 0:
                 raise SceneError(f"tolerance {k} must be positive")
-            if k == "cg_maxiter" and not float(val).is_integer():
-                raise SceneError(f"tolerance cg_maxiter must be a whole number, got {val}")
             cfg.tolerances[k] = float(val)
-        cfg.seed = int(doc.get("seed", 0))
+        cfg.seed = int(_number(doc.get("seed", 0), "seed", whole=True))
         if cfg.grid_n < 16:
             raise SceneError("grid N must be at least 16")
         return cfg
@@ -137,11 +160,4 @@ class Config:
     def load(cls, path) -> "Config":
         if path is None:
             return cls()
-        with open(path) as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise SceneError(
-                    f"malformed JSON at line {e.lineno}, column {e.colno}: {e.msg}"
-                ) from None
-        return cls.from_doc(doc)
+        return cls.from_doc(read_json(path))

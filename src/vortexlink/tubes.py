@@ -38,7 +38,7 @@ from operator import add
 
 import numpy as np
 
-from .constants import DISC_DUAL_SIGN
+from .constants import DISC_DUAL_SIGN, MERIDIAN_PANELS
 from .curves import Link, PlanarCurve, TubeParams, as_polygon, min_distance, pairwise_d2
 from .errors import NotPlanar, SceneError, TubeOverlap, TubeTooThin
 from .grid import Grid3, GridField
@@ -203,10 +203,9 @@ def validate_scene(link: Link, grid: Grid3, config=None) -> None:
 
     4. every component is planar, so it has a flat Seifert disc:
        SceneError [2];
-    5. the mask radius mask_factor * r is at least r: SceneError [2];
-    6. the meridian minor radius meridian_factor * r exceeds r, so the torus
+    5. the meridian minor radius meridian_factor * r exceeds r, so the torus
        encloses the tube support: SceneError [2];
-    7. each meridian torus clears the tube support of every other
+    6. each meridian torus clears the tube support of every other
        component: SceneError [2].
     """
     r, h = link.tube.radius, grid.spacing
@@ -230,8 +229,6 @@ def validate_scene(link: Link, grid: Grid3, config=None) -> None:
         return
     if not all(isinstance(c, PlanarCurve) for c in comps):
         raise SceneError("Massey hierarchy needs planar components")
-    if config.mask_factor * r < r:
-        raise SceneError("mask radius below tube radius")
     minor = config.meridian_factor * r
     if not minor > r:
         raise SceneError("meridian torus must enclose the tube support")
@@ -331,7 +328,7 @@ def disc_flux(form2: GridField, curve: PlanarCurve, spacing=None) -> float:
     return float(np.sum((vals.T @ curve.normal) * w))
 
 
-def meridian_torus_panels(curve: PlanarCurve, minor_radius: float, panels=(64, 256)):
+def meridian_torus_panels(curve: PlanarCurve, minor_radius: float, panels=MERIDIAN_PANELS):
     """Structured quadrilateral panels of the meridian torus around a planar
     curve: centers, and the two panel edge vectors (for 2-form pairing)."""
     n_th, n_t = panels
@@ -363,10 +360,9 @@ def meridian_torus_panels(curve: PlanarCurve, minor_radius: float, panels=(64, 2
     return centers, d_theta, d_t
 
 
-def meridian_period(form2: GridField, curve: PlanarCurve, minor_radius: float,
-                    panels=(64, 256)) -> float:
+def meridian_period(form2: GridField, curve: PlanarCurve, minor_radius: float) -> float:
     """Period of a 2-form over the meridian torus around one component."""
     from .interpolate import surface_integral_2form
 
-    centers, du, dv = meridian_torus_panels(curve, minor_radius, panels)
+    centers, du, dv = meridian_torus_panels(curve, minor_radius)
     return surface_integral_2form(form2, centers, du, dv)

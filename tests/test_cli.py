@@ -261,16 +261,77 @@ def test_diagram_component_count_must_match_its_arcs(components, tmp_path, monke
     assert err.startswith(f"InconsistentDiagram: {components} components but 2 arc lists")
 
 
-@pytest.mark.parametrize("value", [0.5, 2.5, -1, 0])
-def test_cg_maxiter_must_be_a_whole_number(value, tmp_path, monkeypatch, capsys):
-    # the config is rejected before the scene is read or any field is built
+def _massey_with_config(doc, tmp_path, monkeypatch, capsys):
+    """Exit code and stderr of `massey` on the Borromean fixture with the
+    config `doc`, failing if the scene is read: a config is rejected before
+    the scene is read or any field is built."""
     monkeypatch.chdir(ROOT)
     monkeypatch.setattr(cli, "load_scene", lambda path: pytest.fail("scene loaded"))
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"tolerances": {"cg_maxiter": value}}))
+    config.write_text(json.dumps(doc))
     argv = ["massey", "--scene", "fixtures/borromean.json", "--config", str(config)]
+    return cli.main(argv), capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [0.5, 2.5, -1, 0])
+def test_cg_maxiter_must_be_a_whole_number(value, tmp_path, monkeypatch, capsys):
+    doc = {"tolerances": {"cg_maxiter": value}}
+    code, err = _massey_with_config(doc, tmp_path, monkeypatch, capsys)
+    assert code == 2
+    assert "SceneError: tolerance cg_maxiter must be" in err
+
+
+# the tolerances a config may not set: fixed gates, read where they apply
+FIXED_GATES = ["eps_div", "eps_mean", "eps_harm", "eps_ham", "eps_obstruction",
+               "quad_refine", "cross_angle", "cross_sep"]
+MALFORMED_CONFIGS = {
+    "cg_tol-string": ({"tolerances": {"cg_tol": "abc"}}, "tolerance cg_tol must be a finite number"),
+    "cg_tol-bool": ({"tolerances": {"cg_tol": True}}, "tolerance cg_tol must be a finite number"),
+    "eps_massey-nan": ({"tolerances": {"eps_massey": math.nan}},
+                       "tolerance eps_massey must be a finite number"),
+    "eps_period-negative": ({"tolerances": {"eps_period": -0.1}},
+                            "tolerance eps_period must be positive"),
+    "config-list": ([], "config must be a JSON object"),
+    "grid-number": ({"grid": 32}, "grid must be a JSON object"),
+    "tolerances-list": ({"tolerances": ["cg_tol"]}, "tolerances must be a JSON object"),
+    "N-fraction": ({"grid": {"N": 32.7}}, "grid N must be a whole number"),
+    "N-string": ({"grid": {"N": "32"}}, "grid N must be a finite number"),
+    "L-string": ({"grid": {"L": "6.28"}}, "grid L must be a finite number"),
+    "seed-fraction": ({"seed": 1.9}, "seed must be a whole number"),
+    "seed-string": ({"seed": "1"}, "seed must be a finite number"),
+    **{f"fixed-{key}": ({"tolerances": {key: 1e-3}}, f"unknown tolerance keys: ['{key}']")
+       for key in FIXED_GATES},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CONFIGS))
+def test_malformed_config_exits_2(case, tmp_path, monkeypatch, capsys):
+    doc, message = MALFORMED_CONFIGS[case]
+    code, err = _massey_with_config(doc, tmp_path, monkeypatch, capsys)
+    assert code == 2
+    assert err.startswith(f"SceneError: {message}")
+
+
+# component 1 of the Hopf fixture made degenerate: each is rejected when the
+# scene is read, whatever the command
+DEGENERATE_COMPONENTS = {
+    "zero_normal": {"type": "circle", "center": [-0.5, 0, 0], "normal": [0, 0, 0], "radius": 1.0},
+    "zero_radius": {"type": "circle", "center": [-0.5, 0, 0], "normal": [0, 0, 1], "radius": 0.0},
+    "zero_axis": {"type": "ellipse", "center": [-0.5, 0, 0], "axis_u": [1, 0, 0],
+                  "axis_v": [0, 0, 0]},
+}
+
+
+@pytest.mark.parametrize("command", ["lk", "massey", "export"])
+@pytest.mark.parametrize("name", sorted(DEGENERATE_COMPONENTS))
+def test_degenerate_component_exits_2(name, command, tmp_path, capsys):
+    doc = json.loads((ROOT / "fixtures" / "hopf.json").read_text())
+    doc["components"][0] = DEGENERATE_COMPONENTS[name]
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(doc))
+    argv = [command, "--scene", str(scene), "--out", str(tmp_path / "out")]
     assert cli.main(argv) == 2
-    assert "SceneError: tolerance cg_maxiter must be" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("SceneError: ")
 
 
 def test_seedless_lk_is_deterministic(tmp_path):

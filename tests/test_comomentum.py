@@ -25,7 +25,6 @@ from vortexlink.comomentum import (
     tower_bracket,
     triple_evaluation_residual,
 )
-from vortexlink.constants import DEFAULT_TOLERANCES
 from vortexlink.curves import circle
 from vortexlink.errors import NotDivergenceFree
 from vortexlink.grid import Grid3, GridField, cross, dot
@@ -264,7 +263,7 @@ def test_loop_2form(grid32):
 
 def test_comomentum_report_passes(grid32, rng):
     # the command's suite at N = 32: every gated certificate passes
-    section = comomentum_report(grid32, rng, DEFAULT_TOLERANCES, 2, 1, StageTimer())
+    section = comomentum_report(grid32, rng, 2, 1, StageTimer())
     gated = {k: v for k, v in section.items() if "pass" in v}
     assert set(gated) == {"eq25", "eq26", "eq27", "eq29", "gauge", "mu2_harmonic_part"}
     assert all(v["pass"] for v in gated.values()), gated
@@ -283,10 +282,10 @@ def test_comomentum_report_passes(grid32, rng):
 
 def test_no_suite_field_outlives_its_suite(grid32, rng):
     # warm the per-grid symbol cache outside the trace
-    comomentum_report(grid32, np.random.default_rng(0), DEFAULT_TOLERANCES, 1, 1, StageTimer())
+    comomentum_report(grid32, np.random.default_rng(0), 1, 1, StageTimer())
     timer = _LiveTimer()
     _, base, peak = _traced(
-        lambda: comomentum_report(grid32, rng, DEFAULT_TOLERANCES, 1, 1, timer))
+        lambda: comomentum_report(grid32, rng, 1, 1, timer))
     for stage in ("eq25_suite", "eq26_eq29_suite", "eq27_suite"):
         assert _fields(timer.live[stage] - base, grid32) < 0.1, (stage, timer.live)
     # a pair's or a triple's working set, not the suites' leftovers (13.8

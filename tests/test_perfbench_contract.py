@@ -1,8 +1,11 @@
-"""Every function the traced benchmark wraps still exists under its name.
+"""The benchmark harness still fits the package.
 
+Every function the traced benchmark wraps still exists under its name:
 `perfbench/traced_cli.py` wraps functions by (module, attribute) name; a
 rename in the package would otherwise surface only as a crash of a traced
-benchmark run.  The lookup below is the one `Tracer.install` makes.
+benchmark run.  The lookup below is the one `Tracer.install` makes.  And
+every config the benchmark passes still loads, so that a tolerance key the
+package stops accepting fails here and not on every benchmark operation.
 """
 
 import importlib
@@ -11,7 +14,11 @@ from pathlib import Path
 
 import pytest
 
-TRACED_CLI = Path(__file__).resolve().parent.parent / "perfbench" / "traced_cli.py"
+from vortexlink.scenes import Config
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACED_CLI = PERFBENCH / "traced_cli.py"
+INPUTS = sorted((PERFBENCH / "inputs").glob("*.json"))
 
 
 def _traced():
@@ -37,3 +44,8 @@ def test_traced_name_resolves(mod_name, attr):
     else:
         raw = getattr(owner, attr)
     assert callable(raw)
+
+
+@pytest.mark.parametrize("path", INPUTS, ids=[p.name for p in INPUTS])
+def test_benchmark_config_loads(path):
+    Config.load(path)
