@@ -11,7 +11,9 @@ random numbers seed from `--seed`, else from the config's `seed`.
 A config (`--config`, JSON) may set `grid` (`N` and `L`, read by
 `comomentum`), `seed`, and under `tolerances` the four Massey tolerances
 `eps_massey`, `eps_period`, `cg_tol` and `cg_maxiter`; every other gate is a
-constant of `constants.py`, and any other tolerance key is rejected.
+constant of `constants.py`, and any other tolerance key is rejected.  A
+command takes only the inputs it reads: `export` has no `--config` and
+`comomentum` no `--scene`.
 
 Exit codes: 0 success, 2 for a missing or malformed input file, otherwise
 the `exit_code` of the raised error (see `errors.py`).  `massey` and
@@ -179,8 +181,10 @@ def build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, scene_required=True, out_help="report JSON path"):
-        sp.add_argument("--config", default=None, help="config JSON path")
+    # scene_required None: no --scene; config False: no --config
+    def common(sp, scene_required=True, config=True, out_help="report JSON path"):
+        if config:
+            sp.add_argument("--config", default=None, help="config JSON path")
         if scene_required is not None:
             sp.add_argument(
                 "--scene", default=None, required=scene_required,
@@ -194,7 +198,7 @@ def build_parser():
     sp.set_defaults(func=cmd_lk)
 
     sp = sub.add_parser("comomentum", help="co-momentum residual suite")
-    common(sp, scene_required=False)
+    common(sp, scene_required=None)
     sp.add_argument("--pairs", type=_count(1), default=20,
                     help="tower pairs to draw (at least 1)")
     sp.add_argument("--triples", type=_count(0), default=10,
@@ -216,7 +220,8 @@ def build_parser():
     sp.set_defaults(func=cmd_oracle)
 
     sp = sub.add_parser("export", help="export scene fields (VTK + VLF1)")
-    common(sp, out_help="output directory for export_report.json and the field files")
+    common(sp, config=False,
+           out_help="output directory for export_report.json and the field files")
     sp.set_defaults(func=cmd_export)
     return p
 

@@ -18,11 +18,13 @@ so iteration counts stay modest and runs are bitwise deterministic.
 The CG state lives in rfft3 coefficients.  There d, delta and the
 preconditioner are diagonal symbols, and only the products with m^2 and the
 core weight go through physical space: two inverse and two forward
-transforms of three components each per iteration.  Inner products are
-Parseval sums over the half spectrum (the kz = 0 and Nyquist planes weighted
-once, the others twice, over N^3), which make the coefficients an isometric
-image of the real fields; the iterates are therefore those of the same CG
-run in physical space, up to the order of rounding.
+transforms of three components each per iteration.  `irfft3` overwrites the
+spectrum it inverts, so the inverse of the search direction p, which the
+iteration keeps, works on a copy.  Inner products are Parseval sums over the
+half spectrum (the kz = 0 and Nyquist planes weighted once, the others
+twice, over N^3), which make the coefficients an isometric image of the real
+fields; the iterates are therefore those of the same CG run in physical
+space, up to the order of rounding.
 
 Where the forms live.  The hierarchy owns the v_I, the Omega_I and their
 certificates, and keeps in `MasseyHierarchy.d` the exterior derivative of
@@ -270,7 +272,7 @@ def solve_primitive(omega: GridField, dom: MaskedDomain,
         phys = irfft3(_k_cross(K, ph), grid.shape)
         phys *= m2
         out = _k_cross(K, rfft3(phys))
-        phys = irfft3(ph, grid.shape)
+        phys = irfft3(ph.copy(), grid.shape)
         phys *= shift_core
         out += rfft3(phys)
         # reg d delta p is reg K (K . p): delta = -div on 1-forms (CODIFF_SIGN)

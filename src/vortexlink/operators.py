@@ -9,7 +9,11 @@ derivatives of real fields real and the operators skew-adjoint.
 This module is the package's one spectral layer.  `rfft3`/`irfft3` act on
 the last three axes, so a whole (C, N, N, N) field goes through one call;
 they are the only FFT entry points, and they count their calls in
-`fft_calls` for the timings sidecar.  The symbols (K, K2, mode) are cached
+`fft_calls` for the timings sidecar.  They run numpy's 1-D transforms in the
+pass order of scipy.fft's rfftn/irfftn, which gives that library's bits
+without importing it (scipy.fft alone costs more to import than the whole
+package), and each pass is split over `_workers()` threads.  `irfft3`
+overwrites the spectrum it inverts.  The symbols (K, K2, mode) are cached
 per grid, and the curl symbol `_k_cross` and the Leray split `_leray` are
 written once here for every caller.
 
@@ -26,10 +30,10 @@ Sign conventions come from constants.py; the Laplacian is Riemannian
 from __future__ import annotations
 
 import os
+from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft as sfft
 
 from .constants import CODIFF_SIGN, EPS_DIV, EPS_HARM, EPS_MEAN
 from .errors import NonzeroHarmonicPart, NonzeroMean, NotDivergenceFree
@@ -52,8 +56,8 @@ def _spectral(n: int, box_length: float):
     zeroed) in integer-mode units.
     """
     h = box_length / n
-    kfull = 2 * np.pi * sfft.fftfreq(n, d=h)
-    krf = 2 * np.pi * sfft.rfftfreq(n, d=h)
+    kfull = 2 * np.pi * np.fft.fftfreq(n, d=h)
+    krf = 2 * np.pi * np.fft.rfftfreq(n, d=h)
     kd = kfull.copy()
     kd[n // 2] = 0.0
     krd = krf.copy()
@@ -77,18 +81,71 @@ def _symbols(grid: Grid3):
 fft_calls = 0
 
 
+@lru_cache(maxsize=None)
+def _pool(threads: int) -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(max_workers=threads, thread_name_prefix="vortexlink-fft")
+
+
+def _along(axis: int, s: slice) -> tuple:
+    """Index taking `s` along the negative axis `axis`."""
+    return (Ellipsis, s) + (slice(None),) * (-1 - axis)
+
+
+def _pass(transform, src, dst, axis: int, split: int, **kwargs) -> None:
+    """One 1-D numpy transform of every line of `src` along `axis`, written
+    into `dst` (which may be `src`).  The lines are cut into _workers()
+    blocks along the untransformed axis `split`, one block per thread (numpy
+    releases the GIL while it transforms); each line is transformed on its
+    own, so the cut leaves the bits alone."""
+    n = src.shape[split]
+    k = min(_workers(), n)
+    edges = [n * i // k for i in range(k + 1)]
+
+    def run(lo, hi):
+        block = _along(split, slice(lo, hi))
+        transform(src[block], axis=axis, out=dst[block], **kwargs)
+
+    futures = [_pool(k - 1).submit(run, lo, hi) for lo, hi in zip(edges[1:-1], edges[2:])]
+    try:
+        run(edges[0], edges[1])
+    finally:
+        # no block may still be written after the pass returns or raises
+        for f in futures:
+            f.result()
+
+
 def rfft3(a: np.ndarray) -> np.ndarray:
-    """Real FFT over the last three axes: one call for every component."""
+    """Real FFT over the last three axes: one call for every component.
+
+    The passes are those of scipy.fft.rfftn: r2c along the last axis, then
+    c2c along axis -3 and then along axis -2, in place."""
     global fft_calls
     fft_calls += 1
-    return sfft.rfftn(a, axes=(-3, -2, -1), workers=_workers())
+    out = np.empty(a.shape[:-1] + (a.shape[-1] // 2 + 1,), dtype=np.complex128)
+    _pass(np.fft.rfft, a, out, axis=-1, split=-3)
+    _pass(np.fft.fft, out, out, axis=-3, split=-2)
+    _pass(np.fft.fft, out, out, axis=-2, split=-3)
+    return out
 
 
 def irfft3(ah: np.ndarray, shape) -> np.ndarray:
-    """Inverse of rfft3 onto real arrays whose last three axes have `shape`."""
+    """Inverse of rfft3 onto real arrays whose last three axes have `shape`.
+
+    `ah` is the workspace of the c2c passes and is overwritten: a caller
+    that still needs the spectrum passes a copy.  The passes are those of
+    scipy.fft.irfftn: unscaled c2c along axis -3 and then along axis -2,
+    unscaled c2r along the last axis, and one multiply by 1/(n0 n1 n2)."""
     global fft_calls
     fft_calls += 1
-    return sfft.irfftn(ah, s=shape, axes=(-3, -2, -1), workers=_workers())
+    n0, n1, n2 = shape
+    if ah.shape[-3:] != (n0, n1, n2 // 2 + 1):
+        raise ValueError(f"spectrum of shape {ah.shape} is not the rfft3 of {tuple(shape)}")
+    _pass(np.fft.ifft, ah, ah, axis=-3, split=-2, norm="forward")
+    _pass(np.fft.ifft, ah, ah, axis=-2, split=-3, norm="forward")
+    out = np.empty(ah.shape[:-1] + (n2,))
+    _pass(np.fft.irfft, ah, out, axis=-1, split=-3, n=n2, norm="forward")
+    out *= 1.0 / (n0 * n1 * n2)
+    return out
 
 
 def _k_cross(K, vh):

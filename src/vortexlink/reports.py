@@ -41,7 +41,8 @@ def dump_report(path, report: dict) -> None:
 
 def _fft_calls() -> int:
     """The spectral layer's transform count so far; 0 while it is not
-    imported, so that timing a command never imports scipy."""
+    imported, so that timing a command that transforms nothing (`lk`,
+    `oracle`) never imports the spectral layer."""
     operators = sys.modules.get(f"{__package__}.operators")
     return 0 if operators is None else operators.fft_calls
 

@@ -23,6 +23,24 @@ def _require(doc, key, where="scene"):
     return doc[key]
 
 
+def _object(value, what) -> dict:
+    """A JSON object of a scene or config document, else SceneError."""
+    if not isinstance(value, dict):
+        raise SceneError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
+def _number(value, what, whole=False):
+    """A finite, non-bool number of a scene or config document (a whole one
+    when `whole`), else SceneError."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise SceneError(f"{what} must be a finite number, got {value!r}")
+    if whole and not float(value).is_integer():
+        raise SceneError(f"{what} must be a whole number, got {value!r}")
+    return value
+
+
 def component_from_doc(doc) -> PlanarCurve | PolygonalCurve:
     kind = _require(doc, "type", "component")
     n_samples = int(doc.get("samples", 256))
@@ -64,16 +82,21 @@ def component_to_doc(c) -> dict:
 
 
 def scene_from_doc(doc) -> tuple[Grid3, Link]:
+    doc = _object(doc, "scene")
     if doc.get("schema") != SCENE_SCHEMA:
         raise SceneError(f"expected schema {SCENE_SCHEMA!r}, got {doc.get('schema')!r}")
-    box = _require(doc, "box")
-    grid = Grid3(int(_require(box, "N", "box")), float(_require(box, "L", "box")))
-    tube_doc = _require(doc, "tube")
+    box = _object(_require(doc, "box"), "box")
+    grid = Grid3(int(_number(_require(box, "N", "box"), "box N", whole=True)),
+                 float(_number(_require(box, "L", "box"), "box L")))
+    tube_doc = _object(_require(doc, "tube"), "tube")
     tube = TubeParams(
-        float(_require(tube_doc, "radius", "tube")),
-        float(tube_doc.get("flux", 1.0)),
+        float(_number(_require(tube_doc, "radius", "tube"), "tube radius")),
+        float(_number(tube_doc.get("flux", 1.0), "tube flux")),
     )
-    comps = [component_from_doc(c) for c in _require(doc, "components")]
+    comps = _require(doc, "components")
+    if not isinstance(comps, list):
+        raise SceneError(f"components must be a JSON array, got {comps!r}")
+    comps = [component_from_doc(_object(c, "component")) for c in comps]
     if not comps:
         raise SceneError("scene has no components")
     return grid, Link(comps, tube)
@@ -106,24 +129,6 @@ def scene_to_doc(grid: Grid3, link: Link) -> dict:
 def dump_scene(path, grid: Grid3, link: Link) -> None:
     with open(path, "w") as fh:
         fh.write(report_text(scene_to_doc(grid, link)))
-
-
-def _object(value, what) -> dict:
-    """A JSON object of a config document, else SceneError."""
-    if not isinstance(value, dict):
-        raise SceneError(f"{what} must be a JSON object, got {value!r}")
-    return value
-
-
-def _number(value, what, whole=False):
-    """A finite, non-bool number of a config document (a whole one when
-    `whole`), else SceneError."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
-        raise SceneError(f"{what} must be a finite number, got {value!r}")
-    if whole and not float(value).is_integer():
-        raise SceneError(f"{what} must be a whole number, got {value!r}")
-    return value
 
 
 @dataclass

@@ -411,16 +411,69 @@ def test_obstructed_report_names_the_failed_solve(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["lk", "--scene", "fixtures/borromean.json"],
     ["oracle", "123", "--scene", "fixtures/borromean.json"],
-])
-def test_lk_and_oracle_never_import_scipy(argv, tmp_path):
-    # scipy.fft costs more to import than the whole of vortexlink.cli
+    ["comomentum", "--pairs", "1", "--triples", "1", "--config", COMOMENTUM_CONFIG],
+    ["massey", "--scene", "fixtures/split.json"],
+    ["export", "--scene", SPLIT_TRIPLE_N48],
+], ids=["lk", "oracle", "comomentum", "massey", "export"])
+def test_no_command_imports_scipy(argv, tmp_path):
+    # scipy.fft costs more to import than the whole package: the spectral
+    # layer is built on numpy.fft, and no other module needs scipy
+    out = tmp_path / ("out" if argv[0] == "export" else "r.json")
     code = ("import sys; from vortexlink import cli; "
-            f"assert cli.main({argv + ['--out', str(tmp_path / 'r.json')]!r}) == 0; "
+            f"assert cli.main({argv + ['--out', str(out)]!r}) == 0; "
             "print('scipy' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("argv", [
+    ["export", "--scene", "fixtures/split.json", "--config", "c.json"],
+    ["comomentum", "--scene", "fixtures/split.json"],
+], ids=["export-config", "comomentum-scene"])
+def test_unread_inputs_are_usage_errors(argv, capsys):
+    # a command takes only the inputs it reads, so an option that it would
+    # ignore is refused by the parser before any work
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+
+# a section of fixtures/split.json replaced by a value of the wrong JSON type
+MISTYPED_SCENES = {
+    "box-number": (("box",), 5, "box must be a JSON object"),
+    "tube-list": (("tube",), [0.1], "tube must be a JSON object"),
+    "components-number": (("components",), 5, "components must be a JSON array"),
+    "components-object": (("components",), {"type": "circle"},
+                          "components must be a JSON array"),
+    "component-number": (("components", 0), 5, "component must be a JSON object"),
+    "box-N-string": (("box", "N"), "96", "box N must be a finite number"),
+    "box-N-fraction": (("box", "N"), 96.5, "box N must be a whole number"),
+    "tube-radius-string": (("tube", "radius"), "0.1", "tube radius must be a finite number"),
+    "scene-list": ((), [], "scene must be a JSON object"),
+}
+
+
+@pytest.mark.parametrize("command", ["lk", "massey", "export"])
+@pytest.mark.parametrize("case", sorted(MISTYPED_SCENES))
+def test_mistyped_scene_section_exits_2(case, command, tmp_path, capsys):
+    path, value, message = MISTYPED_SCENES[case]
+    doc = json.loads((ROOT / "fixtures" / "split.json").read_text())
+    if path:
+        *parents, last = path
+        owner = doc
+        for key in parents:
+            owner = owner[key]
+        owner[last] = value
+    else:
+        doc = value
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(doc))
+    argv = [command, "--scene", str(scene), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"SceneError: {message}")
 
 
 EXIT_CODES = {

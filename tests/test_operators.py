@@ -1,6 +1,7 @@
 """Exterior-calculus operator identities on the periodic grid."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -257,9 +258,69 @@ def test_batched_fft_matches_per_component_bitwise(grid32, rng):
     comps = rng.standard_normal((3,) + grid32.shape)
     hats = rfft3(comps)
     assert hats.tobytes() == np.stack([rfft3(c) for c in comps]).tobytes()
-    back = irfft3(hats, grid32.shape)
-    assert back.tobytes() == np.stack([irfft3(h, grid32.shape) for h in hats]).tobytes()
+    # irfft3 overwrites its input, so each inverse gets its own copy
+    back = irfft3(hats.copy(), grid32.shape)
+    assert back.tobytes() == np.stack([irfft3(h.copy(), grid32.shape) for h in hats]).tobytes()
 
+
+
+# shapes (components, N0, N1, N2): a scalar, an odd N, a six-component stack
+# and an uneven box with odd and even sides
+FFT_SHAPES = [(32, 32, 32), (3, 45, 45, 45), (6, 32, 32, 32), (2, 16, 15, 17)]
+
+
+@pytest.mark.parametrize("shape", FFT_SHAPES, ids=["x".join(map(str, s)) for s in FFT_SHAPES])
+def test_fft_gives_the_bits_of_scipy(shape, rng):
+    # numpy's 1-D passes in the order of scipy's rfftn/irfftn give its bits
+    sfft = pytest.importorskip("scipy.fft")
+    a = rng.standard_normal(shape)
+    ah = rfft3(a)
+    assert ah.tobytes() == sfft.rfftn(a, axes=(-3, -2, -1)).tobytes()
+    want = sfft.irfftn(ah, s=shape[-3:], axes=(-3, -2, -1))
+    assert irfft3(ah, shape[-3:]).tobytes() == want.tobytes()
+
+
+def test_fft_thread_split_is_exact(rng, monkeypatch):
+    # one thread, the default and an uneven split over more threads than
+    # cores, switching often, give one set of bits
+    a = rng.standard_normal((3, 45, 45, 45))
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for threads in ("1", None, "7"):
+            if threads is None:
+                monkeypatch.delenv("VORTEXLINK_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("VORTEXLINK_THREADS", threads)
+            ah = rfft3(a)
+            runs.append(ah.tobytes() + irfft3(ah, a.shape[1:]).tobytes())
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_irfft3_rejects_a_spectrum_of_another_shape(grid32, rng):
+    ah = rfft3(rng.standard_normal(grid32.shape))
+    with pytest.raises(ValueError, match="not the rfft3 of"):
+        irfft3(ah, (32, 32, 30))
+
+
+def test_kept_spectra_and_fields_are_not_overwritten(grid32, rng):
+    # irfft3 overwrites its input, so the operators hand it only spectra of
+    # their own: a caller's spectrum and every input field keep their bits
+    from vortexlink.operators import divergence_residual, solenoidal_part
+
+    b = random_solenoidal(grid32, rng)
+    bh = rfft3(b.comps)
+    keep = bh.copy()
+    divergence_residual(b, bh)
+    assert bh.tobytes() == keep.tobytes()
+    for op, f in ((curl_inv, b), (solenoidal_part, b), (ext_d, b), (codiff, b),
+                  (laplace_inv, b), (ext_d, hodge_star(b))):
+        before = f.comps.copy()
+        op(f)
+        assert f.comps.tobytes() == before.tobytes()
 
 
 def test_k_cross_in_place_matches_expression_bitwise(grid32, rng):
