@@ -26,15 +26,23 @@ twice, over N^3), which make the coefficients an isometric image of the real
 fields; the iterates are therefore those of the same CG run in physical
 space, up to the order of rounding.
 
-Where the forms live.  The hierarchy owns the v_I, the Omega_I and their
-certificates, and keeps in `MasseyHierarchy.d` the exterior derivative of
-each form that more than one certificate reads.  The certificate stages own
-nothing that outlives them: `cartan_bianchi_report` builds, certifies and
-drops one connection at a time, each curvature and Bianchi entry is summed
-into one accumulator as its terms are made, and a shared derivative or a
-stored Omega_I is read and never written.  Between the stages the hierarchy
-keeps only d v_I, and `involution_report` drops each one right after its
-Lie derivative.
+Where the forms live.  A field is dropped after its last read, except what
+the hierarchy owns for its whole life: the mask and its core weight, the
+v_I, the Omega_I and their certificates.  The hierarchy keeps in
+`MasseyHierarchy.d` the exterior derivative of each form that more than one
+step reads: d Omega_12, d Omega_23 and d Omega_123 from their closedness
+certificates to the Bianchi checks (d Omega_13 has no later reader and is
+dropped at once), and d v_12, d v_23 from the solves' residual certificates
+to the Lie derivatives.  It keeps no tube form: `involution_report`, their
+only reader, deposits them when it needs them.  The CG keeps its right-hand
+side and each preconditioned residual only until their last read.  The
+certificate stages own nothing that outlives them: `cartan_bianchi_report`
+builds, certifies and drops one connection at a time, each curvature and
+Bianchi entry is summed into one accumulator as its terms are made (the
+Bianchi accumulator of a fresh curvature entry is its own derivative), and
+a shared derivative or a stored Omega_I is read and never written.  Between
+the stages the hierarchy keeps only d v_I, and `involution_report` drops
+each one right after its Lie derivative.
 """
 
 from __future__ import annotations
@@ -64,7 +72,13 @@ from .operators import (
     wedge,
 )
 from .reports import checked, checked_window
-from .tubes import LinkFields, LocalBox, disc_dual_1form, meridian_period
+from .tubes import (
+    LocalBox,
+    disc_dual_1form,
+    meridian_period,
+    tube_2form,
+    validate_scene,
+)
 
 
 # the mask radius over the tube radius: r_mask = MASK_FACTOR * r
@@ -223,13 +237,16 @@ def _precondition(rh, symbols):
 
 def solve_primitive(omega: GridField, dom: MaskedDomain,
                     config: MasseyConfig | None = None,
-                    gate_periods: bool = True):
+                    gate_periods: bool = True, d=ext_d):
     """Masked primitive of a 2-form: minimizes
     ||m(dv + omega)||^2 + reg ||delta v||^2 over 1-forms by preconditioned CG
     (zero initial guess, fixed iteration order: bitwise deterministic).
 
     The CG state (v, r, p, z) is held as rfft3 coefficients, as the module
-    docstring describes.
+    docstring describes; the right-hand side and z live only until their
+    last read.  `d` takes the exterior derivative of the solution for the
+    masked-residual certificate: MasseyHierarchy.solve passes its kept
+    derivative, so the curvature reads the same d v.
 
     Raises ObstructedClass when a meridian period of omega exceeds the gate
     (the cohomology class is nonzero, the Massey step is undefined), and
@@ -271,7 +288,8 @@ def solve_primitive(omega: GridField, dom: MaskedDomain,
     def apply_A(ph):
         phys = irfft3(_k_cross(K, ph), grid.shape)
         phys *= m2
-        out = _k_cross(K, rfft3(phys))
+        out = _k_cross(K, rfft3(phys), overwrite=True)
+        del phys  # dead before the core term's field is made
         phys = irfft3(ph.copy(), grid.shape)
         phys *= shift_core
         out += rfft3(phys)
@@ -283,10 +301,11 @@ def solve_primitive(omega: GridField, dom: MaskedDomain,
 
     t_loop = time.perf_counter()
     r = rfft3(rhs)
+    del rhs
     vh = np.zeros_like(r)
-    z = _precondition(r, symbols)
-    p = z.copy()
-    rz = _spectral_dot(r, z, weights)
+    # the first search direction is the preconditioned residual itself
+    p = _precondition(r, symbols)
+    rz = _spectral_dot(r, p, weights)
     history = []
     niter = 0
     for niter in range(1, cfg.cg_maxiter + 1):
@@ -303,6 +322,7 @@ def solve_primitive(omega: GridField, dom: MaskedDomain,
         rz_new = _spectral_dot(r, z, weights)
         p *= rz_new / rz
         p += z
+        del z  # not alive through the next apply_A
         rz = rz_new
     else:
         raise NoConvergence(
@@ -310,7 +330,7 @@ def solve_primitive(omega: GridField, dom: MaskedDomain,
         )
     vf = GridField(grid, 1, irfft3(vh, grid.shape))
     loop_s = time.perf_counter() - t_loop
-    dv = ext_d(vf)
+    dv = d(vf)
     num = dom.masked_rms(dv + omega)
     den = dom.masked_rms(omega)
     info = {
@@ -340,10 +360,10 @@ def _telemetry(t_start, niter, loop_s, history) -> dict:
 @dataclass
 class MasseyHierarchy:
     """Disc duals v_i, obstruction forms Omega_I, solved primitives v_I and
-    their certificates, over one masked link scene."""
+    their certificates, over one masked link scene.  The tube 2-forms are
+    not kept: see tube_form."""
 
     dom: MaskedDomain
-    fields: LinkFields
     config: MasseyConfig
     v: dict = field(default_factory=dict)
     omega: dict = field(default_factory=dict)
@@ -353,13 +373,22 @@ class MasseyHierarchy:
 
     @classmethod
     def from_scene(cls, link: Link, grid: Grid3, config: MasseyConfig | None = None):
+        """Gate the scene with validate_scene, Massey checks included, before
+        any field is built; then build the mask and the disc duals v_i.  No
+        tube form is deposited here: involution_report, their only reader,
+        deposits them with tube_form."""
         cfg = config or MasseyConfig()
-        # the tube forms come first: their build runs the scene gate
-        lf = LinkFields.build(link, grid, cfg)
-        h = cls(MaskedDomain.build(link, grid, cfg), lf, cfg)
+        validate_scene(link, grid, cfg)
+        h = cls(MaskedDomain.build(link, grid, cfg), cfg)
         for i, comp in enumerate(link.components):
             h.v[(i + 1,)] = disc_dual_1form(comp, link.tube, grid)
         return h
+
+    def tube_form(self, k: int) -> GridField:
+        """The tube 2-form omega_k of component k (from 1), deposited afresh
+        on every call: the caller owns it and may write into it."""
+        link = self.dom.link
+        return tube_2form(link.components[k - 1], link.tube, self.dom.grid)
 
     def d(self, form: GridField) -> GridField:
         """ext_d(form), computed once per form object and kept with the form
@@ -378,6 +407,13 @@ class MasseyHierarchy:
         """Drop the kept derivative of one form, if any."""
         self._derivatives.pop(id(form), None)
 
+    def holds(self, form: GridField) -> bool:
+        """Whether `form` is a stored Omega_I or a kept derivative, which
+        other certificates read."""
+        return any(form is f for f in self.omega.values()) or any(
+            form is df for _, df in self._derivatives.values()
+        )
+
     def _certify_closed(self, key, om):
         den = self.dom.masked_rms(om)
         r = self.dom.link.tube.radius
@@ -393,6 +429,10 @@ class MasseyHierarchy:
         om = wedge(vi, vj)
         self.omega[key] = om
         self._certify_closed(key, om)
+        if j != i + 1:
+            # only the Omega_{i,i+1} are curvature entries of the level-1
+            # connection, whose Bianchi check reads d Omega again
+            self.release_derivative(om)
         self.certificates[("periods", key)] = self.dom.periods(om)
         return om
 
@@ -400,7 +440,7 @@ class MasseyHierarchy:
         """Solve d v_ij = -Omega_ij on the masked complement."""
         om = self.obstruction_form(i, j)
         try:
-            v, info = solve_primitive(om, self.dom, self.config)
+            v, info = solve_primitive(om, self.dom, self.config, d=self.d)
         except ObstructedClass as exc:
             exc.pair = (i, j)
             raise
@@ -525,13 +565,20 @@ def bianchi_residual(c: NilpotentConnection, dom: MaskedDomain) -> float:
 
     Each entry's terms are added, in that order, into one 3-form accumulator
     as they are made, and the accumulator is dropped once its norm is read.
-    It starts from a copy of d w_ij, which stays in the hierarchy's
-    derivative cache."""
-    w, v = connection_curvature(c), c.entries
+    It starts from d w_ij.  The derivative of a form the hierarchy holds (a
+    d v_i, a stored Omega_I) is kept, since the other level or a certificate
+    reads it too, and is copied; an entry this connection made fresh has no
+    other reader, so its derivative is made here, accumulated into and never
+    kept."""
+    h, w, v = c.hierarchy, connection_curvature(c), c.entries
     num2 = 0.0
     r = dom.link.tube.radius
     for i, j in product(range(c.size), repeat=2):
-        acc = c.hierarchy.d(w[(i, j)]).copy() if (i, j) in w else None
+        wij = w.get((i, j))
+        if wij is None:
+            acc = None
+        else:
+            acc = h.d(wij).copy() if h.holds(wij) else ext_d(wij)
         for k in range(c.size):
             if (i, k) in v and (k, j) in w:
                 acc = _add_term(acc, wedge(v[(i, k)], w[(k, j)]))
@@ -561,12 +608,14 @@ def cartan_bianchi_report(h: MasseyHierarchy) -> dict:
 
     Level 1 is built, certified and dropped before level 2 is built.  Its
     curvature is the shared d v_i and the stored Omega_12 and Omega_23.  Of
-    the derivatives kept so far, only d v_I, d(d v_i) and the closedness
-    certificate's d Omega_123 carry over to level 2, which reads them again.
-    Level 2's curvature adds the fresh w = d v_ij + v_i ^ v_j, dropped with
-    its connection, and the stored Omega_123.  On return the hierarchy keeps
-    the derivatives d v_I alone, for the Lie derivatives of
-    involution_report.
+    the derivatives kept so far, only d v_I (d v_12 and d v_23 from the
+    solves), d(d v_i) and the closedness certificate's d Omega_123 carry
+    over to level 2, which reads them again.  Level 2's curvature adds the
+    fresh w = d v_ij + v_i ^ v_j, dropped with its connection, and the
+    stored Omega_123; the Bianchi check makes the derivative of each fresh w
+    and spends it as that entry's accumulator, so it is never kept.  On
+    return the hierarchy keeps the derivatives d v_I alone, for the Lie
+    derivatives of involution_report.
     """
     eps = h.config.eps_massey
     exact1, bianchi1 = _certify_connection(h, 1, (1, 2))
@@ -584,7 +633,11 @@ def cartan_bianchi_report(h: MasseyHierarchy) -> dict:
 
 # -- first integrals in involution ------------------------------------------------
 
-def involution_report(h: MasseyHierarchy, xi_L: GridField | None = None) -> dict:
+def _key_name(key) -> str:
+    return "".join(str(i) for i in key)
+
+
+def involution_report(h: MasseyHierarchy) -> dict:
     """Masked residuals of iota_{xi_L} v_I, L_{xi_L} v_I, and the Poisson
     brackets {v_I, v_J} = nu(xi_I, xi_J, .) with xi_I = *Omega_I.
 
@@ -592,21 +645,31 @@ def involution_report(h: MasseyHierarchy, xi_L: GridField | None = None) -> dict
     norms (with the tube radius as the length scale where a derivative is
     involved), so structurally vanishing overlaps report as zero.
 
-    The xi_I are views of the Omega_I and the Lie derivatives read the
-    hierarchy's shared d v_I, so nothing here may mutate them.  iota_{xi_L}
-    v_I is made once, for its residual and for its Lie derivative, and each
-    d v_I is dropped from the hierarchy right after that Lie derivative.
+    This is the only reader of the tube forms.  It deposits them twice, so
+    that the three are never alive beside the five d v_I: the Lie loop sums
+    them one deposit at a time into xi_L, the one field it keeps, and the
+    brackets deposit each again once xi_L and every d v_I are gone.
+    Nothing here mutates a form of the hierarchy.
     """
+    report = {"iota": {}, "lie": {}, "pb": {}, "pb_certificates": {}}
+    _lie_residuals(h, report)
+    _bracket_residuals(h, report)
+    return report
+
+
+def _lie_residuals(h: MasseyHierarchy, report: dict) -> None:
+    """The iota and Lie residuals of every v_I against xi_L.
+
+    xi_L = *(omega_1 + omega_2 + ...) is summed in place into the first
+    fresh tube form, which gives the bits of the pairwise sums.  iota_{xi_L}
+    v_I is made once, for its residual and for its Lie derivative, which
+    reads the hierarchy's shared d v_I; each d v_I is dropped right after."""
     dom = h.dom
-    if xi_L is None:
-        xi_L = h.fields.xi_total()
+    xi_L = hodge_star(h.tube_form(1))
+    for k in range(2, len(dom.link.components) + 1):
+        xi_L.comps += h.tube_form(k).comps
     r = dom.link.tube.radius
     sup_xi = xi_L.sup_norm()
-    report = {"iota": {}, "lie": {}, "pb": {}, "pb_certificates": {}}
-
-    def key_name(key):
-        return "".join(str(i) for i in key)
-
     for key, vI in h.v.items():
         sup_v = vI.sup_norm()
         den_i = sup_xi * sup_v
@@ -615,12 +678,19 @@ def involution_report(h: MasseyHierarchy, xi_L: GridField | None = None) -> dict
         iota = dom.masked_rms(iota_v)
         lie = dom.masked_rms(lie_derivative(xi_L, vI, h.d(vI), iota_v))
         h.release_derivative(vI)
-        report["iota"][key_name(key)] = iota / den_i if den_i > 0 else 0.0
-        report["lie"][key_name(key)] = lie / den_l if den_l > 0 else 0.0
+        report["iota"][_key_name(key)] = iota / den_i if den_i > 0 else 0.0
+        report["lie"][_key_name(key)] = lie / den_l if den_l > 0 else 0.0
     h.release_derivatives()
 
-    # vector fields of the stored classes: singles use the tube forms
-    xi_of = {(idx + 1,): hodge_star(om) for idx, om in enumerate(h.fields.omegas)}
+
+def _bracket_residuals(h: MasseyHierarchy, report: dict) -> None:
+    """The Poisson brackets of every two stored classes, with the
+    closedness and harmonic-part certificates of each bracket.  The singles
+    use freshly deposited tube forms, the others views of the Omega_I."""
+    dom = h.dom
+    r = dom.link.tube.radius
+    n = len(dom.link.components)
+    xi_of = {(k,): hodge_star(h.tube_form(k)) for k in range(1, n + 1)}
     xi_of.update((key, hodge_star(om)) for key, om in h.omega.items())
     sup = {key: x.sup_norm() for key, x in xi_of.items()}
 
@@ -628,7 +698,7 @@ def involution_report(h: MasseyHierarchy, xi_L: GridField | None = None) -> dict
     for ka, kb in combinations(keys, 2):
         den = sup[ka] * sup[kb]
         pb = pair_contraction(xi_of[ka], xi_of[kb])  # nu(xi_a, xi_b, .)
-        name = f"{key_name(ka)},{key_name(kb)}"
+        name = f"{_key_name(ka)},{_key_name(kb)}"
         report["pb"][name] = dom.masked_rms(pb) / den if den > 0 else 0.0
         sup_pb = pb.sup_norm()
         if sup_pb > 0:
@@ -638,7 +708,6 @@ def involution_report(h: MasseyHierarchy, xi_L: GridField | None = None) -> dict
         else:
             closed = harm = 0.0
         report["pb_certificates"][name] = {"closedness": closed, "harmonic_part": harm}
-    return report
 
 
 # -- the report -------------------------------------------------------------------

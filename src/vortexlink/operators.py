@@ -148,26 +148,45 @@ def irfft3(ah: np.ndarray, shape) -> np.ndarray:
     return out
 
 
-def _k_cross(K, vh):
+def _k_cross(K, vh, overwrite=False):
     """Curl symbol: i k x v for a spectral vector field vh of shape (3, ...).
-    Each component is 1j * (K_a v_b - K_b v_a), computed in place with one
-    scratch component."""
-    out = np.empty_like(vh)
-    tmp = np.empty_like(out[0])
-    for c, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
-        np.multiply(K[a], vh[b], out=out[c])
-        out[c] -= np.multiply(K[b], vh[a], out=tmp)
-        out[c] *= 1j
-    return out
+    Each component is 1j * (K_a v_b - K_b v_a), computed in place: in a new
+    array with one scratch component, or, with `overwrite`, inside vh itself
+    with two, so a caller that keeps vh must not pass it."""
+    if not overwrite:
+        out = np.empty_like(vh)
+        tmp = np.empty_like(out[0])
+        for c, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
+            np.multiply(K[a], vh[b], out=out[c])
+            out[c] -= np.multiply(K[b], vh[a], out=tmp)
+            out[c] *= 1j
+        return out
+    # components 0 and 1 are made in scratch; each input component is
+    # written over once no component still to be made reads it
+    s0 = np.multiply(K[1], vh[2])
+    s1 = np.multiply(K[2], vh[1])
+    s0 -= s1
+    np.multiply(K[2], vh[0], out=s1)
+    s1 -= np.multiply(K[0], vh[2], out=vh[2])
+    np.multiply(K[0], vh[1], out=vh[2])
+    vh[2] -= np.multiply(K[1], vh[0], out=vh[0])
+    vh[0], vh[1] = s0, s1
+    vh *= 1j
+    return vh
 
 
-def _k_dot(K, vh):
+def _k_dot(K, vh, overwrite=False):
     """Divergence symbol: i k . v for a spectral vector field vh of shape (3, ...),
-    accumulated in place: K_x v_x, + K_y v_y, + K_z v_z, then times 1j."""
-    out = np.multiply(K[0], vh[0])
-    tmp = np.empty_like(out)
+    accumulated in place: K_x v_x, + K_y v_y, + K_z v_z, then times 1j.
+
+    The sum is made in a new array with one scratch component, or, with
+    `overwrite`, inside vh itself: each product is written over its own
+    component and the result is vh[0], so a caller that keeps vh must not
+    pass it."""
+    out = np.multiply(K[0], vh[0], out=vh[0] if overwrite else None)
+    tmp = None if overwrite else np.empty_like(out)
     for k, c in zip(K[1:], vh[1:]):
-        out += np.multiply(k, c, out=tmp)
+        out += np.multiply(k, c, out=c if overwrite else tmp)
     out *= 1j
     return out
 
@@ -215,7 +234,8 @@ def _grad(grid, f):
 
 def _div(grid, v):
     K, _, _ = _symbols(grid)
-    return irfft3(_k_dot(K, rfft3(v)), grid.shape)
+    # the spectrum is this call's own, so the sum is made inside it
+    return irfft3(_k_dot(K, rfft3(v), overwrite=True), grid.shape)
 
 
 def _curl(grid, v):
@@ -346,7 +366,8 @@ def require_divergence_free(x: GridField, what="field", xh: np.ndarray | None = 
 def solenoidal_part(x: GridField) -> GridField:
     """Leray projection: remove the gradient part spectrally (zero mode kept)."""
     K, K2, _ = _symbols(x.grid)
-    transverse, _ = _leray(K, K2, rfft3(x.comps))
+    # bind the transverse part alone: the longitudinal one dies here
+    transverse = _leray(K, K2, rfft3(x.comps))[0]
     return GridField(x.grid, 1, irfft3(transverse, x.grid.shape))
 
 

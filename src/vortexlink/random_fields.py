@@ -55,8 +55,8 @@ def random_vector_field(grid: Grid3, rng, kmax=6.0, kmin=1.0) -> GridField:
 def random_solenoidal(grid: Grid3, rng, kmax=6.0, kmin=1.0) -> GridField:
     """Random divergence-free, zero-mean, band-limited vector field."""
     K, K2, _ = _symbols(grid)
-    transverse, _ = _leray(K, K2, _band_limited_hat(grid, 3, rng, kmax, kmin))
-    vh = _zero_k2(transverse, K2)
+    # bind the transverse part alone: the longitudinal one dies here
+    vh = _zero_k2(_leray(K, K2, _band_limited_hat(grid, 3, rng, kmax, kmin))[0], K2)
     return GridField(grid, 1, _sup_normalized(irfft3(vh, grid.shape)))
 
 

@@ -9,6 +9,7 @@ Numeric entries that were tested against a tolerance are stored as
 from __future__ import annotations
 
 import json
+import os
 import resource
 import sys
 import time
@@ -47,12 +48,21 @@ def _fft_calls() -> int:
     return 0 if operators is None else operators.fft_calls
 
 
+def _resident_mb() -> float:
+    """The process's current resident set in MiB (Linux /proc/self/statm)."""
+    with open("/proc/self/statm") as fh:
+        pages = int(fh.read().split()[1])
+    return pages * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+
 class StageTimer:
     """Collects per-stage wall times, written to a sidecar file.
 
     `solver` holds per-solve CG telemetry (keyed by the solved pair),
     `peak_rss_mb` the process's peak resident set at the end of each stage
-    (a high-water mark, so it never falls from one stage to the next) and
+    (a high-water mark, so it never falls from one stage to the next),
+    `rss_mb` its current resident set at the end of each stage (it falls
+    when a stage frees memory that the allocator hands back) and
     `fft_calls` the `rfft3`/`irfft3` calls made in each stage.  They are
     written beside the stages under their own keys, so "timings" lists stage
     seconds only; "solver" is written only when there were solves and
@@ -63,6 +73,7 @@ class StageTimer:
         self.stages = {}
         self.solver = {}
         self.peak_rss_mb = {}
+        self.rss_mb = {}
         self.fft_calls = {}
         self._t0 = None
         self._ffts0 = None
@@ -78,7 +89,9 @@ class StageTimer:
             self.stages[self._name] = round(
                 time.perf_counter() - self._t0, 4
             )
-            # ru_maxrss counts KiB (Linux)
+            # the current resident set first: the high-water mark read after
+            # it covers it.  ru_maxrss counts KiB (Linux)
+            self.rss_mb[self._name] = round(_resident_mb(), 1)
             rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
             self.peak_rss_mb[self._name] = round(rss / 1024, 1)
             self.fft_calls[self._name] = _fft_calls() - self._ffts0
@@ -87,7 +100,8 @@ class StageTimer:
     def write_sidecar(self, report_path):
         path = str(report_path) + ".timings.json"
         with open(path, "w") as fh:
-            doc = {"timings": self.stages, "peak_rss_mb": self.peak_rss_mb}
+            doc = {"timings": self.stages, "peak_rss_mb": self.peak_rss_mb,
+                   "rss_mb": self.rss_mb}
             if self.solver:
                 doc["solver"] = self.solver
             if any(self.fft_calls.values()):

@@ -186,8 +186,10 @@ def validate_scene(link: Link, grid: Grid3, config=None) -> None:
     """Reject scenes the grid pipeline cannot represent faithfully.
 
     This is the one scene gate: a command that builds fields calls it once,
-    through LinkFields.build, before any deposition.  The checks run in this
-    order and the first violation is raised (CLI exit code in brackets):
+    before any deposition: `export` through LinkFields.build, `massey`
+    through MasseyHierarchy.from_scene with its MasseyConfig.  The checks
+    run in this order and the first violation is raised (CLI exit code in
+    brackets):
 
     1. the tube is resolvable, r >= 3h: TubeTooThin [3];
     2. the tubes are disjoint, every two components more than 2r apart:
@@ -254,10 +256,12 @@ def helicity(v: GridField, w: GridField) -> float:
 
 @dataclass
 class LinkFields:
-    """Grid realizations of one link: per-component tube forms and, built on
+    """Grid realizations of one link for `export` and the helicity: the
+    per-component tube forms, kept for the object's life, and, built on
     first use, their Coulomb primitives.  The filament fields
-    xi_i = *omega_i are views of the tube forms, and the Massey
-    brackets read them: no array here may be mutated.
+    xi_i = *omega_i are views of the tube forms: no array here may be
+    mutated.  The Massey hierarchy holds none of this; it deposits its tube
+    forms where it reads them (MasseyHierarchy.tube_form).
     """
 
     grid: Grid3
@@ -265,10 +269,9 @@ class LinkFields:
     omegas: list
 
     @classmethod
-    def build(cls, link: Link, grid: Grid3, config=None) -> "LinkFields":
-        """Gate the scene with validate_scene (the Massey checks too when a
-        MasseyConfig is given), then deposit the tube forms."""
-        validate_scene(link, grid, config)
+    def build(cls, link: Link, grid: Grid3) -> "LinkFields":
+        """Gate the scene with validate_scene, then deposit the tube forms."""
+        validate_scene(link, grid)
         return cls(grid, link, [tube_2form(c, link.tube, grid) for c in link.components])
 
     @cached_property

@@ -126,16 +126,21 @@ def test_comomentum_without_triples_reports_null_eq27(tmp_path, monkeypatch):
 
 
 def test_sidecar_reports_peak_rss_per_stage(tmp_path, monkeypatch):
-    # the sidecar keeps stage seconds under "timings" and the process's peak
-    # resident set at the end of each stage under its own key
+    # the sidecar keeps stage seconds under "timings", and the process's peak
+    # resident set and its current resident set at the end of each stage
+    # under their own keys
     monkeypatch.chdir(ROOT)
     out = tmp_path / "report.json"
     assert cli.main(["lk", "--scene", "fixtures/hopf.json", "--seed", SEED, "--out", str(out)]) == 0
     sidecar = json.loads((tmp_path / "report.json.timings.json").read_text())
-    assert set(sidecar) == {"timings", "peak_rss_mb"}
-    assert set(sidecar["peak_rss_mb"]) == set(sidecar["timings"]) == {"linking_matrix", "writhe_framing"}
-    rss = sidecar["peak_rss_mb"]
-    assert 0 < rss["linking_matrix"] <= rss["writhe_framing"]
+    assert set(sidecar) == {"timings", "peak_rss_mb", "rss_mb"}
+    stages = {"linking_matrix", "writhe_framing"}
+    assert set(sidecar["peak_rss_mb"]) == set(sidecar["rss_mb"]) == set(sidecar["timings"]) == stages
+    peak, now = sidecar["peak_rss_mb"], sidecar["rss_mb"]
+    assert 0 < peak["linking_matrix"] <= peak["writhe_framing"]
+    # the resident set at a stage's end is below the high-water mark read
+    # after it, to within the kernel's batched page counts (well under 1 MiB)
+    assert all(0 < now[s] <= peak[s] + 1.0 for s in stages)
 
 
 def test_comomentum_sidecar_counts_transforms(tmp_path, monkeypatch):
@@ -177,6 +182,8 @@ INVALID_CASES = [(name, command) for name, (_, commands, *_) in INVALID_SCENES.i
 
 
 def _count_gate_calls(monkeypatch):
+    # export reaches the gate through LinkFields.build, massey through
+    # MasseyHierarchy.from_scene
     calls = []
 
     def counting(*args, **kwargs):
@@ -185,6 +192,7 @@ def _count_gate_calls(monkeypatch):
 
     gate = tubes.validate_scene
     monkeypatch.setattr(tubes, "validate_scene", counting)
+    monkeypatch.setattr(massey, "validate_scene", counting)
     return calls
 
 

@@ -7,17 +7,20 @@ below are the previous implementations, which differentiated every form
 afresh and copied every xi_I; the new code must give the same bits.  The
 hierarchy is built at N = 24 from random band-limited fields, so every
 bracket is non-zero and the `sup_pb > 0` branch runs (the shipped split
-scenes have Omega = 0 and never reach it).
+scenes have Omega = 0 and never reach it).  Its tube forms are random
+2-forms too, handed out as fresh copies the way `tube_form` deposits them.
 """
 
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
-from conftest import _fields, _traced
+from conftest import _fields, _LiveTimer, _traced
 
 from vortexlink import massey, operators
 from vortexlink.comomentum import pair_contraction
+from vortexlink.constants import DEFAULT_TOLERANCES
 from vortexlink.curves import split_triple
 from vortexlink.grid import Grid3, GridField
 from vortexlink.massey import (
@@ -29,26 +32,38 @@ from vortexlink.massey import (
     cartan_bianchi_report,
     connection_curvature,
     involution_report,
+    massey_report,
 )
-from vortexlink.operators import contract, ext_d, harmonic_proj, wedge
+from vortexlink.operators import _symbols, contract, ext_d, harmonic_proj, wedge
 from vortexlink.random_fields import random_form
-from vortexlink.tubes import LinkFields
+from vortexlink.scenes import load_scene
 
 PRIMITIVE_KEYS = ((1,), (2,), (3,), (1, 2), (2, 3))
+SPLIT_TRIPLE_N48 = "tests/golden/split_triple_n48_scene.json"
+
+
+def _random_hierarchy(seed, config=None):
+    """A three-component hierarchy at N = 24 with random disc duals v_i and
+    random tube forms, and the random generator for what comes next."""
+    grid = Grid3(24, 2 * np.pi)
+    rng = np.random.default_rng(seed)
+    # the scene gives the mask, the meridian tori and the tube radius only
+    link = split_triple(tube_radius=0.42)
+    h = MasseyHierarchy(MaskedDomain.build(link, grid), config or MasseyConfig())
+    tubes = [random_form(grid, 2, rng) for _ in range(3)]
+    h.tube_form = lambda k: tubes[k - 1].copy()
+    for key in PRIMITIVE_KEYS[:3]:
+        h.v[key] = random_form(grid, 1, rng)
+    return h, rng
 
 
 def _hierarchy(seed, consistent):
     """A three-component hierarchy on random fields.  With `consistent` the
     Omega_I are the hierarchy's own products of the random v_I (as in a
     run); otherwise they are random 2-forms as well."""
-    grid = Grid3(24, 2 * np.pi)
-    rng = np.random.default_rng(seed)
-    # the scene gives the mask, the meridian tori and the tube radius only
-    link = split_triple(tube_radius=0.42)
-    dom = MaskedDomain.build(link, grid)
-    fields = LinkFields(grid, link, [random_form(grid, 2, rng) for _ in range(3)])
-    h = MasseyHierarchy(dom, fields, MasseyConfig())
-    for key in PRIMITIVE_KEYS:
+    h, rng = _random_hierarchy(seed)
+    grid = h.dom.grid
+    for key in PRIMITIVE_KEYS[3:]:
         h.v[key] = random_form(grid, 1, rng)
     if consistent:
         for i, j in ((1, 2), (1, 3), (2, 3)):
@@ -108,7 +123,8 @@ def _xi_copy(om):
 
 def reference_involution(h):
     dom = h.dom
-    xis = [_xi_copy(om) for om in h.fields.omegas]
+    tubes = [h.tube_form(k) for k in (1, 2, 3)]
+    xis = [_xi_copy(om) for om in tubes]
     xi_L = xis[0].copy()
     for x in xis[1:]:
         xi_L = xi_L + x
@@ -132,7 +148,7 @@ def reference_involution(h):
             dom.masked_rms(lie) / den_l if den_l > 0 else 0.0
         )
     xi_of = {}
-    for idx, om_i in enumerate(h.fields.omegas):
+    for idx, om_i in enumerate(tubes):
         xi_of[(idx + 1,)] = _xi_copy(om_i)
     for key, om in h.omega.items():
         xi_of[key] = _xi_copy(om)
@@ -205,8 +221,10 @@ def _sha(a):
 
 
 def test_each_exterior_derivative_is_computed_once(monkeypatch):
-    """Across the closedness certificates, both curvatures, both Bianchi
-    residuals and the Lie derivatives, no form is differentiated twice."""
+    """Across the closedness certificates, the primitive solves, both
+    curvatures, both Bianchi residuals and the Lie derivatives, no form is
+    differentiated twice: the solves' d v_12 and d v_23 are the ones the
+    level-2 curvature and the Lie derivatives read."""
     seen = []
     real = operators.ext_d
 
@@ -216,14 +234,23 @@ def test_each_exterior_derivative_is_computed_once(monkeypatch):
 
     monkeypatch.setattr(operators, "ext_d", counting)
     monkeypatch.setattr(massey, "ext_d", counting)
-    h = _hierarchy(11, True)
+    # random Omega_ij are neither closed nor period-free: no gate may stop
+    # the solves, which need only a few CG iterations here
+    cfg = MasseyConfig(eps_period=np.inf, eps_massey=np.inf, cg_tol=0.1)
+    h, _ = _random_hierarchy(11, cfg)
+    for i, j in ((1, 2), (1, 3), (2, 3)):
+        h.obstruction_form(i, j)
+    h.solve(1, 2)
+    h.solve(2, 3)
+    h.massey_triple()
     cartan_bianchi_report(h)
     involution_report(h)
     assert len(seen) == len(set(seen))
-    # 4 d Omega_I; 5 d v_I and the Bianchi terms of 11 curvature entries, of
+    # 4 d Omega_I; the codifferentials of the 2 right-hand sides; 5 d v_I
+    # (2 in the solves) and the Bianchi terms of 11 curvature entries, of
     # which 3 are shared between the levels (d d v_i) and 3 are d Omega_I;
     # 5 d(iota_xi v_I) and 21 brackets
-    assert len(seen) == 4 + 5 + (11 - 3 - 3) + 5 + 21
+    assert len(seen) == 4 + 2 + 5 + (11 - 3 - 3) + 5 + 21
 
 
 def test_derivatives_are_released_after_the_lie_derivatives():
@@ -242,5 +269,51 @@ def test_cartan_bianchi_keeps_one_connection_alive():
     h = _hierarchy(7, False)
     _, base, peak = _traced(lambda: cartan_bianchi_report(h))
     # 14.9 fields above the hierarchy with both connections, every term list
-    # and the stacked products alive at once; 11.9 now
-    assert _fields(peak - base, h.dom.grid) < 12.5
+    # and the stacked products alive at once; 11.9 with one accumulator per
+    # entry; 10.5 now that a fresh entry's Bianchi derivative is the
+    # accumulator itself and ext_d of a 2-form sums inside its own spectrum
+    assert _fields(peak - base, h.dom.grid) < 11.0
+
+
+class _TubeTimer(_LiveTimer):
+    """A live timer that also counts, when each stage stops, the tube forms
+    made so far and those still alive."""
+
+    def __init__(self):
+        super().__init__()
+        self.made = []  # (stage, weak reference to the array)
+        self.tubes = {}
+
+    def stop(self):
+        alive = sum(ref() is not None for _, ref in self.made)
+        self.tubes[self._name] = (len(self.made), alive)
+        super().stop()
+
+
+def test_massey_report_holds_each_field_only_while_read(monkeypatch):
+    """On the split_triple scene at N = 48, no tube form exists before the
+    involution stage and none outlives it, and the traced peak of the whole
+    report stays bounded."""
+    grid, link = load_scene(SPLIT_TRIPLE_N48)
+    _symbols(grid)  # the cached symbols are not the report's fields
+    timer = _TubeTimer()
+    deposit = massey.tube_2form
+
+    def tracked(*args):
+        form = deposit(*args)
+        timer.made.append((timer._name, weakref.ref(form.comps)))
+        return form
+
+    monkeypatch.setattr(massey, "tube_2form", tracked)
+    (section, obstruction), base, peak = _traced(lambda: massey_report(
+        link, grid, dict(DEFAULT_TOLERANCES), np.random.default_rng(1), timer))
+    assert obstruction is None and "involution" in section
+    # two deposits per component, both in the involution stage
+    assert {stage for stage, _ in timer.made} == {"involution"}
+    assert timer.tubes == {
+        stage: ((6, 0) if stage == "involution" else (0, 0)) for stage in timer.stages
+    }
+    # 23.1 fields with the tube forms kept from the first stage to the last,
+    # the fresh level-2 Bianchi derivatives kept through the stage and the
+    # CG's right-hand side and z alive through every iteration; 19.4 now
+    assert _fields(peak - base, grid) < 20.0
