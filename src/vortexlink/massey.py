@@ -237,16 +237,16 @@ def _precondition(rh, symbols):
 
 def solve_primitive(omega: GridField, dom: MaskedDomain,
                     config: MasseyConfig | None = None,
-                    gate_periods: bool = True, d=ext_d):
+                    gate_periods: bool = True, d=None):
     """Masked primitive of a 2-form: minimizes
     ||m(dv + omega)||^2 + reg ||delta v||^2 over 1-forms by preconditioned CG
     (zero initial guess, fixed iteration order: bitwise deterministic).
 
     The CG state (v, r, p, z) is held as rfft3 coefficients, as the module
     docstring describes; the right-hand side and z live only until their
-    last read.  `d` takes the exterior derivative of the solution for the
-    masked-residual certificate: MasseyHierarchy.solve passes its kept
-    derivative, so the curvature reads the same d v.
+    last read.  `d`, ext_d when None, takes the exterior derivative of the
+    solution for the masked-residual certificate: MasseyHierarchy.solve
+    passes its kept derivative, so the curvature reads the same d v.
 
     Raises ObstructedClass when a meridian period of omega exceeds the gate
     (the cohomology class is nonzero, the Massey step is undefined), and
@@ -330,7 +330,7 @@ def solve_primitive(omega: GridField, dom: MaskedDomain,
         )
     vf = GridField(grid, 1, irfft3(vh, grid.shape))
     loop_s = time.perf_counter() - t_loop
-    dv = d(vf)
+    dv = ext_d(vf) if d is None else d(vf)
     num = dom.masked_rms(dv + omega)
     den = dom.masked_rms(omega)
     info = {
