@@ -13,6 +13,7 @@ scenes have Omega = 0 and never reach it).  Its tube forms are random
 
 import hashlib
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ from vortexlink.random_fields import random_form
 from vortexlink.scenes import load_scene
 
 PRIMITIVE_KEYS = ((1,), (2,), (3,), (1, 2), (2, 3))
-SPLIT_TRIPLE_N48 = "tests/golden/split_triple_n48_scene.json"
+SPLIT_TRIPLE_N48 = Path(__file__).parent / "golden" / "split_triple_n48_scene.json"
 
 
 def _random_hierarchy(seed, config=None):
@@ -316,7 +317,9 @@ def test_massey_report_holds_each_field_only_while_read(monkeypatch):
     assert timer.tubes == {
         stage: ((6, 0) if stage == "involution" else (0, 0)) for stage in timer.stages
     }
-    # 23.1 fields with the tube forms kept from the first stage to the last,
-    # the fresh level-2 Bianchi derivatives kept through the stage and the
-    # CG's right-hand side and z alive through every iteration; 19.4 now
+    # the certificate stages leave no field behind
+    assert _fields(timer.live["involution"] - timer.live["oracle"], grid) < 0.1
+    # 23.4 fields with the tube forms kept from the first stage to the last
+    # and the fresh level-2 Bianchi derivatives kept through the stage;
+    # 19.7 now, at the last level-2 Bianchi entry
     assert _fields(peak - base, grid) < 20.0
