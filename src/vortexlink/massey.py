@@ -288,7 +288,7 @@ def solve_primitive(omega: GridField, dom: MaskedDomain,
     def apply_A(ph):
         phys = irfft3(_k_cross(K, ph), grid.shape)
         phys *= m2
-        out = _k_cross(K, rfft3(phys), overwrite=True)
+        out = _k_cross(K, rfft3(phys))
         del phys  # dead before the core term's field is made
         phys = irfft3(ph.copy(), grid.shape)
         phys *= shift_core

@@ -148,31 +148,17 @@ def irfft3(ah: np.ndarray, shape) -> np.ndarray:
     return out
 
 
-def _k_cross(K, vh, overwrite=False):
+def _k_cross(K, vh):
     """Curl symbol: i k x v for a spectral vector field vh of shape (3, ...).
-    Each component is 1j * (K_a v_b - K_b v_a), computed in place: in a new
-    array with one scratch component, or, with `overwrite`, inside vh itself
-    with two, so a caller that keeps vh must not pass it."""
-    if not overwrite:
-        out = np.empty_like(vh)
-        tmp = np.empty_like(out[0])
-        for c, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
-            np.multiply(K[a], vh[b], out=out[c])
-            out[c] -= np.multiply(K[b], vh[a], out=tmp)
-            out[c] *= 1j
-        return out
-    # components 0 and 1 are made in scratch; each input component is
-    # written over once no component still to be made reads it
-    s0 = np.multiply(K[1], vh[2])
-    s1 = np.multiply(K[2], vh[1])
-    s0 -= s1
-    np.multiply(K[2], vh[0], out=s1)
-    s1 -= np.multiply(K[0], vh[2], out=vh[2])
-    np.multiply(K[0], vh[1], out=vh[2])
-    vh[2] -= np.multiply(K[1], vh[0], out=vh[0])
-    vh[0], vh[1] = s0, s1
-    vh *= 1j
-    return vh
+    Each component is 1j * (K_a v_b - K_b v_a), computed in place with one
+    scratch component."""
+    out = np.empty_like(vh)
+    tmp = np.empty_like(out[0])
+    for c, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
+        np.multiply(K[a], vh[b], out=out[c])
+        out[c] -= np.multiply(K[b], vh[a], out=tmp)
+        out[c] *= 1j
+    return out
 
 
 def _k_dot(K, vh, overwrite=False):
