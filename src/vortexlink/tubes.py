@@ -293,9 +293,6 @@ class LinkFields:
     def primitive_total(self) -> GridField:
         return reduce(add, self.primitives)
 
-    def xi_total(self) -> GridField:
-        return hodge_star(self.omega_total())
-
     def helicity_matrix(self) -> np.ndarray:
         n = len(self.omegas)
         H = np.zeros((n, n))
