@@ -40,9 +40,10 @@ certificate stages own nothing that outlives them: `cartan_bianchi_report`
 builds, certifies and drops one connection at a time, each curvature and
 Bianchi entry is summed into one accumulator as its terms are made (the
 Bianchi accumulator of a fresh curvature entry is its own derivative), and
-a shared derivative or a stored Omega_I is read and never written.  Between
-the stages the hierarchy keeps only d v_I, and `involution_report` drops
-each one right after its Lie derivative.
+a shared derivative or a stored Omega_I is read and never written.  From
+`cartan_bianchi_report` to `involution_report` the hierarchy keeps only
+d v_I, and `involution_report` drops each one right after its Lie
+derivative.
 """
 
 from __future__ import annotations
