@@ -9,7 +9,7 @@ import numpy as np
 
 from vortexlink.curves import borromean_rings, hopf_link, split_link
 from vortexlink.grid import Grid3, GridField
-from vortexlink.linking import crossing_linking, gauss_linking, writhe_framing
+from vortexlink.linking import crossing_counts, gauss_linking, gauss_writhe
 from vortexlink.operators import ext_d
 from vortexlink.tubes import LinkFields, helicity, link_helicity
 
@@ -18,9 +18,10 @@ grid = Grid3(96, 2 * np.pi)
 hopf = hopf_link()
 c1, c2 = hopf.components
 print("Hopf gauss linking:   ", gauss_linking(c1, c2))
-print("Hopf crossing linking:", crossing_linking(c1, c2, (0.13, 0.21, 0.95)))
-w, fr = writhe_framing(c1, (0.1, -0.07, 0.99))
-print("component writhe/framing:", w, fr)
+# one projection gives the crossing linking matrix and the blackboard framings
+matrix, framing = crossing_counts(hopf.components, (0.13, 0.21, 0.95))
+print("Hopf crossing linking:", matrix[0][1])
+print("component writhe/framing:", gauss_writhe(c1), framing[0])
 
 split = split_link()
 print("split gauss linking:  ", gauss_linking(*split.components))

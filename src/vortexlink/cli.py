@@ -3,10 +3,13 @@
 Commands: lk, comomentum, massey, oracle, export.  Each report section is
 built by the library (`linking.linking_report`, `comomentum.comomentum_report`,
 `massey.massey_report`, `diagrams.oracle_report`); this module parses the
-arguments, loads the config and scene, and writes the files.  Reports are
+arguments, loads the config and the scene or diagram (each JSON document
+through `scenes.read_json`), and writes the files.  Reports are
 deterministic JSON (byte-identical under identical inputs/config/seed);
 per-stage timings go to a `<out>.timings.json` sidecar.  Commands that draw
-random numbers seed from `--seed`, else from the config's `seed`.
+random numbers seed from `--seed`, else from the config's `seed`; `lk`,
+`oracle --scene` and `massey` each project their scene once, along the
+first generic direction drawn from it.
 
 A config (`--config`, JSON) may set `grid` (`N` and `L`, read by
 `comomentum`), `seed`, and under `tolerances` the four Massey tolerances
@@ -15,23 +18,23 @@ constant of `constants.py`, and any other tolerance key is rejected.  A
 command takes only the inputs it reads: `export` has no `--config` and
 `comomentum` no `--scene`.
 
-Exit codes: 0 success, 2 for a missing or malformed input file, otherwise
-the `exit_code` of the raised error (see `errors.py`).  `massey` and
-`export` gate their scene once with `tubes.validate_scene`, whose docstring
-gives the order of the checks.
+Exit codes: 0 success, 2 for a usage error (the parser checks the counts
+and the oracle's multi-index before any file is read) or a missing or
+malformed input file, otherwise the `exit_code` of the raised error (see
+`errors.py`).  `massey` and `export` gate their scene once with
+`tubes.validate_scene`, whose docstring gives the order of the checks.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
 
 from . import errors as E
 from .reports import StageTimer, dump_report, report_text
-from .scenes import Config, load_scene, scene_to_doc
+from .scenes import Config, load_scene, read_json, scene_to_doc
 
 EXIT_VALIDATION = E.SceneError.exit_code
 EXIT_NUMERICAL = E.NotDivergenceFree.exit_code
@@ -70,18 +73,14 @@ def cmd_lk(args) -> tuple[int, dict]:
 
 
 def cmd_comomentum(args) -> tuple[int, dict]:
-    from .comomentum import comomentum_report, f1
+    from .comomentum import comomentum_report
     from .grid import Grid3
-    from .random_fields import random_vector_field
 
     timer = StageTimer()
     cfg = Config.load(args.config)
     seed = _seed(args, cfg)
     rng = np.random.default_rng(seed)
     grid = Grid3(cfg.grid_n, cfg.grid_l)
-    if args.non_solenoidal:
-        # deliberate validation-path failure
-        f1(random_vector_field(grid, rng))
     section = comomentum_report(grid, rng, args.pairs, args.triples, timer)
     report = _envelope("comomentum", comomentum=section,
                        config={"N": cfg.grid_n, "L": cfg.grid_l, "seed": seed})
@@ -105,14 +104,13 @@ def cmd_massey(args) -> tuple[int, dict]:
 
 
 def cmd_oracle(args) -> tuple[int, dict]:
-    from .diagrams import LinkDiagram, oracle_report, scene_diagram
+    from .diagrams import diagram_from_doc, diagram_to_doc, oracle_report, scene_diagram
 
     timer = StageTimer()
     if args.diagram:
-        with open(args.diagram) as fh:
-            diagram = LinkDiagram.from_json(fh.read())
+        diagram = diagram_from_doc(read_json(args.diagram))
         # the document itself, so the report does not depend on the path
-        scene = json.loads(diagram.to_json())
+        scene = diagram_to_doc(diagram)
     elif args.scene:
         rng = np.random.default_rng(_seed(args, Config.load(args.config)))
         grid, link = load_scene(args.scene)
@@ -174,6 +172,16 @@ def _count(least):
     return parse
 
 
+def _multi_index(text):
+    """argparse type: a multi-index of two or more component digits, such as
+    12 or 123, else a usage error."""
+    if not (text.isascii() and text.isdigit() and len(text) >= 2):
+        raise argparse.ArgumentTypeError(
+            f"must be two or more component digits, such as 12 or 123, got {text!r}"
+        )
+    return text
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="vortexlink",
@@ -203,10 +211,6 @@ def build_parser():
                     help="tower pairs to draw (at least 1)")
     sp.add_argument("--triples", type=_count(0), default=10,
                     help="tower triples to draw (0 skips eq. 27)")
-    sp.add_argument(
-        "--non-solenoidal", action="store_true",
-        help="feed a non-solenoidal field (validation-path check)",
-    )
     sp.set_defaults(func=cmd_comomentum)
 
     sp = sub.add_parser("massey", help="Massey hierarchy and triple linking")
@@ -216,7 +220,7 @@ def build_parser():
     sp = sub.add_parser("oracle", help="Milnor mu-bar from a diagram or scene")
     common(sp, scene_required=False)
     sp.add_argument("--diagram", default=None, help="diagram JSON (vdiag-1)")
-    sp.add_argument("index", help="multi-index, e.g. 12 or 123")
+    sp.add_argument("index", type=_multi_index, help="multi-index, e.g. 12 or 123")
     sp.set_defaults(func=cmd_oracle)
 
     sp = sub.add_parser("export", help="export scene fields (VTK + VLF1)")

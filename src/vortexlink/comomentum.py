@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import EPS_HAM, EPS_OBSTRUCTION, QUAD_REFINE, TOWER_BRACKET_SIGN
-from .errors import ObstructedPotential, OpenCurve
+from .errors import ObstructedPotential
 from .grid import Grid3, GridField, cross, dot
 from .operators import (
     codiff,
@@ -256,8 +256,6 @@ def rasetti_regge(b: GridField, gamma) -> float:
     """
     from .interpolate import sample_form1_along  # local: avoids cycle
 
-    if not gamma.closed:
-        raise OpenCurve("rasetti_regge needs a closed curve")
     h = f1(b)
     prev = None
     for level in range(8):

@@ -24,15 +24,11 @@ class PolygonalCurve:
         v = np.asarray(self.vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 3 or v.shape[0] < 8:
             raise ValueError("need at least 8 vertices of dimension 3")
-        seg = np.roll(v, -1, axis=0) - v
-        lens = np.linalg.norm(seg, axis=1)
-        if np.any(lens == 0):
-            raise ValueError("consecutive vertices coincide")
+        if not np.all(np.isfinite(v)):
+            raise SceneError("polygon has a vertex that is not finite")
         object.__setattr__(self, "vertices", v)
-
-    @property
-    def closed(self) -> bool:
-        return True
+        if np.any(np.linalg.norm(self.segments(), axis=1) == 0):
+            raise ValueError("consecutive vertices coincide")
 
     @property
     def n_vertices(self) -> int:
@@ -40,6 +36,16 @@ class PolygonalCurve:
 
     def segments(self) -> np.ndarray:
         return np.roll(self.vertices, -1, axis=0) - self.vertices
+
+    def midpoint_samples(self, subdiv: int = 1):
+        """The composite midpoint rule with `subdiv` equal pieces per
+        segment: the piece midpoints and the piece vectors, (M * subdiv, 3)
+        each, in traversal order."""
+        v = self.vertices
+        seg = self.segments()
+        ts = (np.arange(subdiv) + 0.5) / subdiv
+        mids = (v[:, None, :] + seg[:, None, :] * ts[None, :, None]).reshape(-1, 3)
+        return mids, np.repeat(seg / subdiv, subdiv, axis=0)
 
     def length(self) -> float:
         return float(np.sum(np.linalg.norm(self.segments(), axis=1)))
@@ -57,12 +63,9 @@ class PolygonalCurve:
     def refined(self, max_seg_length: float) -> "PolygonalCurve":
         """Subdivide segments so none exceeds the given length."""
         out = []
-        v = self.vertices
-        nxt = np.roll(v, -1, axis=0)
-        for a, b in zip(v, nxt):
-            m = max(1, int(np.ceil(np.linalg.norm(b - a) / max_seg_length)))
-            for j in range(m):
-                out.append(a + (b - a) * j / m)
+        for a, seg in zip(self.vertices, self.segments()):
+            m = max(1, int(np.ceil(np.linalg.norm(seg) / max_seg_length)))
+            out.extend(a + seg * j / m for j in range(m))
         return PolygonalCurve(np.array(out))
 
 
@@ -98,10 +101,6 @@ class PlanarCurve:
     def normal(self) -> np.ndarray:
         n = np.cross(self.axis_u, self.axis_v)
         return n / np.linalg.norm(n)
-
-    @property
-    def closed(self) -> bool:
-        return True
 
     def point(self, t):
         t = np.asarray(t, dtype=float)

@@ -10,11 +10,11 @@ coefficient.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .errors import InconsistentDiagram, IndeterminateInvariant, SceneError
 from .magnus import word_series
+from .scenes import _array, _number, _object, _require
 
 DIAGRAM_SCHEMA = "vdiag-1"
 
@@ -97,35 +97,43 @@ class LinkDiagram:
             if x.under_in in seq and x.over in seq
         )
 
-    # -- JSON ----------------------------------------------------------------
 
-    def to_json(self) -> str:
-        doc = {
-            "schema": DIAGRAM_SCHEMA,
-            "components": self.n_components,
-            "arcs": self.arcs,
-            "crossings": [
-                {"over": x.over, "under_in": x.under_in,
-                 "under_out": x.under_out, "sign": x.sign}
-                for x in self.crossings
-            ],
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
+# -- documents ---------------------------------------------------------------------
 
-    @classmethod
-    def from_json(cls, text: str) -> "LinkDiagram":
-        doc = json.loads(text)
-        if doc.get("schema") != DIAGRAM_SCHEMA:
-            raise SceneError(f"expected schema {DIAGRAM_SCHEMA!r}")
-        try:
-            crossings = [
-                DiagramCrossing(x["over"], x["under_in"], x["under_out"],
-                                x["sign"])
-                for x in doc["crossings"]
-            ]
-            return cls(doc["components"], doc["arcs"], crossings)
-        except KeyError as k:
-            raise SceneError(f"diagram document missing key {k}") from None
+def diagram_to_doc(d: LinkDiagram) -> dict:
+    """The diagram document (schema "vdiag-1") of a diagram."""
+    return {
+        "schema": DIAGRAM_SCHEMA,
+        "components": d.n_components,
+        "arcs": d.arcs,
+        "crossings": [asdict(x) for x in d.crossings],
+    }
+
+
+def diagram_from_doc(doc) -> LinkDiagram:
+    """The diagram of a document as `scenes.read_json` returns it.  A
+    document of the wrong shape raises SceneError, a diagram whose parts do
+    not fit together InconsistentDiagram."""
+    doc = _object(doc, "diagram")
+    if doc.get("schema") != DIAGRAM_SCHEMA:
+        raise SceneError(f"expected schema {DIAGRAM_SCHEMA!r}, got {doc.get('schema')!r}")
+
+    def whole(value, what):
+        return int(_number(value, what, whole=True))
+
+    arcs = [
+        [whole(a, "arc id") for a in _array(seq, "arc list")]
+        for seq in _array(_require(doc, "arcs", "diagram"), "arcs")
+    ]
+    crossings = []
+    for x in _array(_require(doc, "crossings", "diagram"), "crossings"):
+        x = _object(x, "crossing")
+        crossings.append(DiagramCrossing(**{
+            f.name: whole(_require(x, f.name, "crossing"), f"crossing {f.name}")
+            for f in fields(DiagramCrossing)
+        }))
+    n = whole(_require(doc, "components", "diagram"), "diagram components")
+    return LinkDiagram(n, arcs, crossings)
 
 
 def diagram_from_curves(curves, direction) -> LinkDiagram:

@@ -3,8 +3,8 @@
 Each error the command line reports carries its exit code as the class
 constant `exit_code`: 2 input validation, 3 numerical precondition, 4
 topological obstruction, 5 invariant indeterminacy.  Errors without one
-(`MixedGridError`, `OpenCurve`, `MissingPrimitive`) are programming errors
-that no input should provoke, and propagate with a traceback.
+(`MixedGridError`, `MissingPrimitive`) are programming errors that no input
+should provoke, and propagate with a traceback.
 """
 
 
@@ -35,10 +35,6 @@ class NonzeroMean(VortexLinkError):
 class ObstructedPotential(VortexLinkError):
     """mu2 has a harmonic part on the torus; no scalar potential exists."""
     exit_code = 3
-
-
-class OpenCurve(VortexLinkError):
-    """A closed curve was required."""
 
 
 class CurvesIntersect(VortexLinkError):

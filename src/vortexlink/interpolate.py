@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .curves import as_polygon
 from .grid import Grid3, GridField
 
 # fourier_eval keeps the modes above _ACTIVE_TOL times the peak amplitude and
@@ -84,19 +85,14 @@ def sample_form1_along(form: GridField, curve, subdiv: int = 1) -> float:
     """Line integral of a 1-form along a closed polygonal curve.
 
     Each segment is split into `subdiv` equal pieces integrated by the
-    midpoint rule.  Fields with a small active spectrum are evaluated exactly
-    by fourier_eval (the quadrature is then the only error, spectrally small
-    on smooth closed curves); dense spectra fall back to trilinear
-    interpolation.
+    midpoint rule (`PolygonalCurve.midpoint_samples`).  Fields with a small
+    active spectrum are evaluated exactly by fourier_eval (the quadrature is
+    then the only error, spectrally small on smooth closed curves); dense
+    spectra fall back to trilinear interpolation.
     """
     if form.degree != 1:
         raise ValueError("line integral needs a 1-form")
-    verts = curve.vertices
-    nxt = np.roll(verts, -1, axis=0)
-    seg = nxt - verts
-    ts = (np.arange(subdiv) + 0.5) / subdiv
-    mids = (verts[:, None, :] + seg[:, None, :] * ts[None, :, None]).reshape(-1, 3)
-    pieces = np.repeat(seg / subdiv, subdiv, axis=0)
+    mids, pieces = as_polygon(curve).midpoint_samples(subdiv)
     vals = fourier_eval(form.grid, form.comps, mids)
     if vals is None:
         vals = trilinear(form.grid, form.comps, mids)

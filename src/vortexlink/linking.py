@@ -2,7 +2,11 @@
 
 The two estimators are independent (quadrature of the Gauss kernel vs
 combinatorics of a generic planar projection) and cross-validate each other
-throughout the test suite.
+throughout the test suite.  A scene is projected once: `crossing_counts`
+reads the linking matrix and every component's blackboard framing off one
+`find_crossings` call over all components, and `linking_report` retries
+that one projection through `with_generic_direction`, as
+`diagrams.scene_diagram` does for the oracle.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CROSS_ANGLE, CROSS_SEP, QUAD_REFINE
-from .curves import PolygonalCurve, as_polygon, orthonormal_frame
+from .curves import as_polygon, orthonormal_frame, pairwise_d2
 from .errors import CurvesIntersect, DegenerateProjection
 from .reports import checked
 
@@ -26,15 +30,6 @@ _GAUSS_CHUNK = 256
 
 # -- Gauss double integral -----------------------------------------------------
 
-def _midpoints_tangents(poly: PolygonalCurve, subdiv: int):
-    v = poly.vertices
-    seg = np.roll(v, -1, axis=0) - v
-    ts = (np.arange(subdiv) + 0.5) / subdiv
-    mids = (v[:, None, :] + seg[:, None, :] * ts[None, :, None]).reshape(-1, 3)
-    tans = np.repeat(seg / subdiv, subdiv, axis=0)
-    return mids, tans
-
-
 def _gauss_sum(m1, t1, m2, t2):
     """(1/4pi) sum of det[t1, t2, r] / |r|^3 over all sample pairs."""
     total = 0.0
@@ -44,6 +39,19 @@ def _gauss_sum(m1, t1, m2, t2):
         cr = np.cross(t1[lo:lo + _GAUSS_CHUNK, None, :], t2[None, :, :])
         total += float(np.sum(np.sum(cr * r, axis=2) / d3))
     return total / (4 * np.pi)
+
+
+def _refined(quadrature, levels):
+    """quadrature(subdiv) at subdiv = 1, 2, 4, ... until two successive
+    levels agree to QUAD_REFINE * max(1, |value|); the last of `levels`
+    levels otherwise."""
+    prev = None
+    for level in range(levels):
+        val = quadrature(2**level)
+        if prev is not None and abs(val - prev) <= QUAD_REFINE * max(1.0, abs(val)):
+            return val
+        prev = val
+    return prev
 
 
 def gauss_linking(c1, c2) -> float:
@@ -60,23 +68,12 @@ def gauss_linking(c1, c2) -> float:
     if (p2.n_vertices, p2.vertices.tobytes()) < (p1.n_vertices, p1.vertices.tobytes()):
         p1, p2 = p2, p1
     min_sep = 1e-6 * max(p1.diameter(), p2.diameter())
-    d2 = np.sum(
-        (p1.vertices[:, None, :] - p2.vertices[None, :, :]) ** 2, axis=2
+    dist = float(np.sqrt(pairwise_d2(p1.vertices, p2.vertices).min()))
+    if dist <= min_sep:
+        raise CurvesIntersect(f"curves at distance {dist:.3e} <= {min_sep:.3e}")
+    return _refined(
+        lambda sub: _gauss_sum(*p1.midpoint_samples(sub), *p2.midpoint_samples(sub)), 6
     )
-    if float(np.sqrt(d2.min())) <= min_sep:
-        raise CurvesIntersect(
-            f"curves at distance {np.sqrt(d2.min()):.3e} <= {min_sep:.3e}"
-        )
-    prev = None
-    for level in range(6):
-        sub = 2**level
-        m1, t1 = _midpoints_tangents(p1, sub)
-        m2, t2 = _midpoints_tangents(p2, sub)
-        val = _gauss_sum(m1, t1, m2, t2)
-        if prev is not None and abs(val - prev) <= QUAD_REFINE * max(1.0, abs(val)):
-            return val
-        prev = val
-    return prev
 
 
 def gauss_writhe(c) -> float:
@@ -85,10 +82,9 @@ def gauss_writhe(c) -> float:
     levels).  Vanishes identically for planar curves."""
     poly = as_polygon(c)
     n = poly.n_vertices
-    prev = None
-    for level in range(5):
-        sub = 2**level
-        m, t = _midpoints_tangents(poly, sub)
+
+    def writhe_sum(sub):
+        m, t = poly.midpoint_samples(sub)
         parent = np.repeat(np.arange(n), sub)
         total = 0.0
         for lo in range(0, len(m), _GAUSS_CHUNK):
@@ -101,11 +97,9 @@ def gauss_writhe(c) -> float:
             cr = np.cross(t[lo:hi, None, :], t[None, :, :])
             val = np.sum(cr * r, axis=2) / d3
             total += float(np.sum(np.where(keep, val, 0.0)))
-        val = total / (4 * np.pi)
-        if prev is not None and abs(val - prev) <= QUAD_REFINE * max(1.0, abs(val)):
-            return val
-        prev = val
-    return prev
+        return total / (4 * np.pi)
+
+    return _refined(writhe_sum, 5)
 
 
 # -- generic projections and signed crossings ----------------------------------
@@ -190,20 +184,17 @@ def find_crossings(curves, direction):
             with np.errstate(divide="ignore", invalid="ignore"):
                 s = _cross2(rhs, db) / denom
                 t = _cross2(rhs, da) / denom
-            hit = (
-                np.isfinite(s) & np.isfinite(t)
-                & (s >= 0) & (s < 1) & (t >= 0) & (t < 1)
-            )
+            # parallel segments give s, t = inf or nan, which every window
+            # below excludes
+            hit = (s >= 0) & (s < 1) & (t >= 0) & (t < 1)
             # knife-edge crossings at segment endpoints are silently missed
             # or double-counted by the open/half-open window: refuse them
             eps_end = 1e-9
             near_end = (
-                np.isfinite(s) & np.isfinite(t)
-                & (np.minimum(np.abs(s), np.abs(s - 1)) < eps_end)
+                (np.minimum(np.abs(s), np.abs(s - 1)) < eps_end)
                 & (t > -eps_end) & (t < 1 + eps_end)
             ) | (
-                np.isfinite(s) & np.isfinite(t)
-                & (np.minimum(np.abs(t), np.abs(t - 1)) < eps_end)
+                (np.minimum(np.abs(t), np.abs(t - 1)) < eps_end)
                 & (s > -eps_end) & (s < 1 + eps_end)
             )
             if np.any(near_end):
@@ -233,14 +224,10 @@ def find_crossings(curves, direction):
                 if abs(zi - zj) < sep:
                     raise DegenerateProjection("ambiguous over/under depth")
                 # sign: orientation of (over tangent, under tangent)
-                if zi > zj:
-                    over = (ci, i, ss)
-                    under = (cj, j, tt)
-                    sgn = int(np.sign(_cross2(da[idx], db[idx])))
-                else:
-                    over = (cj, j, tt)
-                    under = (ci, i, ss)
-                    sgn = int(np.sign(_cross2(db[idx], da[idx])))
+                over, under = (ci, i, ss), (cj, j, tt)
+                sgn = int(np.sign(_cross2(da[idx], db[idx])))
+                if zi < zj:
+                    over, under, sgn = under, over, -sgn
                 crossings.append(
                     Crossing(*over, *under, sgn, (float(pt[0]), float(pt[1])))
                 )
@@ -253,23 +240,28 @@ def find_crossings(curves, direction):
     return crossings
 
 
-def crossing_linking(c1, c2, direction) -> int:
-    """Half the signed count of inter-component crossings; exact integer."""
-    crossings = find_crossings([c1, c2], direction)
-    total = sum(c.sign for c in crossings if c.comp_over != c.comp_under)
-    if total % 2 != 0:
-        raise DegenerateProjection("odd inter-component crossing sum")
-    return total // 2
+def crossing_counts(curves, direction):
+    """The crossing linking matrix and the blackboard framings of one
+    projection of all `curves` along `direction`.
 
-
-def writhe_framing(c, direction):
-    """(Gauss writhe, blackboard framing) of one closed curve.
-
-    The framing is the signed self-crossing count of the projection.
+    Entry (i, j) of the matrix is half the signed count of the crossings
+    between components i and j, an exact integer; an odd count raises
+    DegenerateProjection.  Framing i is the signed count of the
+    self-crossings of component i.
     """
-    crossings = find_crossings([c], direction)
-    framing = sum(cr.sign for cr in crossings)
-    return gauss_writhe(c), int(framing)
+    n = len(curves)
+    twice = [[0] * n for _ in range(n)]
+    framing = [0] * n
+    for x in find_crossings(curves, direction):
+        i, j = x.comp_over, x.comp_under
+        if i == j:
+            framing[i] += x.sign
+        else:
+            twice[i][j] += x.sign
+            twice[j][i] += x.sign
+    if any(t % 2 for row in twice for t in row):
+        raise DegenerateProjection("odd inter-component crossing sum")
+    return [[t // 2 for t in row] for row in twice], framing
 
 
 def with_generic_direction(fn, rng):
@@ -290,27 +282,22 @@ def linking_report(link, rng, timer) -> dict:
     writhe and blackboard framing per component, and the largest
     disagreement of the two linking estimators (gate 1e-3).
 
-    Projection directions come from `rng`; the stages "linking_matrix" and
-    "writhe_framing" are timed on `timer`.
+    The crossing matrix and the framings come from one projection of the
+    whole link, along the first generic direction drawn from `rng`.  The
+    stage "linking_matrix" times the Gauss matrix and the projection,
+    "writhe_framing" the Gauss writhes; both are timed on `timer`.
     """
     comps = link.components
     n = len(comps)
     gauss = [[0.0] * n for _ in range(n)]
-    crossing = [[0] * n for _ in range(n)]
     timer.start("linking_matrix")
     for i in range(n):
         for j in range(i + 1, n):
             gauss[i][j] = gauss[j][i] = gauss_linking(comps[i], comps[j])
-            crossing[i][j] = crossing[j][i] = with_generic_direction(
-                lambda d: crossing_linking(comps[i], comps[j], d), rng
-            )
+    crossing, framing = with_generic_direction(lambda d: crossing_counts(comps, d), rng)
     timer.stop()
     timer.start("writhe_framing")
-    writhe, framing = [], []
-    for c in comps:
-        w, f = with_generic_direction(lambda d: writhe_framing(c, d), rng)
-        writhe.append(w)
-        framing.append(f)
+    writhe = [gauss_writhe(c) for c in comps]
     timer.stop()
     agreement = max(
         (abs(gauss[i][j] - crossing[i][j]) for i in range(n) for j in range(n) if i != j),

@@ -24,48 +24,64 @@ def _require(doc, key, where="scene"):
 
 
 def _object(value, what) -> dict:
-    """A JSON object of a scene or config document, else SceneError."""
+    """A JSON object of a scene, diagram or config document, else
+    SceneError."""
     if not isinstance(value, dict):
         raise SceneError(f"{what} must be a JSON object, got {value!r}")
     return value
 
 
+def _array(value, what) -> list:
+    """A JSON array of a scene or diagram document, else SceneError."""
+    if not isinstance(value, list):
+        raise SceneError(f"{what} must be a JSON array, got {value!r}")
+    return value
+
+
+def _finite(value) -> bool:
+    """True for a finite JSON number (a bool is not one)."""
+    return (not isinstance(value, bool) and isinstance(value, (int, float))
+            and math.isfinite(value))
+
+
 def _number(value, what, whole=False):
     """A finite, non-bool number of a scene or config document (a whole one
     when `whole`), else SceneError."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
+    if not _finite(value):
         raise SceneError(f"{what} must be a finite number, got {value!r}")
     if whole and not float(value).is_integer():
         raise SceneError(f"{what} must be a whole number, got {value!r}")
     return value
 
 
+def _vector(value, what) -> np.ndarray:
+    """Three finite numbers of a scene document, else SceneError."""
+    if not (isinstance(value, list) and len(value) == 3 and all(map(_finite, value))):
+        raise SceneError(f"{what} must be three finite numbers, got {value!r}")
+    return np.array(value, dtype=float)
+
+
 def component_from_doc(doc) -> PlanarCurve | PolygonalCurve:
     kind = _require(doc, "type", "component")
-    n_samples = int(doc.get("samples", 256))
+
+    def vector(key):
+        return _vector(_require(doc, key, kind), f"{kind} {key}")
+
+    if kind in ("circle", "ellipse"):
+        n_samples = int(_number(doc.get("samples", 256), f"{kind} samples", whole=True))
+        if n_samples < 8:
+            raise SceneError(f"{kind} samples must be at least 8, got {n_samples}")
+        phase = float(_number(doc.get("phase", 0.0), f"{kind} phase"))
     if kind == "circle":
-        c = circle(
-            _require(doc, "center", "circle"),
-            _require(doc, "normal", "circle"),
-            float(_require(doc, "radius", "circle")),
-            phase=float(doc.get("phase", 0.0)),
-            n_samples=n_samples,
-        )
-        return c.reversed() if doc.get("reverse") else c
-    if kind == "ellipse":
-        c = PlanarCurve(
-            np.asarray(_require(doc, "center", "ellipse"), dtype=float),
-            np.asarray(_require(doc, "axis_u", "ellipse"), dtype=float),
-            np.asarray(_require(doc, "axis_v", "ellipse"), dtype=float),
-            phase=float(doc.get("phase", 0.0)),
-            n_samples=n_samples,
-        )
-        return c.reversed() if doc.get("reverse") else c
-    if kind == "polygon":
+        radius = float(_number(_require(doc, "radius", kind), "circle radius"))
+        c = circle(vector("center"), vector("normal"), radius, phase, n_samples)
+    elif kind == "ellipse":
+        c = PlanarCurve(vector("center"), vector("axis_u"), vector("axis_v"), phase, n_samples)
+    elif kind == "polygon":
         c = PolygonalCurve(np.asarray(_require(doc, "vertices", "polygon"), dtype=float))
-        return c.reversed() if doc.get("reverse") else c
-    raise SceneError(f"unknown component type {kind!r}")
+    else:
+        raise SceneError(f"unknown component type {kind!r}")
+    return c.reversed() if doc.get("reverse") else c
 
 
 def component_to_doc(c) -> dict:
@@ -93,10 +109,8 @@ def scene_from_doc(doc) -> tuple[Grid3, Link]:
         float(_number(_require(tube_doc, "radius", "tube"), "tube radius")),
         float(_number(tube_doc.get("flux", 1.0), "tube flux")),
     )
-    comps = _require(doc, "components")
-    if not isinstance(comps, list):
-        raise SceneError(f"components must be a JSON array, got {comps!r}")
-    comps = [component_from_doc(_object(c, "component")) for c in comps]
+    comps = [component_from_doc(_object(c, "component"))
+             for c in _array(_require(doc, "components"), "components")]
     if not comps:
         raise SceneError("scene has no components")
     return grid, Link(comps, tube)

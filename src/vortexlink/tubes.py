@@ -127,12 +127,8 @@ class _Depositor:
 def filament_field(curve, params: TubeParams, grid: Grid3) -> GridField:
     """Unit-flux smeared filament: flux * closed line integral of the unit
     tangent times psi_r(distance to the curve)."""
-    poly = as_polygon(curve)
     step = min(grid.spacing, params.radius) / 2
-    fine = poly.refined(step)
-    verts = fine.vertices
-    seg = np.roll(verts, -1, axis=0) - verts
-    mids = verts + seg / 2
+    mids, seg = as_polygon(curve).refined(step).midpoint_samples()
     dep = _Depositor(grid, params.radius, 3)
     dep.add(mids, params.flux * seg)
     return GridField(grid, 1, dep.data)

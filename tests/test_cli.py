@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vortexlink import cli, linking, massey, tubes
+from vortexlink import cli, comomentum, linking, massey, tubes
 from vortexlink import errors as E
 from vortexlink.curves import (
     Link,
@@ -31,6 +31,7 @@ from vortexlink.curves import (
     split_triple,
 )
 from vortexlink.grid import Grid3
+from vortexlink.random_fields import random_vector_field
 from vortexlink.scenes import dump_scene
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -81,6 +82,19 @@ def _cases():
 CASES = _cases()
 
 
+def _replaced(doc, path, value):
+    """`doc` with the entry at `path` (keys and indices) set to `value`; the
+    empty path replaces the whole document."""
+    if not path:
+        return value
+    *parents, last = path
+    owner = doc
+    for key in parents:
+        owner = owner[key]
+    owner[last] = value
+    return doc
+
+
 def _run(argv, out_path):
     """Run one command from the repository root; return (exit code, report bytes)."""
     code = cli.main(argv + ["--seed", SEED, "--out", str(out_path)])
@@ -102,8 +116,14 @@ def test_malformed_scene_exits_2(tmp_path):
 
 
 def test_non_solenoidal_comomentum_exits_3(monkeypatch):
+    # a non-solenoidal field reaching f1 fails its divergence gate, which the
+    # command reports as a numerical precondition
+    def non_solenoidal(grid, rng, *args):
+        comomentum.f1(random_vector_field(grid, rng))
+
     monkeypatch.chdir(ROOT)
-    argv = ["comomentum", "--non-solenoidal", "--config", COMOMENTUM_CONFIG]
+    monkeypatch.setattr(comomentum, "comomentum_report", non_solenoidal)
+    argv = ["comomentum", "--config", COMOMENTUM_CONFIG]
     assert cli.main(argv) == cli.EXIT_NUMERICAL == 3
 
 
@@ -267,6 +287,59 @@ def test_diagram_component_count_must_match_its_arcs(components, tmp_path, monke
     assert cli.main(["oracle", "12", "--diagram", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"InconsistentDiagram: {components} components but 2 arc lists")
+
+
+# a part of fixtures/hopf_diagram.json replaced by a value of the wrong JSON type
+MALFORMED_DIAGRAMS = {
+    "list": ((), []),
+    "crossings-number": (("crossings",), 5),
+    "arcs-number": (("arcs",), 5),
+    "arc-list-number": (("arcs", 0), 0),
+    "arc-id-string": (("arcs", 0, 0), "0"),
+    "crossing-number": (("crossings", 0), 5),
+    "crossing-sign-fraction": (("crossings", 0, "sign"), 0.5),
+    "components-string": (("components",), "2"),
+    "schema": (("schema",), "vlink-1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_DIAGRAMS))
+def test_malformed_diagram_exits_2(case, tmp_path, capsys):
+    doc = json.loads((ROOT / "fixtures" / "hopf_diagram.json").read_text())
+    path = tmp_path / "diagram.json"
+    path.write_text(json.dumps(_replaced(doc, *MALFORMED_DIAGRAMS[case])))
+    assert cli.main(["oracle", "12", "--diagram", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("SceneError: ")
+
+
+@pytest.mark.parametrize("index", ["1x", "1", "12.", "\uff11\uff12"])
+def test_oracle_index_is_checked_before_any_file_is_read(index, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "load_scene", lambda path: pytest.fail("scene loaded"))
+    monkeypatch.setattr(cli, "read_json", lambda path: pytest.fail("diagram read"))
+    for source in (["--scene", "fixtures/hopf.json"], ["--diagram", "fixtures/hopf_diagram.json"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["oracle", *source, index])
+        assert exc.value.code == 2
+        assert "argument index: must be two or more component digits" in capsys.readouterr().err
+
+
+def test_lk_projects_the_scene_once(monkeypatch, capsys):
+    # every find_crossings call sees the whole link, and only a rejected
+    # direction is followed by another call
+    calls = []
+
+    def counting(curves, direction):
+        calls.append([len(curves), False])
+        out = find_crossings(curves, direction)
+        calls[-1][1] = True
+        return out
+
+    find_crossings = linking.find_crossings
+    monkeypatch.setattr(linking, "find_crossings", counting)
+    assert cli.main(["lk", "--scene", str(ROOT / "fixtures" / "borromean.json")]) == 0
+    capsys.readouterr()
+    assert [accepted for _, accepted in calls] == [False] * (len(calls) - 1) + [True]
+    assert {n for n, _ in calls} == {3}
 
 
 def _massey_with_config(doc, tmp_path, monkeypatch, capsys):
@@ -461,6 +534,29 @@ MISTYPED_SCENES = {
     "box-N-fraction": (("box", "N"), 96.5, "box N must be a whole number"),
     "tube-radius-string": (("tube", "radius"), "0.1", "tube radius must be a finite number"),
     "scene-list": ((), [], "scene must be a JSON object"),
+    "phase-list": (("components", 0, "phase"), [1], "ellipse phase must be a finite number"),
+    "center-two": (("components", 0, "center"), [0, 0],
+                   "ellipse center must be three finite numbers"),
+    "axis-string": (("components", 0, "axis_u"), ["0.45", 0, 0],
+                    "ellipse axis_u must be three finite numbers"),
+    "samples-string": (("components", 0, "samples"), "abc",
+                       "ellipse samples must be a finite number"),
+    "samples-fraction": (("components", 0, "samples"), 64.5,
+                         "ellipse samples must be a whole number"),
+    "samples-few": (("components", 0, "samples"), 4, "ellipse samples must be at least 8"),
+    "circle-radius-list": (("components", 0),
+                           {"type": "circle", "center": [-1.1, 0, 0], "normal": [0, 0, 1],
+                            "radius": [1]},
+                           "circle radius must be a finite number"),
+    "circle-normal-null": (("components", 0),
+                           {"type": "circle", "center": [-1.1, 0, 0], "normal": None,
+                            "radius": 0.45},
+                           "circle normal must be three finite numbers"),
+    "polygon-nan": (("components", 0),
+                    {"type": "polygon",
+                     "vertices": [[math.cos(t), math.sin(t), math.nan if k == 3 else 0.0]
+                                  for k, t in enumerate(np.linspace(0, 6, 12))]},
+                    "polygon has a vertex that is not finite"),
 }
 
 
@@ -469,16 +565,8 @@ MISTYPED_SCENES = {
 def test_mistyped_scene_section_exits_2(case, command, tmp_path, capsys):
     path, value, message = MISTYPED_SCENES[case]
     doc = json.loads((ROOT / "fixtures" / "split.json").read_text())
-    if path:
-        *parents, last = path
-        owner = doc
-        for key in parents:
-            owner = owner[key]
-        owner[last] = value
-    else:
-        doc = value
     scene = tmp_path / "scene.json"
-    scene.write_text(json.dumps(doc))
+    scene.write_text(json.dumps(_replaced(doc, path, value)))
     argv = [command, "--scene", str(scene), "--out", str(tmp_path / "out")]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith(f"SceneError: {message}")
@@ -493,8 +581,7 @@ EXIT_CODES = {
     "ObstructedClass": 4,
     "IndeterminateInvariant": 5,
     # programming errors: uncaught, with a traceback
-    "VortexLinkError": None, "MixedGridError": None, "OpenCurve": None,
-    "MissingPrimitive": None,
+    "VortexLinkError": None, "MixedGridError": None, "MissingPrimitive": None,
 }
 
 

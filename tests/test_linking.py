@@ -6,22 +6,27 @@ import pytest
 from vortexlink.curves import PolygonalCurve, borromean_rings, circle, hopf_link, split_link
 from vortexlink.errors import CurvesIntersect, DegenerateProjection
 from vortexlink.linking import (
-    crossing_linking,
+    crossing_counts,
     find_crossings,
     gauss_linking,
     gauss_writhe,
     with_generic_direction,
-    writhe_framing,
 )
 
 HOPF = hopf_link(centered=False)
 DIRS = np.random.default_rng(11).standard_normal((20, 3))
 
 
+def crossing_lk(c1, c2, direction):
+    """The crossing linking number of a pair, from its joint projection."""
+    matrix, _ = crossing_counts([c1, c2], direction)
+    return matrix[0][1]
+
+
 def test_hopf_gauss_vs_crossing():
     c1, c2 = HOPF.components
     lk = gauss_linking(c1, c2)
-    n = crossing_linking(c1, c2, (0.13, 0.21, 0.95))
+    n = crossing_lk(c1, c2, (0.13, 0.21, 0.95))
     assert abs(n) == 1
     assert abs(lk - n) < 1e-3
 
@@ -29,15 +34,17 @@ def test_hopf_gauss_vs_crossing():
 def test_split_pair_zero():
     c1, c2 = split_link().components
     assert abs(gauss_linking(c1, c2)) < 1e-3
-    assert crossing_linking(c1, c2, (0.1, 0.2, 0.97)) == 0
+    assert crossing_lk(c1, c2, (0.1, 0.2, 0.97)) == 0
 
 
 def test_borromean_pairs_zero():
     comps = borromean_rings().components
+    matrix, framing = crossing_counts(comps, (0.11, 0.23, 0.96))
+    assert matrix == [[0] * 3] * 3
+    assert framing == [0] * 3
     for i in range(3):
         for j in range(i + 1, 3):
             assert abs(gauss_linking(comps[i], comps[j])) < 1e-3
-            assert crossing_linking(comps[i], comps[j], (0.11, 0.23, 0.96)) == 0
 
 
 def test_crossing_direction_independence():
@@ -45,7 +52,7 @@ def test_crossing_direction_independence():
     values = set()
     for d in DIRS:
         try:
-            values.add(crossing_linking(c1, c2, d))
+            values.add(crossing_lk(c1, c2, d))
         except DegenerateProjection:
             continue
     assert len(values) == 1
@@ -54,7 +61,7 @@ def test_crossing_direction_independence():
 def test_orientation_reversal_negates():
     c1, c2 = HOPF.components
     d = (0.17, -0.08, 0.98)
-    assert crossing_linking(c1.reversed(), c2, d) == -crossing_linking(c1, c2, d)
+    assert crossing_lk(c1.reversed(), c2, d) == -crossing_lk(c1, c2, d)
     lk = gauss_linking(c1, c2)
     assert abs(gauss_linking(c1.reversed(), c2) + lk) < 2e-3
 
@@ -74,7 +81,7 @@ def test_random_circle_pairs_agree(rng):
         c2 = circle(center, normal, r2, n_samples=128)
         try:
             lk = gauss_linking(c1, c2)
-            n = with_generic_direction(lambda d: crossing_linking(c1, c2, d), rng)
+            n = with_generic_direction(lambda d: crossing_lk(c1, c2, d), rng)
         except (CurvesIntersect, DegenerateProjection):
             continue
         made += 1
@@ -97,9 +104,9 @@ def test_degenerate_projection_detected():
 
 def test_planar_convex_curve_framing_and_writhe():
     c = circle((0, 0, 0), (0, 0, 1), 1.0, n_samples=128)
-    w, fr = writhe_framing(c, (0.05, -0.03, 0.99))
-    assert fr == 0
-    assert abs(w) < 1e-3  # identically zero for planar curves
+    _, framing = crossing_counts([c], (0.05, -0.03, 0.99))
+    assert framing == [0]
+    assert abs(gauss_writhe(c)) < 1e-3  # identically zero for planar curves
 
 
 def figure_eight_curve(z_sign=-1.0, n=160):
@@ -113,8 +120,21 @@ def figure_eight_curve(z_sign=-1.0, n=160):
 
 def test_figure_eight_framing():
     c = figure_eight_curve()
-    _, fr = writhe_framing(c, (0, 0, 1.0))
-    assert fr == +1
+    _, framing = crossing_counts([c], (0, 0, 1.0))
+    assert framing == [+1]
+
+
+def test_joint_projection_reads_matrix_and_framings():
+    # a Hopf pair beside a figure eight: the pair's linking number and the
+    # figure eight's framing come from one projection, unmixed
+    c1, c2 = HOPF.components
+    eight = figure_eight_curve().translated((0.0, 0.0, 3.0))
+    d = (0.02, -0.01, 1.0)
+    matrix, framing = crossing_counts([c1, eight, c2], d)
+    lk = crossing_lk(c1, c2, d)
+    assert abs(lk) == 1
+    assert matrix == [[0, 0, lk], [0, 0, 0], [lk, 0, 0]]
+    assert framing == [0, +1, 0]
 
 
 def test_knife_edge_crossing_rejected():

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from vortexlink.curves import as_polygon, borromean_rings, pairwise_d2, split_triple
-from vortexlink.diagrams import LinkDiagram
+from vortexlink.diagrams import diagram_from_doc, diagram_to_doc
 from vortexlink.errors import SceneError
 from vortexlink.grid import Grid3
 from vortexlink.massey import MasseyConfig
-from vortexlink.scenes import load_scene
+from vortexlink.scenes import load_scene, read_json
 from vortexlink.tubes import meridian_torus_panels, validate_scene
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -31,7 +31,9 @@ def test_scene_fixture_validates_on_its_grid(name):
 
 @pytest.mark.parametrize("name", DIAGRAMS)
 def test_diagram_fixture_validates(name):
-    LinkDiagram.from_json((FIXTURES / name).read_text())
+    doc = read_json(FIXTURES / name)
+    # the fixture is in the document layout the oracle report echoes
+    assert diagram_to_doc(diagram_from_doc(doc)) == doc
 
 
 @pytest.mark.parametrize("n, tube_radius", [(96, 0.2), (96, 0.42), (48, 0.42)])
