@@ -3,25 +3,24 @@
 Commands: lk, comomentum, massey, oracle, export.  Each report section is
 built by the library (`linking.linking_report`, `comomentum.comomentum_report`,
 `massey.massey_report`, `diagrams.oracle_report`); this module parses the
-arguments, loads the config and the scene or diagram (each JSON document
-through `scenes.read_json`), and writes the files.  Reports are
+arguments, reads the config section and the scene or diagram (each JSON
+document through `scenes.read_json`), and writes the files.  Reports are
 deterministic JSON (byte-identical under identical inputs/config/seed);
-per-stage timings go to a `<out>.timings.json` sidecar.  Commands that draw
-random numbers seed from `--seed`, else from the config's `seed`; `lk`,
-`oracle --scene` and `massey` each project their scene once, along the
-first generic direction drawn from it.
+per-stage timings go to a `<out>.timings.json` sidecar.  `--seed` (default
+0) is the only seed source; `lk`, `oracle --scene` and `massey` each
+project their scene once, along the first generic direction drawn from it.
 
-A config (`--config`, JSON) may set `grid` (`N` and `L`, read by
-`comomentum`), `seed`, and under `tolerances` the four Massey tolerances
-`eps_massey`, `eps_period`, `cg_tol` and `cg_maxiter`; every other gate is a
-constant of `constants.py`, and any other tolerance key is rejected.  A
-command takes only the inputs it reads: `export` has no `--config` and
-`comomentum` no `--scene`.
+A command takes only the inputs it reads.  `comomentum` reads only the
+`grid` section (`N`, `L`) of its `--config`, `massey` only `tolerances`
+(`eps_massey`, `eps_period`, `cg_tol`, `cg_maxiter`; every other gate is a
+constant of `constants.py`): any other key is a SceneError before the scene
+is read.  `lk`, `oracle` and `export` have no `--config`, `comomentum` no
+`--scene`, and `oracle` reads one of `--scene` and `--diagram`.
 
 Exit codes: 0 success, 2 for a usage error (the parser checks the counts
-and the oracle's multi-index before any file is read) or a missing or
-malformed input file, otherwise the `exit_code` of the raised error (see
-`errors.py`).  `massey` and `export` gate their scene once with
+and the oracle's multi-index digits before any file is read) or a missing
+or malformed input (a SceneError), otherwise the `exit_code` of the raised
+error (see `errors.py`).  `massey` and `export` gate their scene once with
 `tubes.validate_scene`, whose docstring gives the order of the checks.
 """
 
@@ -34,7 +33,7 @@ import numpy as np
 
 from . import errors as E
 from .reports import StageTimer, dump_report, report_text
-from .scenes import Config, load_scene, read_json, scene_to_doc
+from .scenes import grid_config, load_scene, read_json, scene_to_doc, tolerance_config
 
 EXIT_VALIDATION = E.SceneError.exit_code
 EXIT_NUMERICAL = E.NotDivergenceFree.exit_code
@@ -56,15 +55,18 @@ def _emit(report, out_path, timer):
         sys.stdout.write(report_text(report))
 
 
-def _seed(args, cfg) -> int:
-    return args.seed if args.seed is not None else cfg.seed
+def _check_index(index, n):
+    """SceneError unless every digit of the multi-index names a component."""
+    for ch in index:
+        if not 1 <= int(ch) <= n:
+            raise E.SceneError(f"multi-index {index} names component {ch} of a {n}-component link")
 
 
 def cmd_lk(args) -> tuple[int, dict]:
     from .linking import linking_report
 
     timer = StageTimer()
-    rng = np.random.default_rng(_seed(args, Config.load(args.config)))
+    rng = np.random.default_rng(args.seed)
     grid, link = load_scene(args.scene)
     report = _envelope("lk", scene=scene_to_doc(grid, link),
                        linking=linking_report(link, rng, timer))
@@ -74,16 +76,13 @@ def cmd_lk(args) -> tuple[int, dict]:
 
 def cmd_comomentum(args) -> tuple[int, dict]:
     from .comomentum import comomentum_report
-    from .grid import Grid3
 
     timer = StageTimer()
-    cfg = Config.load(args.config)
-    seed = _seed(args, cfg)
-    rng = np.random.default_rng(seed)
-    grid = Grid3(cfg.grid_n, cfg.grid_l)
+    grid = grid_config(args.config)
+    rng = np.random.default_rng(args.seed)
     section = comomentum_report(grid, rng, args.pairs, args.triples, timer)
-    report = _envelope("comomentum", comomentum=section,
-                       config={"N": cfg.grid_n, "L": cfg.grid_l, "seed": seed})
+    report = _envelope("comomentum", comomentum=section, config={
+        "N": grid.n_points, "L": grid.box_length, "seed": args.seed})
     _emit(report, args.out, timer)
     return 0, report
 
@@ -92,10 +91,10 @@ def cmd_massey(args) -> tuple[int, dict]:
     from .massey import massey_report
 
     timer = StageTimer()
-    cfg = Config.load(args.config)
-    rng = np.random.default_rng(_seed(args, cfg))
+    tolerances = tolerance_config(args.config)
+    rng = np.random.default_rng(args.seed)
     grid, link = load_scene(args.scene)
-    section, obstruction = massey_report(link, grid, cfg.tolerances, rng, timer)
+    section, obstruction = massey_report(link, grid, tolerances, rng, timer)
     report = _envelope("massey", scene=scene_to_doc(grid, link), massey=section)
     _emit(report, args.out, timer)
     if obstruction is not None:
@@ -109,15 +108,15 @@ def cmd_oracle(args) -> tuple[int, dict]:
     timer = StageTimer()
     if args.diagram:
         diagram = diagram_from_doc(read_json(args.diagram))
+        _check_index(args.index, diagram.n_components)
         # the document itself, so the report does not depend on the path
         scene = diagram_to_doc(diagram)
-    elif args.scene:
-        rng = np.random.default_rng(_seed(args, Config.load(args.config)))
+    else:
+        rng = np.random.default_rng(args.seed)
         grid, link = load_scene(args.scene)
+        _check_index(args.index, len(link.components))
         diagram = scene_diagram(link, rng)
         scene = scene_to_doc(grid, link)
-    else:
-        raise E.SceneError("oracle needs --scene or --diagram")
     report = _envelope("oracle", scene=scene, oracle=oracle_report(diagram, args.index, timer))
     _emit(report, args.out, timer)
     print(f"mu_bar({args.index}) = {report['oracle']['value']}")
@@ -188,17 +187,14 @@ def build_parser():
         description="Helicity, linking numbers and Massey hierarchy on the periodic box",
     )
     sub = p.add_subparsers(dest="command", required=True)
+    scene_help = "scene JSON path (schema vlink-1)"
 
-    # scene_required None: no --scene; config False: no --config
-    def common(sp, scene_required=True, config=True, out_help="report JSON path"):
+    def common(sp, scene=True, config=False, out_help="report JSON path"):
         if config:
             sp.add_argument("--config", default=None, help="config JSON path")
-        if scene_required is not None:
-            sp.add_argument(
-                "--scene", default=None, required=scene_required,
-                help="scene JSON path (schema vlink-1)",
-            )
-        sp.add_argument("--seed", type=int, default=None)
+        if scene:
+            sp.add_argument("--scene", required=True, help=scene_help)
+        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", default=None, help=out_help)
 
     sp = sub.add_parser("lk", help="linking matrix, writhe and framing")
@@ -206,7 +202,7 @@ def build_parser():
     sp.set_defaults(func=cmd_lk)
 
     sp = sub.add_parser("comomentum", help="co-momentum residual suite")
-    common(sp, scene_required=None)
+    common(sp, scene=False, config=True)
     sp.add_argument("--pairs", type=_count(1), default=20,
                     help="tower pairs to draw (at least 1)")
     sp.add_argument("--triples", type=_count(0), default=10,
@@ -214,18 +210,19 @@ def build_parser():
     sp.set_defaults(func=cmd_comomentum)
 
     sp = sub.add_parser("massey", help="Massey hierarchy and triple linking")
-    common(sp)
+    common(sp, config=True)
     sp.set_defaults(func=cmd_massey)
 
     sp = sub.add_parser("oracle", help="Milnor mu-bar from a diagram or scene")
-    common(sp, scene_required=False)
-    sp.add_argument("--diagram", default=None, help="diagram JSON (vdiag-1)")
+    common(sp, scene=False)
+    source = sp.add_mutually_exclusive_group(required=True)
+    source.add_argument("--scene", help=scene_help)
+    source.add_argument("--diagram", help="diagram JSON (vdiag-1)")
     sp.add_argument("index", type=_multi_index, help="multi-index, e.g. 12 or 123")
     sp.set_defaults(func=cmd_oracle)
 
     sp = sub.add_parser("export", help="export scene fields (VTK + VLF1)")
-    common(sp, config=False,
-           out_help="output directory for export_report.json and the field files")
+    common(sp, out_help="output directory for export_report.json and the field files")
     sp.set_defaults(func=cmd_export)
     return p
 
@@ -241,7 +238,7 @@ def main(argv=None) -> int:
             raise
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code
-    except (FileNotFoundError, ValueError) as exc:
+    except FileNotFoundError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -35,9 +35,9 @@ DISC_DUAL_SIGN = -1
 # magnitude and this sign separately.
 TRIPLE_LINKING_SIGN = +1
 
-# Tolerances a config may set: the four of the Massey hierarchy, which
-# massey_report reads for its gates and for the "tol" of the gates it
-# reports.  Config.from_doc rejects any other key.
+# Tolerances a `massey` config may set: the four of the Massey hierarchy,
+# which massey_report reads for its gates and for the "tol" of the gates it
+# reports.  scenes.tolerance_config rejects any other key.
 DEFAULT_TOLERANCES = {
     "eps_massey": 0.05,      # masked residual for stored Massey primitives
     "eps_period": 0.1,       # meridian-period gate for solve_primitive

@@ -23,12 +23,12 @@ class PolygonalCurve:
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 3 or v.shape[0] < 8:
-            raise ValueError("need at least 8 vertices of dimension 3")
+            raise SceneError(f"polygon needs at least 8 vertices of dimension 3, got {v.shape}")
         if not np.all(np.isfinite(v)):
             raise SceneError("polygon has a vertex that is not finite")
         object.__setattr__(self, "vertices", v)
         if np.any(np.linalg.norm(self.segments(), axis=1) == 0):
-            raise ValueError("consecutive vertices coincide")
+            raise SceneError("polygon has two consecutive vertices that coincide")
 
     @property
     def n_vertices(self) -> int:
@@ -95,7 +95,7 @@ class PlanarCurve:
         if abs(np.dot(self.axis_u, self.axis_v)) > 1e-10 * (
             np.linalg.norm(self.axis_u) * np.linalg.norm(self.axis_v)
         ):
-            raise NotPlanar("semi-axes must be orthogonal")
+            raise SceneError("planar curve semi-axes must be orthogonal")
 
     @property
     def normal(self) -> np.ndarray:
@@ -195,7 +195,7 @@ class TubeParams:
 
     def __post_init__(self):
         if not self.radius > 0:
-            raise ValueError("tube radius must be positive")
+            raise SceneError(f"tube radius must be positive, got {self.radius}")
 
 
 @dataclass

@@ -101,6 +101,7 @@ class IndeterminateInvariant(VortexLinkError):
 
 
 class SceneError(VortexLinkError):
-    """A scene or diagram failed validation (malformed JSON, or a geometry
-    the grid pipeline cannot represent)."""
+    """An input document (scene, diagram or config), or a value in one,
+    failed validation: malformed JSON, a key the command does not read, a
+    wrong type, or a value or geometry the pipeline cannot represent."""
     exit_code = 2

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MixedGridError
+from .errors import MixedGridError, SceneError
 
 FORM_COMPONENTS = {0: 1, 1: 3, 2: 3, 3: 1}
 
@@ -33,9 +33,9 @@ class Grid3:
 
     def __post_init__(self):
         if self.n_points < 8:
-            raise ValueError(f"need N >= 8, got {self.n_points}")
+            raise SceneError(f"grid N must be at least 8, got {self.n_points}")
         if not self.box_length > 0:
-            raise ValueError("box_length must be positive")
+            raise SceneError(f"grid L must be positive, got {self.box_length}")
 
     @property
     def spacing(self) -> float:

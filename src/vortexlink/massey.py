@@ -625,8 +625,8 @@ def cartan_bianchi_report(h: MasseyHierarchy) -> dict:
     exact2, bianchi2 = _certify_connection(h, 2, (1, 2, 3))
     h.release_derivatives(keep=h.v.values())
     return {
-        "level1_matches_obstruction": checked(exact1, 0.0, exact1 == 0.0),
-        "level2_matches_triple": checked(exact2, 0.0, exact2 == 0.0),
+        "level1_matches_obstruction": checked(exact1, 0.0),
+        "level2_matches_triple": checked(exact2, 0.0),
         "bianchi_level1": checked(bianchi1, eps),
         "bianchi_level2": checked(bianchi2, eps),
     }
@@ -724,16 +724,13 @@ def massey_report(link: Link, grid: Grid3, tolerances: dict, rng, timer):
     telemetry goes to `timer.solver`.  The oracle's projection direction
     comes from `rng`.
 
+    `tolerances` overrides constants.DEFAULT_TOLERANCES (scenes.tolerance_config).
+
     Returns (section, obstruction).  When a solve is obstructed the section
     holds the periods and the obstructed pair, and `obstruction` is the
     ObstructedClass raised; otherwise it is None.
     """
-    cfg = MasseyConfig(
-        eps_period=tolerances["eps_period"],
-        eps_massey=tolerances["eps_massey"],
-        cg_tol=tolerances["cg_tol"],
-        cg_maxiter=int(tolerances["cg_maxiter"]),
-    )
+    cfg = MasseyConfig(**tolerances)
     timer.start("scene_fields")
     h = MasseyHierarchy.from_scene(link, grid, cfg)
     timer.stop()

@@ -15,10 +15,8 @@ import sys
 import time
 
 
-def checked(value, tol, passed=None) -> dict:
-    if passed is None:
-        passed = bool(abs(value) <= tol)
-    return {"value": value, "tol": tol, "pass": bool(passed)}
+def checked(value, tol) -> dict:
+    return {"value": value, "tol": tol, "pass": bool(abs(value) <= tol)}
 
 
 def checked_window(value, lo, hi) -> dict:

@@ -1,10 +1,9 @@
-"""Link-scene documents (schema "vlink-1") and run configuration."""
+"""Link-scene documents (schema "vlink-1") and the config sections."""
 
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+import sys
 
 import numpy as np
 
@@ -12,7 +11,7 @@ from .constants import DEFAULT_TOLERANCES
 from .curves import Link, PlanarCurve, PolygonalCurve, TubeParams, circle
 from .errors import SceneError
 from .grid import Grid3
-from .reports import report_text
+from .reports import dump_report
 
 SCENE_SCHEMA = "vlink-1"
 
@@ -24,10 +23,17 @@ def _require(doc, key, where="scene"):
 
 
 def _object(value, what) -> dict:
-    """A JSON object of a scene, diagram or config document, else
-    SceneError."""
+    """A JSON object of a scene, diagram or config document, else SceneError."""
     if not isinstance(value, dict):
         raise SceneError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
+def _only(value, keys, what) -> dict:
+    """A JSON object holding none but the given keys, else SceneError."""
+    bad = sorted(set(_object(value, what)) - set(keys))
+    if bad:
+        raise SceneError(f"{what} may hold only {sorted(keys)}, got {bad}")
     return value
 
 
@@ -39,9 +45,9 @@ def _array(value, what) -> list:
 
 
 def _finite(value) -> bool:
-    """True for a finite JSON number (a bool is not one)."""
+    """True for a number within the float range (no bool, NaN or huge int)."""
     return (not isinstance(value, bool) and isinstance(value, (int, float))
-            and math.isfinite(value))
+            and abs(value) <= sys.float_info.max)
 
 
 def _number(value, what, whole=False):
@@ -78,10 +84,14 @@ def component_from_doc(doc) -> PlanarCurve | PolygonalCurve:
     elif kind == "ellipse":
         c = PlanarCurve(vector("center"), vector("axis_u"), vector("axis_v"), phase, n_samples)
     elif kind == "polygon":
-        c = PolygonalCurve(np.asarray(_require(doc, "vertices", "polygon"), dtype=float))
+        vertices = _array(_require(doc, "vertices", kind), "polygon vertices")
+        c = PolygonalCurve(np.array([_vector(v, "polygon vertex") for v in vertices]))
     else:
         raise SceneError(f"unknown component type {kind!r}")
-    return c.reversed() if doc.get("reverse") else c
+    reverse = doc.get("reverse", False)
+    if not isinstance(reverse, bool):
+        raise SceneError(f"{kind} reverse must be true or false, got {reverse!r}")
+    return c.reversed() if reverse else c
 
 
 def component_to_doc(c) -> dict:
@@ -117,7 +127,7 @@ def scene_from_doc(doc) -> tuple[Grid3, Link]:
 
 
 def read_json(path):
-    """The JSON document in a file; malformed JSON raises SceneError."""
+    """The JSON document in a file; a file that is not JSON raises SceneError."""
     with open(path) as fh:
         try:
             return json.load(fh)
@@ -125,6 +135,8 @@ def read_json(path):
             raise SceneError(
                 f"malformed JSON at line {e.lineno}, column {e.colno}: {e.msg}"
             ) from None
+        except ValueError as e:  # not UTF-8 text, or an integer too long to read
+            raise SceneError(f"unreadable JSON: {e}") from None
 
 
 def load_scene(path) -> tuple[Grid3, Link]:
@@ -141,42 +153,32 @@ def scene_to_doc(grid: Grid3, link: Link) -> dict:
 
 
 def dump_scene(path, grid: Grid3, link: Link) -> None:
-    with open(path, "w") as fh:
-        fh.write(report_text(scene_to_doc(grid, link)))
+    dump_report(path, scene_to_doc(grid, link))
 
 
-@dataclass
-class Config:
-    """Run configuration with documented defaults.  `tolerances` holds the
-    four keys of constants.DEFAULT_TOLERANCES, the only ones a config may
-    set."""
+# -- config files: each command that takes one reads one section --------------
 
-    grid_n: int = 96
-    grid_l: float = 2 * np.pi
-    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
-    seed: int = 0
+def grid_config(path) -> Grid3:
+    """The grid of a `comomentum` config file, {"grid": {"N": ..., "L": ...}}
+    (None: no file).  N defaults to 96 and must be at least 16, L to 2 pi."""
+    doc = {} if path is None else read_json(path)
+    grid = _only(_only(doc, {"grid"}, "config").get("grid", {}), {"N", "L"}, "grid")
+    n = int(_number(grid.get("N", 96), "grid N", whole=True))
+    if n < 16:
+        raise SceneError(f"grid N must be at least 16, got {n}")
+    return Grid3(n, float(_number(grid.get("L", 2 * np.pi), "grid L")))
 
-    @classmethod
-    def from_doc(cls, doc) -> "Config":
-        cfg = cls()
-        grid = _object(_object(doc, "config").get("grid", {}), "grid")
-        cfg.grid_n = int(_number(grid.get("N", cfg.grid_n), "grid N", whole=True))
-        cfg.grid_l = float(_number(grid.get("L", cfg.grid_l), "grid L"))
-        tols = _object(doc.get("tolerances", {}), "tolerances")
-        bad = set(tols) - set(cfg.tolerances)
-        if bad:
-            raise SceneError(f"unknown tolerance keys: {sorted(bad)}")
-        for k, val in tols.items():
-            if not _number(val, f"tolerance {k}", whole=k == "cg_maxiter") > 0:
-                raise SceneError(f"tolerance {k} must be positive")
-            cfg.tolerances[k] = float(val)
-        cfg.seed = int(_number(doc.get("seed", 0), "seed", whole=True))
-        if cfg.grid_n < 16:
-            raise SceneError("grid N must be at least 16")
-        return cfg
 
-    @classmethod
-    def load(cls, path) -> "Config":
-        if path is None:
-            return cls()
-        return cls.from_doc(read_json(path))
+def tolerance_config(path) -> dict:
+    """The tolerances a `massey` config file (None: no file) sets: positive
+    numbers under keys of constants.DEFAULT_TOLERANCES, cg_maxiter whole."""
+    doc = {} if path is None else read_json(path)
+    tols = _only(_only(doc, {"tolerances"}, "config").get("tolerances", {}),
+                 DEFAULT_TOLERANCES, "tolerances")
+    out = {}
+    for k, val in tols.items():
+        whole = k == "cg_maxiter"
+        if not _number(val, f"tolerance {k}", whole=whole) > 0:
+            raise SceneError(f"tolerance {k} must be positive")
+        out[k] = int(val) if whole else float(val)
+    return out

@@ -199,11 +199,12 @@ def validate_scene(link: Link, grid: Grid3, config=None) -> None:
 
     Given a MasseyConfig, the preconditions of the Massey hierarchy follow:
 
-    4. every component is planar, so it has a flat Seifert disc:
+    4. there are at least two components, a pair to solve: SceneError [2];
+    5. every component is planar, so it has a flat Seifert disc:
        SceneError [2];
-    5. the meridian minor radius meridian_factor * r exceeds r, so the torus
+    6. the meridian minor radius meridian_factor * r exceeds r, so the torus
        encloses the tube support: SceneError [2];
-    6. each meridian torus clears the tube support of every other
+    7. each meridian torus clears the tube support of every other
        component: SceneError [2].
     """
     r, h = link.tube.radius, grid.spacing
@@ -225,6 +226,8 @@ def validate_scene(link: Link, grid: Grid3, config=None) -> None:
             )
     if config is None:
         return
+    if len(comps) < 2:
+        raise SceneError(f"Massey hierarchy needs at least two components, got {len(comps)}")
     if not all(isinstance(c, PlanarCurve) for c in comps):
         raise SceneError("Massey hierarchy needs planar components")
     minor = config.meridian_factor * r
@@ -315,11 +318,10 @@ def tube_d_residual(om: GridField, radius: float) -> float:
 
 # -- surfaces -------------------------------------------------------------------
 
-def disc_flux(form2: GridField, curve: PlanarCurve, spacing=None) -> float:
-    """Flux of a 2-form through the flat disc spanned by a planar curve."""
-    if spacing is None:
-        spacing = form2.grid.spacing / 2
-    pts, w = _disc_quadrature(curve, spacing)
+def disc_flux(form2: GridField, curve: PlanarCurve) -> float:
+    """Flux of a 2-form through the flat disc spanned by a planar curve, by
+    the disc quadrature at half the grid spacing."""
+    pts, w = _disc_quadrature(curve, form2.grid.spacing / 2)
     vals = trilinear(form2.grid, form2.comps, pts)  # (3, M)
     return float(np.sum((vals.T @ curve.normal) * w))
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vortexlink import cli, comomentum, linking, massey, tubes
+from vortexlink import cli, comomentum, diagrams, linking, massey, tubes
 from vortexlink import errors as E
 from vortexlink.curves import (
     Link,
@@ -113,6 +113,16 @@ def test_malformed_scene_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"schema": "vlink-1", "box": ')
     assert cli.main(["lk", "--scene", str(bad)]) == cli.EXIT_VALIDATION == 2
+
+
+@pytest.mark.parametrize("raw", [b'{"box": "\xff"}', b'{"box": ' + b"9" * 5000 + b"}"],
+                         ids=["not-utf8", "integer-too-long"])
+def test_unreadable_json_exits_2(raw, tmp_path, capsys):
+    # json.load raises a ValueError that is not a JSONDecodeError for these
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(raw)
+    assert cli.main(["lk", "--scene", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("SceneError: unreadable JSON: ")
 
 
 def test_non_solenoidal_comomentum_exits_3(monkeypatch):
@@ -323,6 +333,57 @@ def test_oracle_index_is_checked_before_any_file_is_read(index, monkeypatch, cap
         assert "argument index: must be two or more component digits" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", [
+    ["--scene", "fixtures/hopf.json"], ["--diagram", "fixtures/hopf_diagram.json"],
+], ids=["scene", "diagram"])
+def test_oracle_index_is_checked_against_the_component_count(source, monkeypatch, capsys):
+    # after the scene or diagram is read, before any projection or mu-bar
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setattr(linking, "find_crossings", lambda *a: pytest.fail("projected"))
+    monkeypatch.setattr(diagrams, "oracle_report", lambda *a: pytest.fail("mu-bar"))
+    assert cli.main(["oracle", *source, "13"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "SceneError: multi-index 13 names component 3 of a 2-component link")
+
+
+@pytest.mark.parametrize("sources, message", [
+    (["--scene", "fixtures/split.json", "--diagram", "fixtures/hopf_diagram.json"],
+     "argument --diagram: not allowed with argument --scene"),
+    ([], "one of the arguments --scene --diagram is required"),
+], ids=["both", "neither"])
+def test_oracle_reads_exactly_one_source(sources, message, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["oracle", *sources, "12"])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_massey_refuses_one_component_before_the_mask(tmp_path, monkeypatch, capsys):
+    # the Massey gate of tubes.validate_scene: there is no pair to solve
+    doc = json.loads((ROOT / "fixtures" / "hopf.json").read_text())
+    doc["components"] = doc["components"][:1]
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(doc))
+    monkeypatch.setattr(massey.MaskedDomain, "build",
+                        lambda *a, **k: pytest.fail("mask built"))
+    assert cli.main(["massey", "--scene", str(scene), "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "SceneError: Massey hierarchy needs at least two components, got 1")
+
+
+def test_reverse_flips_the_crossing_linking_number(tmp_path, capsys):
+    doc = json.loads((ROOT / "fixtures" / "hopf.json").read_text())
+    crossing = []
+    for reverse in (False, True):
+        doc["components"][0]["reverse"] = reverse
+        scene, out = tmp_path / f"{reverse}.json", tmp_path / f"r{reverse}.json"
+        scene.write_text(json.dumps(doc))
+        assert cli.main(["lk", "--scene", str(scene), "--out", str(out)]) == 0
+        crossing.append(json.loads(out.read_text())["linking"]["crossing"][0][1])
+    assert crossing == [1, -1]
+
+
 def test_lk_projects_the_scene_once(monkeypatch, capsys):
     # every find_crossings call sees the whole link, and only a rejected
     # direction is followed by another call
@@ -342,22 +403,26 @@ def test_lk_projects_the_scene_once(monkeypatch, capsys):
     assert {n for n, _ in calls} == {3}
 
 
-def _massey_with_config(doc, tmp_path, monkeypatch, capsys):
-    """Exit code and stderr of `massey` on the Borromean fixture with the
-    config `doc`, failing if the scene is read: a config is rejected before
-    the scene is read or any field is built."""
+def _with_config(command, doc, tmp_path, monkeypatch, capsys):
+    """Exit code and stderr of `command` with the config `doc` (`massey` on
+    the Borromean fixture), failing if the scene is read or a co-momentum
+    field is drawn: a config is rejected before either."""
     monkeypatch.chdir(ROOT)
     monkeypatch.setattr(cli, "load_scene", lambda path: pytest.fail("scene loaded"))
+    monkeypatch.setattr(comomentum, "comomentum_report",
+                        lambda *args: pytest.fail("field drawn"))
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
-    argv = ["massey", "--scene", "fixtures/borromean.json", "--config", str(config)]
+    argv = [command, "--config", str(config)]
+    if command == "massey":
+        argv += ["--scene", "fixtures/borromean.json"]
     return cli.main(argv), capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", [0.5, 2.5, -1, 0])
 def test_cg_maxiter_must_be_a_whole_number(value, tmp_path, monkeypatch, capsys):
     doc = {"tolerances": {"cg_maxiter": value}}
-    code, err = _massey_with_config(doc, tmp_path, monkeypatch, capsys)
+    code, err = _with_config("massey", doc, tmp_path, monkeypatch, capsys)
     assert code == 2
     assert "SceneError: tolerance cg_maxiter must be" in err
 
@@ -365,30 +430,50 @@ def test_cg_maxiter_must_be_a_whole_number(value, tmp_path, monkeypatch, capsys)
 # the tolerances a config may not set: fixed gates, read where they apply
 FIXED_GATES = ["eps_div", "eps_mean", "eps_harm", "eps_ham", "eps_obstruction",
                "quad_refine", "cross_angle", "cross_sep"]
+TOLERANCE_KEYS = "['cg_maxiter', 'cg_tol', 'eps_massey', 'eps_period']"
+MASSEY_READS = "config may hold only ['tolerances'], got"
+COMOMENTUM_READS = "config may hold only ['grid'], got"
+# case -> (command, config, message): massey reads only "tolerances",
+# comomentum only "grid"
 MALFORMED_CONFIGS = {
-    "cg_tol-string": ({"tolerances": {"cg_tol": "abc"}}, "tolerance cg_tol must be a finite number"),
-    "cg_tol-bool": ({"tolerances": {"cg_tol": True}}, "tolerance cg_tol must be a finite number"),
-    "eps_massey-nan": ({"tolerances": {"eps_massey": math.nan}},
+    "cg_tol-string": ("massey", {"tolerances": {"cg_tol": "abc"}},
+                      "tolerance cg_tol must be a finite number"),
+    "cg_tol-bool": ("massey", {"tolerances": {"cg_tol": True}},
+                    "tolerance cg_tol must be a finite number"),
+    "eps_massey-nan": ("massey", {"tolerances": {"eps_massey": math.nan}},
                        "tolerance eps_massey must be a finite number"),
-    "eps_period-negative": ({"tolerances": {"eps_period": -0.1}},
+    "eps_period-negative": ("massey", {"tolerances": {"eps_period": -0.1}},
                             "tolerance eps_period must be positive"),
-    "config-list": ([], "config must be a JSON object"),
-    "grid-number": ({"grid": 32}, "grid must be a JSON object"),
-    "tolerances-list": ({"tolerances": ["cg_tol"]}, "tolerances must be a JSON object"),
-    "N-fraction": ({"grid": {"N": 32.7}}, "grid N must be a whole number"),
-    "N-string": ({"grid": {"N": "32"}}, "grid N must be a finite number"),
-    "L-string": ({"grid": {"L": "6.28"}}, "grid L must be a finite number"),
-    "seed-fraction": ({"seed": 1.9}, "seed must be a whole number"),
-    "seed-string": ({"seed": "1"}, "seed must be a finite number"),
-    **{f"fixed-{key}": ({"tolerances": {key: 1e-3}}, f"unknown tolerance keys: ['{key}']")
+    "config-list": ("massey", [], "config must be a JSON object"),
+    "comomentum-config-list": ("comomentum", [], "config must be a JSON object"),
+    "tolerances-list": ("massey", {"tolerances": ["cg_tol"]},
+                        "tolerances must be a JSON object"),
+    "tolerances-misspelled": ("massey", {"tolerance": {"eps_massey": 0.2}},
+                              f"{MASSEY_READS} ['tolerance']"),
+    "massey-grid": ("massey", {"grid": {"N": 128}}, f"{MASSEY_READS} ['grid']"),
+    "seed-fraction": ("massey", {"seed": 1.9}, f"{MASSEY_READS} ['seed']"),
+    "seed-string": ("massey", {"seed": "1"}, f"{MASSEY_READS} ['seed']"),
+    "grid-number": ("comomentum", {"grid": 32}, "grid must be a JSON object"),
+    "N-fraction": ("comomentum", {"grid": {"N": 32.7}}, "grid N must be a whole number"),
+    "N-string": ("comomentum", {"grid": {"N": "32"}}, "grid N must be a finite number"),
+    "N-small": ("comomentum", {"grid": {"N": 8}}, "grid N must be at least 16, got 8"),
+    "L-string": ("comomentum", {"grid": {"L": "6.28"}}, "grid L must be a finite number"),
+    "L-negative": ("comomentum", {"grid": {"L": -1}}, "grid L must be positive"),
+    "grid-unknown-key": ("comomentum", {"grid": {"n": 32}},
+                         "grid may hold only ['L', 'N'], got ['n']"),
+    "comomentum-seed": ("comomentum", {"seed": 1}, f"{COMOMENTUM_READS} ['seed']"),
+    "comomentum-tolerances": ("comomentum", {"tolerances": {"cg_tol": 0.1}},
+                              f"{COMOMENTUM_READS} ['tolerances']"),
+    **{f"fixed-{key}": ("massey", {"tolerances": {key: 1e-3}},
+                        f"tolerances may hold only {TOLERANCE_KEYS}, got ['{key}']")
        for key in FIXED_GATES},
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_CONFIGS))
 def test_malformed_config_exits_2(case, tmp_path, monkeypatch, capsys):
-    doc, message = MALFORMED_CONFIGS[case]
-    code, err = _massey_with_config(doc, tmp_path, monkeypatch, capsys)
+    command, doc, message = MALFORMED_CONFIGS[case]
+    code, err = _with_config(command, doc, tmp_path, monkeypatch, capsys)
     assert code == 2
     assert err.startswith(f"SceneError: {message}")
 
@@ -400,6 +485,8 @@ DEGENERATE_COMPONENTS = {
     "zero_radius": {"type": "circle", "center": [-0.5, 0, 0], "normal": [0, 0, 1], "radius": 0.0},
     "zero_axis": {"type": "ellipse", "center": [-0.5, 0, 0], "axis_u": [1, 0, 0],
                   "axis_v": [0, 0, 0]},
+    "oblique_axes": {"type": "ellipse", "center": [-0.5, 0, 0], "axis_u": [1, 0, 0],
+                     "axis_v": [0.5, 1, 0]},
 }
 
 
@@ -440,11 +527,12 @@ SEEDED = {
 
 
 @pytest.mark.parametrize("command", sorted(SEEDED))
-@pytest.mark.parametrize("flag, config, seed", [
-    (None, None, 0), (None, 7, 7), (3, 7, 3), (3, None, 3),
-])
+@pytest.mark.parametrize("flag, config, seed", [(None, None, 0), (3, None, 3)])
 def test_one_seed_policy(command, flag, config, seed, tmp_path, monkeypatch):
-    # --seed, else the config's "seed", else the config default 0
+    # --seed, else 0: the flag is the only seed source.  `config` is the
+    # seed a config sets; only None, no seed, runs: a config "seed" is
+    # refused (test_config_seed_is_refused, test_unread_inputs_are_usage_errors)
+    assert config is None
     module, name, result = SEEDED[command]
     owner = importlib.import_module(f"vortexlink.{module}")
     real = getattr(owner, name)
@@ -459,14 +547,18 @@ def test_one_seed_policy(command, flag, config, seed, tmp_path, monkeypatch):
     argv = [command] + (["12"] if command == "oracle" else [])
     if command != "comomentum":
         argv += ["--scene", str(ROOT / "fixtures" / "hopf.json")]
-    if config is not None:
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({"seed": config}))
-        argv += ["--config", str(cfg)]
     if flag is not None:
         argv += ["--seed", str(flag)]
     assert cli.main(argv + ["--out", str(tmp_path / "out.json")]) == 0
     assert states == [np.random.default_rng(seed).bit_generator.state]
+
+
+@pytest.mark.parametrize("command", ["massey", "comomentum"])
+def test_config_seed_is_refused(command, tmp_path, monkeypatch, capsys):
+    # lk and oracle take no --config (test_unread_inputs_are_usage_errors)
+    code, err = _with_config(command, {"seed": 7}, tmp_path, monkeypatch, capsys)
+    assert code == 2
+    assert err.startswith("SceneError: config may hold only") and "['seed']" in err
 
 
 # two unlinked rings (1, 2), each linked once with ring 3: the (1, 3) and
@@ -510,9 +602,31 @@ def test_no_command_imports_scipy(argv, tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
+    ["lk", "--scene", "fixtures/hopf.json"],
+    ["oracle", "12", "--scene", "fixtures/hopf.json"],
+    ["oracle", "12", "--diagram", "fixtures/hopf_diagram.json"],
+], ids=["lk", "oracle-scene", "oracle-diagram"])
+def test_projection_commands_import_no_field_module(argv, tmp_path):
+    # lk and oracle build no field, so they never import the spectral layer
+    # or the modules built on it
+    code = ("import sys; from vortexlink import cli; "
+            f"assert cli.main({argv + ['--out', str(tmp_path / 'r.json')]!r}) == 0; "
+            "print([m for m in ('operators', 'massey', 'comomentum') "
+            "if 'vortexlink.' + m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("argv", [
     ["export", "--scene", "fixtures/split.json", "--config", "c.json"],
+    ["lk", "--scene", "fixtures/split.json", "--config", "c.json"],
+    ["oracle", "12", "--scene", "fixtures/split.json", "--config", "c.json"],
+    ["oracle", "12", "--diagram", "fixtures/hopf_diagram.json", "--config", "c.json"],
     ["comomentum", "--scene", "fixtures/split.json"],
-], ids=["export-config", "comomentum-scene"])
+], ids=["export-config", "lk-config", "oracle-scene-config", "oracle-diagram-config",
+        "comomentum-scene"])
 def test_unread_inputs_are_usage_errors(argv, capsys):
     # a command takes only the inputs it reads, so an option that it would
     # ignore is refused by the parser before any work
@@ -522,7 +636,14 @@ def test_unread_inputs_are_usage_errors(argv, capsys):
     assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
+def _ring(nan_at=None):
+    """Twelve vertices of a unit circle, with a NaN height at index `nan_at`."""
+    return [[math.cos(t), math.sin(t), math.nan if k == nan_at else 0.0]
+            for k, t in enumerate(np.linspace(0, 6, 12))]
+
+
 # a section of fixtures/split.json replaced by a value of the wrong JSON type
+# or out of range
 MISTYPED_SCENES = {
     "box-number": (("box",), 5, "box must be a JSON object"),
     "tube-list": (("tube",), [0.1], "tube must be a JSON object"),
@@ -553,10 +674,23 @@ MISTYPED_SCENES = {
                             "radius": 0.45},
                            "circle normal must be three finite numbers"),
     "polygon-nan": (("components", 0),
-                    {"type": "polygon",
-                     "vertices": [[math.cos(t), math.sin(t), math.nan if k == 3 else 0.0]
-                                  for k, t in enumerate(np.linspace(0, 6, 12))]},
-                    "polygon has a vertex that is not finite"),
+                    {"type": "polygon", "vertices": _ring(nan_at=3)},
+                    "polygon vertex must be three finite numbers"),
+    "polygon-three": (("components", 0), {"type": "polygon", "vertices": _ring()[:3]},
+                      "polygon needs at least 8 vertices of dimension 3, got (3, 3)"),
+    "polygon-coincident": (("components", 0),
+                           {"type": "polygon", "vertices": _ring()[:1] + _ring()},
+                           "polygon has two consecutive vertices that coincide"),
+    "polygon-vertices-string": (("components", 0), {"type": "polygon", "vertices": "abc"},
+                                "polygon vertices must be a JSON array"),
+    "box-N-small": (("box", "N"), 4, "grid N must be at least 8, got 4"),
+    "box-N-huge": (("box", "N"), 10**400, "box N must be a finite number"),
+    "box-L-negative": (("box", "L"), -1, "grid L must be positive"),
+    "tube-radius-negative": (("tube", "radius"), -0.1, "tube radius must be positive"),
+    "reverse-string": (("components", 0, "reverse"), "no",
+                       "ellipse reverse must be true or false, got 'no'"),
+    "reverse-number": (("components", 0, "reverse"), 1,
+                       "ellipse reverse must be true or false, got 1"),
 }
 
 
@@ -594,12 +728,16 @@ def test_every_error_carries_its_exit_code():
 
 
 def test_programming_errors_propagate(monkeypatch):
-    def broken(*args):
-        raise E.MissingPrimitive("primitive (1, 2) not solved")
+    # an error without an exit code, or a stray ValueError, is a fault of
+    # the program, not of the input: it is not reported as a usage error
+    for error in (E.MissingPrimitive("primitive (1, 2) not solved"),
+                  ValueError("shapes do not match")):
+        def broken(*args):
+            raise error
 
-    monkeypatch.setattr(linking, "linking_report", broken)
-    with pytest.raises(E.MissingPrimitive):
-        cli.main(["lk", "--scene", str(ROOT / "fixtures" / "hopf.json")])
+        monkeypatch.setattr(linking, "linking_report", broken)
+        with pytest.raises(type(error)):
+            cli.main(["lk", "--scene", str(ROOT / "fixtures" / "hopf.json")])
 
 
 if __name__ == "__main__":

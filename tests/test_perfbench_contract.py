@@ -4,31 +4,51 @@ Every function the traced benchmark wraps still exists under its name:
 `perfbench/traced_cli.py` wraps functions by (module, attribute) name; a
 rename in the package would otherwise surface only as a crash of a traced
 benchmark run.  The lookup below is the one `Tracer.install` makes.  And
-every config the benchmark passes still loads, so that a tolerance key the
-package stops accepting fails here and not on every benchmark operation.
+every config the benchmark passes still loads through the section reader of
+the command it is passed to, so that a key the package stops accepting fails
+here and not on every benchmark operation.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-from vortexlink.scenes import Config
+from vortexlink.scenes import grid_config, tolerance_config
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-TRACED_CLI = PERFBENCH / "traced_cli.py"
 INPUTS = sorted((PERFBENCH / "inputs").glob("*.json"))
 
 
-def _traced():
-    spec = importlib.util.spec_from_file_location("perfbench_traced_cli", TRACED_CLI)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.TRACED
+def _perfbench(name):
+    """A module of perfbench/, loaded without leaving perfbench/ on sys.path."""
+    path = list(sys.path)
+    try:
+        spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = path
+    return module
 
 
-TRACED = _traced()
+TRACED = _perfbench("traced_cli").TRACED
+# the config section each command reads
+READERS = {"comomentum": grid_config, "massey": tolerance_config}
+
+
+def _config_commands():
+    """{config path: the commands the benchmark passes it to}."""
+    run = _perfbench("run")
+    passed = {}
+    for workload in run.WORKLOADS:
+        for _, argv, _, _ in run.workload_ops(workload, 0, Path("out")):
+            if "--config" in argv:
+                path = PERFBENCH.parent / argv[argv.index("--config") + 1]
+                passed.setdefault(path, set()).add(argv[0])
+    return passed
 
 
 @pytest.mark.parametrize(
@@ -48,4 +68,7 @@ def test_traced_name_resolves(mod_name, attr):
 
 @pytest.mark.parametrize("path", INPUTS, ids=[p.name for p in INPUTS])
 def test_benchmark_config_loads(path):
-    Config.load(path)
+    commands = _config_commands().get(path)
+    assert commands, f"no benchmark operation passes {path.name}"
+    for command in commands:
+        READERS[command](path)

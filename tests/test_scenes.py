@@ -10,7 +10,7 @@ from vortexlink.diagrams import diagram_from_doc, diagram_to_doc
 from vortexlink.errors import SceneError
 from vortexlink.grid import Grid3
 from vortexlink.massey import MasseyConfig
-from vortexlink.scenes import load_scene, read_json
+from vortexlink.scenes import grid_config, load_scene, read_json, tolerance_config
 from vortexlink.tubes import meridian_torus_panels, validate_scene
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -41,6 +41,12 @@ def test_split_triple_is_a_valid_massey_scene(n, tube_radius):
     grid = Grid3(n, 2 * np.pi)
     # the default meridian tori clear every neighbouring tube support
     validate_scene(split_triple(tube_radius=tube_radius), grid, MasseyConfig())
+
+
+def test_config_readers_without_a_file():
+    # no --config: the default grid, and no tolerance overridden
+    assert grid_config(None) == Grid3(96, 2 * np.pi)
+    assert tolerance_config(None) == {}
 
 
 def test_half_box_violation_is_a_scene_error():
