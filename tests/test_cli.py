@@ -527,12 +527,14 @@ SEEDED = {
 
 
 @pytest.mark.parametrize("command", sorted(SEEDED))
-@pytest.mark.parametrize("flag, config, seed", [(None, None, 0), (3, None, 3)])
-def test_one_seed_policy(command, flag, config, seed, tmp_path, monkeypatch):
+@pytest.mark.parametrize("flag, config, seed", [
+    (None, None, 0), (None, 7, 7), (3, 7, 3), (3, None, 3),
+])
+def test_one_seed_policy(command, flag, config, seed, tmp_path, monkeypatch, capsys):
     # --seed, else 0: the flag is the only seed source.  `config` is the
-    # seed a config sets; only None, no seed, runs: a config "seed" is
-    # refused (test_config_seed_is_refused, test_unread_inputs_are_usage_errors)
-    assert config is None
+    # seed a config sets and `seed` the one drawn when the run goes ahead;
+    # a config "seed" refuses the run before any generator is drawn, whether
+    # or not --seed is given
     module, name, result = SEEDED[command]
     owner = importlib.import_module(f"vortexlink.{module}")
     real = getattr(owner, name)
@@ -547,10 +549,27 @@ def test_one_seed_policy(command, flag, config, seed, tmp_path, monkeypatch):
     argv = [command] + (["12"] if command == "oracle" else [])
     if command != "comomentum":
         argv += ["--scene", str(ROOT / "fixtures" / "hopf.json")]
+    if config is not None:
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"seed": config}))
+        argv += ["--config", str(cfg)]
     if flag is not None:
         argv += ["--seed", str(flag)]
-    assert cli.main(argv + ["--out", str(tmp_path / "out.json")]) == 0
-    assert states == [np.random.default_rng(seed).bit_generator.state]
+    argv += ["--out", str(tmp_path / "out.json")]
+    if config is None:
+        assert cli.main(argv) == 0
+        assert states == [np.random.default_rng(seed).bit_generator.state]
+    elif command in ("massey", "comomentum"):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("SceneError: config may hold only")
+        assert states == []
+    else:
+        # lk and oracle take no --config at all
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+        assert states == []
 
 
 @pytest.mark.parametrize("command", ["massey", "comomentum"])
