@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, fields
 
 from .errors import InconsistentDiagram, IndeterminateInvariant, SceneError
 from .magnus import word_series
-from .scenes import _array, _number, _object, _require
+from .scenes import _array, _number, _object, _only, _require
 
 DIAGRAM_SCHEMA = "vdiag-1"
 
@@ -117,6 +117,7 @@ def diagram_from_doc(doc) -> LinkDiagram:
     doc = _object(doc, "diagram")
     if doc.get("schema") != DIAGRAM_SCHEMA:
         raise SceneError(f"expected schema {DIAGRAM_SCHEMA!r}, got {doc.get('schema')!r}")
+    _only(doc, ("schema", "components", "arcs", "crossings"), "diagram")
 
     def whole(value, what):
         return int(_number(value, what, whole=True))
@@ -125,12 +126,12 @@ def diagram_from_doc(doc) -> LinkDiagram:
         [whole(a, "arc id") for a in _array(seq, "arc list")]
         for seq in _array(_require(doc, "arcs", "diagram"), "arcs")
     ]
+    names = [f.name for f in fields(DiagramCrossing)]
     crossings = []
     for x in _array(_require(doc, "crossings", "diagram"), "crossings"):
-        x = _object(x, "crossing")
+        x = _only(x, names, "crossing")
         crossings.append(DiagramCrossing(**{
-            f.name: whole(_require(x, f.name, "crossing"), f"crossing {f.name}")
-            for f in fields(DiagramCrossing)
+            name: whole(_require(x, name, "crossing"), f"crossing {name}") for name in names
         }))
     n = whole(_require(doc, "components", "diagram"), "diagram components")
     return LinkDiagram(n, arcs, crossings)

@@ -27,20 +27,29 @@ fields; the iterates are therefore those of the same CG run in physical
 space, up to the order of rounding.
 
 Where the forms live.  A field is dropped after its last read, except what
-the hierarchy owns for its whole life: the mask and its core weight, the
-v_I, the Omega_I and their certificates.  The hierarchy keeps in
-`MasseyHierarchy.d` the exterior derivative of each form that more than one
-step reads: d Omega_12, d Omega_23 and d Omega_123 from their closedness
-certificates to the Bianchi checks (d Omega_13 has no later reader and is
-dropped at once), and d v_12, d v_23 from the solves' residual certificates
-to the Lie derivatives.  It keeps no tube form: `involution_report`, their
-only reader, deposits them when it needs them.  The CG keeps its right-hand
-side and each preconditioned residual only until their last read.  The
-certificate stages own nothing that outlives them: `cartan_bianchi_report`
-builds, certifies and drops one connection at a time, each curvature and
-Bianchi entry is summed into one accumulator as its terms are made (the
-Bianchi accumulator of a fresh curvature entry is its own derivative), and
-a shared derivative or a stored Omega_I is read and never written.  From
+the hierarchy owns for its whole life: the mask, the v_I, Omega_123 and the
+certificates.  A pairwise Omega_ij is held only while a stage reads it.
+Omega_13 is dropped right after its closedness and period certificates,
+since no stage reads it before the brackets.  Omega_12 and Omega_23, which
+the solves and the level-1 connection read, are dropped once that
+connection is certified; level 2 makes v_i ^ v_j afresh.  The brackets
+make each dropped Omega_ij again with the same wedge(v_i, v_j), and no v_i
+is ever written, so its bits are those of the first.  The core weight,
+which only the CG reads, is dropped after the last solve.  The hierarchy
+keeps in `MasseyHierarchy.d` the exterior derivative of each form that more
+than one step reads: d Omega_12, d Omega_23 and d Omega_123 from their
+closedness certificates to the Bianchi checks (d Omega_13 has no later
+reader and is dropped at once), and d v_12, d v_23 from the solves'
+residual certificates to the Lie derivatives.  A kept derivative holds its
+form too, so a dropped Omega_ij is freed only once its derivative is
+released.  It keeps no tube form: `involution_report`, their only reader,
+deposits them when it needs them.  The CG keeps its right-hand side and
+each preconditioned residual only until their last read.  The certificate
+stages own nothing that outlives them: `cartan_bianchi_report` builds,
+certifies and drops one connection at a time, each curvature and Bianchi
+entry is summed into one accumulator as its terms are made (the Bianchi
+accumulator of a fresh curvature entry is its own derivative), and a shared
+derivative or a stored Omega_I is read and never written.  From
 `cartan_bianchi_report` to `involution_report` the hierarchy keeps only
 d v_I, and `involution_report` drops each one right after its Lie
 derivative.
@@ -140,12 +149,13 @@ class MaskedDomain:
 
     `core` is a weight supported strictly inside the mask-zero region
     (mask * core = 0 identically); it carries the gauge energy of the
-    primitive solves.
+    primitive solves.  The CG is its only reader, so `massey_report` sets it
+    to None after the last solve.
     """
 
     grid: Grid3
     mask: np.ndarray
-    core: np.ndarray
+    core: np.ndarray | None
     link: Link
     r_mask: float
     meridian_minor: float
@@ -361,8 +371,14 @@ def _telemetry(t_start, niter, loop_s, history) -> dict:
 @dataclass
 class MasseyHierarchy:
     """Disc duals v_i, obstruction forms Omega_I, solved primitives v_I and
-    their certificates, over one masked link scene.  The tube 2-forms are
-    not kept: see tube_form."""
+    their certificates, over one masked link scene.
+
+    `omega` holds Omega_123 from massey_triple on, and a pairwise Omega_ij
+    only while a stage reads it: obstruction_form stores only the
+    Omega_{i,i+1}, which the solves and the level-1 connection read, and
+    cartan_bianchi_report drops them once that connection is certified.  A
+    dropped Omega_ij is v_i ^ v_j, made again by the brackets.  The tube
+    2-forms are not kept: see tube_form."""
 
     dom: MaskedDomain
     config: MasseyConfig
@@ -422,17 +438,19 @@ class MasseyHierarchy:
         self.certificates[("closedness", key)] = closed
 
     def obstruction_form(self, i: int, j: int) -> GridField:
-        """Omega_ij = v_i ^ v_j with masked-closedness and period certificates."""
+        """Omega_ij = v_i ^ v_j with masked-closedness and period
+        certificates.  Only an Omega_{i,i+1} is stored (see the class
+        docstring); any other is the caller's alone."""
         key = (i, j)
         if key in self.omega:
             return self.omega[key]
-        vi, vj = self.v[(i,)], self.v[(j,)]
-        om = wedge(vi, vj)
-        self.omega[key] = om
+        om = wedge(self.v[(i,)], self.v[(j,)])
         self._certify_closed(key, om)
-        if j != i + 1:
-            # only the Omega_{i,i+1} are curvature entries of the level-1
-            # connection, whose Bianchi check reads d Omega again
+        if j == i + 1:
+            # the Omega_{i,i+1} are solved and are curvature entries of the
+            # level-1 connection, whose Bianchi check reads d Omega again
+            self.omega[key] = om
+        else:
             self.release_derivative(om)
         self.certificates[("periods", key)] = self.dom.periods(om)
         return om
@@ -611,7 +629,9 @@ def cartan_bianchi_report(h: MasseyHierarchy) -> dict:
     curvature is the shared d v_i and the stored Omega_12 and Omega_23.  Of
     the derivatives kept so far, only d v_I (d v_12 and d v_23 from the
     solves), d(d v_i) and the closedness certificate's d Omega_123 carry
-    over to level 2, which reads them again.  Level 2's curvature adds the
+    over to level 2, which reads them again.  The pairwise Omega_ij have no
+    reader in level 2 and are dropped with their derivatives, so none is
+    alive while level 2 is certified.  Level 2's curvature adds the
     fresh w = d v_ij + v_i ^ v_j, dropped with its connection, and the
     stored Omega_123; the Bianchi check makes the derivative of each fresh w
     and spends it as that entry's accumulator, so it is never kept.  On
@@ -622,6 +642,7 @@ def cartan_bianchi_report(h: MasseyHierarchy) -> dict:
     exact1, bianchi1 = _certify_connection(h, 1, (1, 2))
     singles = [vI for key, vI in h.v.items() if len(key) == 1]
     h.release_derivatives(keep=[*h.v.values(), *map(h.d, singles), h.omega[(1, 2, 3)]])
+    h.omega = {key: om for key, om in h.omega.items() if len(key) > 2}
     exact2, bianchi2 = _certify_connection(h, 2, (1, 2, 3))
     h.release_derivatives(keep=h.v.values())
     return {
@@ -649,8 +670,10 @@ def involution_report(h: MasseyHierarchy) -> dict:
     This is the only reader of the tube forms.  It deposits them twice, so
     that the three are never alive beside the five d v_I: the Lie loop sums
     them one deposit at a time into xi_L, the one field it keeps, and the
-    brackets deposit each again once xi_L and every d v_I are gone.
-    Nothing here mutates a form of the hierarchy.
+    brackets deposit each again once xi_L and every d v_I are gone.  The
+    brackets also make every pairwise Omega_ij the hierarchy no longer
+    holds, as v_i ^ v_j, and drop them on return.  Nothing here mutates a
+    form of the hierarchy.
     """
     report = {"iota": {}, "lie": {}, "pb": {}, "pb_certificates": {}}
     _lie_residuals(h, report)
@@ -685,14 +708,19 @@ def _lie_residuals(h: MasseyHierarchy, report: dict) -> None:
 
 
 def _bracket_residuals(h: MasseyHierarchy, report: dict) -> None:
-    """The Poisson brackets of every two stored classes, with the
-    closedness and harmonic-part certificates of each bracket.  The singles
-    use freshly deposited tube forms, the others views of the Omega_I."""
+    """The Poisson brackets of every two classes, with the closedness and
+    harmonic-part certificates of each bracket.  The singles use freshly
+    deposited tube forms, the others views of the Omega_I: the stored ones,
+    and v_i ^ v_j made again for each pair the hierarchy dropped (the same
+    wedge as obstruction_form's, so the same bits)."""
     dom = h.dom
     r = dom.link.tube.radius
     n = len(dom.link.components)
+    omega = {(i, j): wedge(h.v[(i,)], h.v[(j,)])
+             for i, j in combinations(range(1, n + 1), 2) if (i, j) not in h.omega}
+    omega.update(h.omega)
     xi_of = {(k,): hodge_star(h.tube_form(k)) for k in range(1, n + 1)}
-    xi_of.update((key, hodge_star(om)) for key, om in h.omega.items())
+    xi_of.update((key, hodge_star(om)) for key, om in omega.items())
     sup = {key: x.sup_norm() for key, x in xi_of.items()}
 
     keys = sorted(xi_of, key=lambda k: (len(k), k))
@@ -754,6 +782,7 @@ def massey_report(link: Link, grid: Grid3, tolerances: dict, rng, timer):
                 "iterations": info["iterations"],
             }
             timer.solver[f"{i}{j}"] = info["telemetry"]
+        h.dom.core = None  # the CG is its only reader
         timer.stop()
     except ObstructedClass as exc:
         timer.stop()

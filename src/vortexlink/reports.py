@@ -60,11 +60,12 @@ class StageTimer:
     `peak_rss_mb` the process's peak resident set at the end of each stage
     (a high-water mark, so it never falls from one stage to the next),
     `rss_mb` its current resident set at the end of each stage (it falls
-    when a stage frees memory that the allocator hands back) and
-    `fft_calls` the `rfft3`/`irfft3` calls made in each stage.  They are
-    written beside the stages under their own keys, so "timings" lists stage
-    seconds only; "solver" is written only when there were solves and
-    "fft_calls" only when some stage transformed.
+    when a stage frees memory that the allocator hands back), `minflt` the
+    minor page faults taken in each stage (ru_minflt; a page the process
+    maps afresh costs one) and `fft_calls` the `rfft3`/`irfft3` calls made
+    in each stage.  They are written beside the stages under their own keys,
+    so "timings" lists stage seconds only; "solver" is written only when
+    there were solves and "fft_calls" only when some stage transformed.
     """
 
     def __init__(self):
@@ -72,14 +73,17 @@ class StageTimer:
         self.solver = {}
         self.peak_rss_mb = {}
         self.rss_mb = {}
+        self.minflt = {}
         self.fft_calls = {}
         self._t0 = None
         self._ffts0 = None
+        self._minflt0 = None
         self._name = None
 
     def start(self, name):
         self._t0 = time.perf_counter()
         self._ffts0 = _fft_calls()
+        self._minflt0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         self._name = name
 
     def stop(self):
@@ -90,8 +94,9 @@ class StageTimer:
             # the current resident set first: the high-water mark read after
             # it covers it.  ru_maxrss counts KiB (Linux)
             self.rss_mb[self._name] = round(_resident_mb(), 1)
-            rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-            self.peak_rss_mb[self._name] = round(rss / 1024, 1)
+            usage = resource.getrusage(resource.RUSAGE_SELF)
+            self.peak_rss_mb[self._name] = round(usage.ru_maxrss / 1024, 1)
+            self.minflt[self._name] = usage.ru_minflt - self._minflt0
             self.fft_calls[self._name] = _fft_calls() - self._ffts0
             self._name = None
 
@@ -99,7 +104,7 @@ class StageTimer:
         path = str(report_path) + ".timings.json"
         with open(path, "w") as fh:
             doc = {"timings": self.stages, "peak_rss_mb": self.peak_rss_mb,
-                   "rss_mb": self.rss_mb}
+                   "rss_mb": self.rss_mb, "minflt": self.minflt}
             if self.solver:
                 doc["solver"] = self.solver
             if any(self.fft_calls.values()):

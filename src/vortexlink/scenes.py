@@ -67,8 +67,19 @@ def _vector(value, what) -> np.ndarray:
     return np.array(value, dtype=float)
 
 
+# the keys each component type may hold
+_COMPONENT_KEYS = {
+    "circle": ("type", "center", "normal", "radius", "phase", "samples", "reverse"),
+    "ellipse": ("type", "center", "axis_u", "axis_v", "phase", "samples", "reverse"),
+    "polygon": ("type", "vertices", "reverse"),
+}
+
+
 def component_from_doc(doc) -> PlanarCurve | PolygonalCurve:
     kind = _require(doc, "type", "component")
+    if not isinstance(kind, str) or kind not in _COMPONENT_KEYS:
+        raise SceneError(f"unknown component type {kind!r}")
+    _only(doc, _COMPONENT_KEYS[kind], kind)
 
     def vector(key):
         return _vector(_require(doc, key, kind), f"{kind} {key}")
@@ -80,14 +91,14 @@ def component_from_doc(doc) -> PlanarCurve | PolygonalCurve:
         phase = float(_number(doc.get("phase", 0.0), f"{kind} phase"))
     if kind == "circle":
         radius = float(_number(_require(doc, "radius", kind), "circle radius"))
+        if not radius > 0:
+            raise SceneError(f"circle radius must be positive, got {radius}")
         c = circle(vector("center"), vector("normal"), radius, phase, n_samples)
     elif kind == "ellipse":
         c = PlanarCurve(vector("center"), vector("axis_u"), vector("axis_v"), phase, n_samples)
-    elif kind == "polygon":
+    else:
         vertices = _array(_require(doc, "vertices", kind), "polygon vertices")
         c = PolygonalCurve(np.array([_vector(v, "polygon vertex") for v in vertices]))
-    else:
-        raise SceneError(f"unknown component type {kind!r}")
     reverse = doc.get("reverse", False)
     if not isinstance(reverse, bool):
         raise SceneError(f"{kind} reverse must be true or false, got {reverse!r}")
@@ -111,10 +122,11 @@ def scene_from_doc(doc) -> tuple[Grid3, Link]:
     doc = _object(doc, "scene")
     if doc.get("schema") != SCENE_SCHEMA:
         raise SceneError(f"expected schema {SCENE_SCHEMA!r}, got {doc.get('schema')!r}")
-    box = _object(_require(doc, "box"), "box")
+    _only(doc, ("schema", "box", "tube", "components"), "scene")
+    box = _only(_require(doc, "box"), ("N", "L"), "box")
     grid = Grid3(int(_number(_require(box, "N", "box"), "box N", whole=True)),
                  float(_number(_require(box, "L", "box"), "box L")))
-    tube_doc = _object(_require(doc, "tube"), "tube")
+    tube_doc = _only(_require(doc, "tube"), ("radius", "flux"), "tube")
     tube = TubeParams(
         float(_number(_require(tube_doc, "radius", "tube"), "tube radius")),
         float(_number(tube_doc.get("flux", 1.0), "tube flux")),

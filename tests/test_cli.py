@@ -157,15 +157,17 @@ def test_comomentum_without_triples_reports_null_eq27(tmp_path, monkeypatch):
 
 def test_sidecar_reports_peak_rss_per_stage(tmp_path, monkeypatch):
     # the sidecar keeps stage seconds under "timings", and the process's peak
-    # resident set and its current resident set at the end of each stage
-    # under their own keys
+    # resident set, its current resident set at the end of each stage and
+    # the minor page faults taken in each stage under their own keys
     monkeypatch.chdir(ROOT)
     out = tmp_path / "report.json"
     assert cli.main(["lk", "--scene", "fixtures/hopf.json", "--seed", SEED, "--out", str(out)]) == 0
     sidecar = json.loads((tmp_path / "report.json.timings.json").read_text())
-    assert set(sidecar) == {"timings", "peak_rss_mb", "rss_mb"}
+    assert set(sidecar) == {"timings", "peak_rss_mb", "rss_mb", "minflt"}
     stages = {"linking_matrix", "writhe_framing"}
-    assert set(sidecar["peak_rss_mb"]) == set(sidecar["rss_mb"]) == set(sidecar["timings"]) == stages
+    assert (set(sidecar["peak_rss_mb"]) == set(sidecar["rss_mb"]) == set(sidecar["minflt"])
+            == set(sidecar["timings"]) == stages)
+    assert all(isinstance(n, int) and n >= 0 for n in sidecar["minflt"].values())
     peak, now = sidecar["peak_rss_mb"], sidecar["rss_mb"]
     assert 0 < peak["linking_matrix"] <= peak["writhe_framing"]
     # the resident set at a stage's end is below the high-water mark read
@@ -299,7 +301,8 @@ def test_diagram_component_count_must_match_its_arcs(components, tmp_path, monke
     assert err.startswith(f"InconsistentDiagram: {components} components but 2 arc lists")
 
 
-# a part of fixtures/hopf_diagram.json replaced by a value of the wrong JSON type
+# a part of fixtures/hopf_diagram.json replaced by a value of the wrong JSON type,
+# or a key the diagram does not read added
 MALFORMED_DIAGRAMS = {
     "list": ((), []),
     "crossings-number": (("crossings",), 5),
@@ -310,6 +313,8 @@ MALFORMED_DIAGRAMS = {
     "crossing-sign-fraction": (("crossings", 0, "sign"), 0.5),
     "components-string": (("components",), "2"),
     "schema": (("schema",), "vlink-1"),
+    "unknown-key": (("crossing",), []),
+    "crossing-unknown-key": (("crossings", 0, "signs"), 1),
 }
 
 
@@ -662,7 +667,7 @@ def _ring(nan_at=None):
 
 
 # a section of fixtures/split.json replaced by a value of the wrong JSON type
-# or out of range
+# or out of range, or a key it does not read added
 MISTYPED_SCENES = {
     "box-number": (("box",), 5, "box must be a JSON object"),
     "tube-list": (("tube",), [0.1], "tube must be a JSON object"),
@@ -710,6 +715,27 @@ MISTYPED_SCENES = {
                        "ellipse reverse must be true or false, got 'no'"),
     "reverse-number": (("components", 0, "reverse"), 1,
                        "ellipse reverse must be true or false, got 1"),
+    "circle-radius-negative": (("components", 0),
+                               {"type": "circle", "center": [-1.1, 0, 0], "normal": [0, 0, 1],
+                                "radius": -0.45},
+                               "circle radius must be positive, got -0.45"),
+    "scene-unknown-key": (("grid",), {"N": 48}, "scene may hold only "
+                          "['box', 'components', 'schema', 'tube'], got ['grid']"),
+    "box-unknown-key": (("box", "n"), 48, "box may hold only ['L', 'N'], got ['n']"),
+    "tube-unknown-key": (("tube", "fluxx"), 3,
+                         "tube may hold only ['flux', 'radius'], got ['fluxx']"),
+    "ellipse-normal": (("components", 0, "normal"), [0, 0, 1], "ellipse may hold only "
+                       "['axis_u', 'axis_v', 'center', 'phase', 'reverse', 'samples', 'type'], "
+                       "got ['normal']"),
+    "circle-unknown-key": (("components", 0),
+                           {"type": "circle", "center": [-1.1, 0, 0], "normal": [0, 0, 1],
+                            "radius": 0.45, "sample": 64},
+                           "circle may hold only ['center', 'normal', 'phase', 'radius', "
+                           "'reverse', 'samples', 'type'], got ['sample']"),
+    "polygon-unknown-key": (("components", 0),
+                            {"type": "polygon", "vertices": _ring(), "phase": 0.5},
+                            "polygon may hold only ['reverse', 'type', 'vertices'], "
+                            "got ['phase']"),
 }
 
 

@@ -40,6 +40,7 @@ from vortexlink.random_fields import random_form
 from vortexlink.scenes import load_scene
 
 PRIMITIVE_KEYS = ((1,), (2,), (3,), (1, 2), (2, 3))
+PAIRS = ((1, 2), (1, 3), (2, 3))
 SPLIT_TRIPLE_N48 = Path(__file__).parent / "golden" / "split_triple_n48_scene.json"
 
 
@@ -67,7 +68,7 @@ def _hierarchy(seed, consistent):
     for key in PRIMITIVE_KEYS[3:]:
         h.v[key] = random_form(grid, 1, rng)
     if consistent:
-        for i, j in ((1, 2), (1, 3), (2, 3)):
+        for i, j in PAIRS:
             h.obstruction_form(i, j)
         h.massey_triple()
     else:
@@ -122,7 +123,7 @@ def _xi_copy(om):
     return GridField(om.grid, 1, om.comps.copy())
 
 
-def reference_involution(h):
+def reference_involution(h, omega):
     dom = h.dom
     tubes = [h.tube_form(k) for k in (1, 2, 3)]
     xis = [_xi_copy(om) for om in tubes]
@@ -151,7 +152,7 @@ def reference_involution(h):
     xi_of = {}
     for idx, om_i in enumerate(tubes):
         xi_of[(idx + 1,)] = _xi_copy(om_i)
-    for key, om in h.omega.items():
+    for key, om in omega.items():
         xi_of[key] = _xi_copy(om)
     keys = sorted(xi_of, key=lambda k: (len(k), k))
     for a in range(len(keys)):
@@ -189,7 +190,6 @@ def test_report_stages_match_reference_bitwise(consistent):
         c = NilpotentConnection.from_hierarchy(h, level)
         ref_w[level] = reference_curvature(c)
         ref_bianchi[level] = reference_bianchi(c, h.dom)
-    ref_inv = reference_involution(h)
     ref_exact1 = float(np.max(np.abs(ref_w[1][(0, 2)].comps - h.omega[(1, 2)].comps)))
     ref_exact2 = float(np.max(np.abs(ref_w[2][(0, 3)].comps - h.omega[(1, 2, 3)].comps)))
 
@@ -210,6 +210,13 @@ def test_report_stages_match_reference_bitwise(consistent):
     # the exactness certificates hold exactly when Omega_I is the product
     assert (ref_exact1 == 0.0 and ref_exact2 == 0.0) == consistent
 
+    # the level-1 certificates were the last readers of the pairwise
+    # Omega_ij; the brackets take v_i ^ v_j for each, whatever the hierarchy
+    # held before, and the stored Omega_123
+    assert list(h.omega) == [(1, 2, 3)]
+    omega = {(i, j): wedge(h.v[(i,)], h.v[(j,)]) for i, j in PAIRS}
+    omega[(1, 2, 3)] = h.omega[(1, 2, 3)]
+    ref_inv = reference_involution(h, omega)
     got = involution_report(h)
     assert got == ref_inv
     # every bracket of random fields is non-zero: the certificate branch ran
@@ -239,7 +246,7 @@ def test_each_exterior_derivative_is_computed_once(monkeypatch):
     # the solves, which need only a few CG iterations here
     cfg = MasseyConfig(eps_period=np.inf, eps_massey=np.inf, cg_tol=0.1)
     h, _ = _random_hierarchy(11, cfg)
-    for i, j in ((1, 2), (1, 3), (2, 3)):
+    for i, j in PAIRS:
         h.obstruction_form(i, j)
     # d Omega_13 has no reader after its closedness certificate
     kept = [id(f) for f, _ in h._derivatives.values()]
@@ -281,23 +288,31 @@ def test_cartan_bianchi_keeps_one_connection_alive():
 
 class _TubeTimer(_LiveTimer):
     """A live timer that also counts, when each stage stops, the tube forms
-    made so far and those still alive."""
+    made so far and those still alive, and lists the pairwise Omega_ij that
+    obstruction_form made and that are still alive."""
 
     def __init__(self):
         super().__init__()
         self.made = []  # (stage, weak reference to the array)
         self.tubes = {}
+        self.pairs = {}  # (i, j) -> weak reference to the array of Omega_ij
+        self.held = {}
+
+    def alive_pairs(self):
+        return sorted(key for key, ref in self.pairs.items() if ref() is not None)
 
     def stop(self):
         alive = sum(ref() is not None for _, ref in self.made)
         self.tubes[self._name] = (len(self.made), alive)
+        self.held[self._name] = self.alive_pairs()
         super().stop()
 
 
 def test_massey_report_holds_each_field_only_while_read(monkeypatch):
     """On the split_triple scene at N = 48, no tube form exists before the
-    involution stage and none outlives it, and the traced peak of the whole
-    report stays bounded."""
+    involution stage and none outlives it, each pairwise Omega_ij lives only
+    while a stage reads it, the core weight does not outlive the solves, and
+    the traced peak of the whole report stays bounded."""
     grid, link = load_scene(SPLIT_TRIPLE_N48)
     _symbols(grid)  # the cached symbols are not the report's fields
     timer = _TubeTimer()
@@ -308,7 +323,25 @@ def test_massey_report_holds_each_field_only_while_read(monkeypatch):
         timer.made.append((timer._name, weakref.ref(form.comps)))
         return form
 
+    obstruction_form = MasseyHierarchy.obstruction_form
+
+    def tracked_pair(h, i, j):
+        om = obstruction_form(h, i, j)
+        # the solves read Omega_12 and Omega_23 again: the same arrays
+        timer.pairs[(i, j)] = weakref.ref(om.comps)
+        timer.core = weakref.ref(h.dom.core)
+        return om
+
+    certify = massey._certify_connection
+    certified = {}
+
+    def watched(h, level, top):
+        certified[level] = (timer.alive_pairs(), timer.core() is None)
+        return certify(h, level, top)
+
     monkeypatch.setattr(massey, "tube_2form", tracked)
+    monkeypatch.setattr(MasseyHierarchy, "obstruction_form", tracked_pair)
+    monkeypatch.setattr(massey, "_certify_connection", watched)
     (section, obstruction), base, peak = _traced(lambda: massey_report(
         link, grid, dict(DEFAULT_TOLERANCES), np.random.default_rng(1), timer))
     assert obstruction is None and "involution" in section
@@ -317,9 +350,48 @@ def test_massey_report_holds_each_field_only_while_read(monkeypatch):
     assert timer.tubes == {
         stage: ((6, 0) if stage == "involution" else (0, 0)) for stage in timer.stages
     }
+    # Omega_13 is gone once its certificates are made; Omega_12 and Omega_23
+    # live from the pairwise stage to the level-1 connection, and none is
+    # alive while level 2 is certified; the core weight, after the solves
+    assert list(timer.pairs) == list(PAIRS)
+    solved = [(1, 2), (2, 3)]
+    assert timer.held == {
+        "scene_fields": [], "pairwise": solved, "solves": solved, "triple": solved,
+        "oracle": solved, "cartan_bianchi": [], "involution": [],
+    }
+    assert certified == {1: (solved, True), 2: ([], True)}
     # the certificate stages leave no field behind
     assert _fields(timer.live["involution"] - timer.live["oracle"], grid) < 0.1
     # 23.4 fields with the tube forms kept from the first stage to the last
-    # and the fresh level-2 Bianchi derivatives kept through the stage;
-    # 19.7 now, at the last level-2 Bianchi entry
-    assert _fields(peak - base, grid) < 20.0
+    # and the fresh level-2 Bianchi derivatives kept through the stage; 19.7
+    # with the pairwise Omega_ij and the core weight kept to the end; 16.4
+    # now, at the last level-2 Bianchi entry
+    assert _fields(peak - base, grid) < 17.0
+
+
+def test_brackets_remake_the_dropped_obstruction_forms_bit_for_bit(monkeypatch):
+    """The brackets read, for each pairwise Omega_ij the hierarchy dropped,
+    the bits obstruction_form made, compared as uint64."""
+    made = {}
+    obstruction_form = MasseyHierarchy.obstruction_form
+
+    def kept_bits(h, i, j):
+        om = obstruction_form(h, i, j)
+        made[(i, j)] = _bits(om).copy()
+        return om
+
+    monkeypatch.setattr(MasseyHierarchy, "obstruction_form", kept_bits)
+    h = _hierarchy(5, True)
+    cartan_bianchi_report(h)
+    assert list(made) == list(PAIRS) and list(h.omega) == [(1, 2, 3)]
+    read = []
+    star = massey.hodge_star
+
+    def recorded(f):
+        read.append(_bits(f).copy())
+        return star(f)
+
+    monkeypatch.setattr(massey, "hodge_star", recorded)
+    involution_report(h)
+    for key, bits in made.items():
+        assert sum(np.array_equal(got, bits) for got in read) == 1, key
