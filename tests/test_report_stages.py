@@ -246,7 +246,7 @@ def test_each_exterior_derivative_is_computed_once(monkeypatch):
     # the solves, which need only a few CG iterations here
     cfg = MasseyConfig(eps_period=np.inf, eps_massey=np.inf, cg_tol=0.1)
     h, _ = _random_hierarchy(11, cfg)
-    for i, j in PAIRS:
+    for i, j in ((1, 2), (1, 3), (2, 3)):
         h.obstruction_form(i, j)
     # d Omega_13 has no reader after its closedness certificate
     kept = [id(f) for f, _ in h._derivatives.values()]
