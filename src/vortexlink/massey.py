@@ -42,17 +42,17 @@ closedness certificates to the Bianchi checks (d Omega_13 has no later
 reader and is dropped at once), and d v_12, d v_23 from the solves'
 residual certificates to the Lie derivatives.  A kept derivative holds its
 form too, so a dropped Omega_ij is freed only once its derivative is
-released.  It keeps no tube form: `involution_report`, their only reader,
-deposits them when it needs them.  The CG keeps its right-hand side and
-each preconditioned residual only until their last read.  The certificate
-stages own nothing that outlives them: `cartan_bianchi_report` builds,
-certifies and drops one connection at a time, each curvature and Bianchi
-entry is summed into one accumulator as its terms are made (the Bianchi
-accumulator of a fresh curvature entry is its own derivative), and a shared
-derivative or a stored Omega_I is read and never written.  From
+released.  It keeps no tube form: the Lie loop of `involution_report`,
+their only reader, deposits each once.  The CG keeps its right-hand side
+and each preconditioned residual only until their last read.  The
+certificate stages own nothing that outlives them: `cartan_bianchi_report`
+builds, certifies and drops one connection at a time, each curvature and
+Bianchi entry is summed into one accumulator as its terms are made (the
+Bianchi accumulator of a fresh curvature entry is its own derivative), and
+a shared derivative or a stored Omega_I is read and never written.  From
 `cartan_bianchi_report` to `involution_report` the hierarchy keeps only
 d v_I, and `involution_report` drops each one right after its Lie
-derivative.
+derivative; its brackets then hold the four Omega_I and nothing else.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ from .operators import (
     _k_cross,
     _symbols,
     codiff,
-    contract,
     ext_d,
     hodge_star,
     irfft3,
@@ -188,6 +187,11 @@ class MaskedDomain:
             sq *= sq
             acc += sq
         return float(np.sqrt(np.mean(acc)))
+
+    def masked_sup(self, f: GridField) -> float:
+        """sup |m f|, one masked component at a time in one scalar buffer."""
+        buf = np.empty_like(self.mask)
+        return max(sup_abs(np.multiply(self.mask, c, out=buf)) for c in f.comps)
 
     def periods(self, form2: GridField) -> dict:
         out = {}
@@ -378,7 +382,7 @@ class MasseyHierarchy:
     Omega_{i,i+1}, which the solves and the level-1 connection read, and
     cartan_bianchi_report drops them once that connection is certified.  A
     dropped Omega_ij is v_i ^ v_j, made again by the brackets.  The tube
-    2-forms are not kept: see tube_form."""
+    2-forms are not kept: the Lie loop deposits each once (see tube_form)."""
 
     dom: MaskedDomain
     config: MasseyConfig
@@ -392,8 +396,8 @@ class MasseyHierarchy:
     def from_scene(cls, link: Link, grid: Grid3, config: MasseyConfig | None = None):
         """Gate the scene with validate_scene, Massey checks included, before
         any field is built; then build the mask and the disc duals v_i.  No
-        tube form is deposited here: involution_report, their only reader,
-        deposits them with tube_form."""
+        tube form is deposited here: the Lie loop of involution_report, their
+        only reader, deposits each once with tube_form."""
         cfg = config or MasseyConfig()
         validate_scene(link, grid, cfg)
         h = cls(MaskedDomain.build(link, grid, cfg), cfg)
@@ -403,7 +407,8 @@ class MasseyHierarchy:
 
     def tube_form(self, k: int) -> GridField:
         """The tube 2-form omega_k of component k (from 1), deposited afresh
-        on every call: the caller owns it and may write into it."""
+        on every call (once per component in a massey run): the caller owns
+        it and may write into it."""
         link = self.dom.link
         return tube_2form(link.components[k - 1], link.tube, self.dom.grid)
 
@@ -660,67 +665,61 @@ def _key_name(key) -> str:
 
 
 def involution_report(h: MasseyHierarchy) -> dict:
-    """Masked residuals of iota_{xi_L} v_I, L_{xi_L} v_I, and the Poisson
-    brackets {v_I, v_J} = nu(xi_I, xi_J, .) with xi_I = *Omega_I.
+    """Masked residuals of the Lie derivatives L_{xi_L} v_I and of the
+    Poisson brackets {v_I, v_J} = nu(xi_I, xi_J, .) among the Omega_I,
+    xi_I = *Omega_I, over products of input sup norms (with the tube radius
+    as the length scale of a derivative).
 
-    Numerators are masked RMS norms; denominators are products of input sup
-    norms (with the tube radius as the length scale where a derivative is
-    involved), so structurally vanishing overlaps report as zero.
+    `tube_support`, max_k sup |m xi_k| / sup |xi_k| over the tube fields
+    xi_k = *omega_k, is gated at exactly 0: each xi_k lies within r of its
+    curve and the mask vanishes within MASK_FACTOR * r.  It stands for every
+    masked term pointwise linear in one xi_k (iota_{xi_L} v_I, the bracket
+    of a xi_k with any field), which is then exactly 0 and not reported.
 
-    This is the only reader of the tube forms.  It deposits them twice, so
-    that the three are never alive beside the five d v_I: the Lie loop sums
-    them one deposit at a time into xi_L, the one field it keeps, and the
-    brackets deposit each again once xi_L and every d v_I are gone.  The
-    brackets also make every pairwise Omega_ij the hierarchy no longer
-    holds, as v_i ^ v_j, and drop them on return.  Nothing here mutates a
-    form of the hierarchy.
+    The Lie loop deposits each tube form once; the brackets read none.
+    Nothing here mutates a form of the hierarchy.
     """
-    report = {"iota": {}, "lie": {}, "pb": {}, "pb_certificates": {}}
+    report = {"lie": {}, "pb": {}}
     _lie_residuals(h, report)
     _bracket_residuals(h, report)
     return report
 
 
 def _lie_residuals(h: MasseyHierarchy, report: dict) -> None:
-    """The iota and Lie residuals of every v_I against xi_L.
+    """The Lie residuals of every v_I against xi_L, and the tube support.
 
-    xi_L = *(omega_1 + omega_2 + ...) is summed in place into the first
-    fresh tube form, which gives the bits of the pairwise sums.  iota_{xi_L}
-    v_I is made once, for its residual and for its Lie derivative, which
-    reads the hierarchy's shared d v_I; each d v_I is dropped right after."""
+    xi_L = *(omega_1 + omega_2 + ...) is summed in place into the first tube
+    form, each read for its support before it is added, which gives the bits
+    of the pairwise sums.  Each shared d v_I is dropped after its use."""
     dom = h.dom
-    xi_L = hodge_star(h.tube_form(1))
-    for k in range(2, len(dom.link.components) + 1):
-        xi_L.comps += h.tube_form(k).comps
+    xi_L, support = None, 0.0
+    for k in range(1, len(dom.link.components) + 1):
+        xi_k = hodge_star(h.tube_form(k))
+        support = max(support, dom.masked_sup(xi_k) / xi_k.sup_norm())
+        xi_L = _add_term(xi_L, xi_k)
+        del xi_k  # not alive beside the next deposit
+    report["tube_support"] = checked(support, 0.0)
     r = dom.link.tube.radius
     sup_xi = xi_L.sup_norm()
     for key, vI in h.v.items():
-        sup_v = vI.sup_norm()
-        den_i = sup_xi * sup_v
-        den_l = sup_xi * sup_v / r
-        iota_v = contract(xi_L, vI)
-        iota = dom.masked_rms(iota_v)
-        lie = dom.masked_rms(lie_derivative(xi_L, vI, h.d(vI), iota_v))
+        den = sup_xi * vI.sup_norm() / r
+        lie = dom.masked_rms(lie_derivative(xi_L, vI, h.d(vI)))
         h.release_derivative(vI)
-        report["iota"][_key_name(key)] = iota / den_i if den_i > 0 else 0.0
-        report["lie"][_key_name(key)] = lie / den_l if den_l > 0 else 0.0
+        report["lie"][_key_name(key)] = lie / den if den > 0 else 0.0
     h.release_derivatives()
 
 
 def _bracket_residuals(h: MasseyHierarchy, report: dict) -> None:
-    """The Poisson brackets of every two classes, with the closedness and
-    harmonic-part certificates of each bracket.  The singles use freshly
-    deposited tube forms, the others views of the Omega_I: the stored ones,
-    and v_i ^ v_j made again for each pair the hierarchy dropped (the same
-    wedge as obstruction_form's, so the same bits)."""
+    """The Poisson brackets of every two of the four Omega_I, read as views
+    xi_I = *Omega_I: the stored Omega_123, and v_i ^ v_j made again for each
+    pair the hierarchy dropped (the same wedge as obstruction_form's, so the
+    same bits)."""
     dom = h.dom
-    r = dom.link.tube.radius
     n = len(dom.link.components)
     omega = {(i, j): wedge(h.v[(i,)], h.v[(j,)])
              for i, j in combinations(range(1, n + 1), 2) if (i, j) not in h.omega}
     omega.update(h.omega)
-    xi_of = {(k,): hodge_star(h.tube_form(k)) for k in range(1, n + 1)}
-    xi_of.update((key, hodge_star(om)) for key, om in omega.items())
+    xi_of = {key: hodge_star(om) for key, om in omega.items()}
     sup = {key: x.sup_norm() for key, x in xi_of.items()}
 
     keys = sorted(xi_of, key=lambda k: (len(k), k))
@@ -729,14 +728,6 @@ def _bracket_residuals(h: MasseyHierarchy, report: dict) -> None:
         pb = pair_contraction(xi_of[ka], xi_of[kb])  # nu(xi_a, xi_b, .)
         name = f"{_key_name(ka)},{_key_name(kb)}"
         report["pb"][name] = dom.masked_rms(pb) / den if den > 0 else 0.0
-        sup_pb = pb.sup_norm()
-        if sup_pb > 0:
-            closed = ext_d(pb).sup_norm() * r / sup_pb
-            # the harmonic part on the flat torus is the componentwise mean
-            harm = float(np.max(np.abs(pb.mean()))) / sup_pb
-        else:
-            closed = harm = 0.0
-        report["pb_certificates"][name] = {"closedness": closed, "harmonic_part": harm}
 
 
 # -- the report -------------------------------------------------------------------
@@ -805,7 +796,7 @@ def massey_report(link: Link, grid: Grid3, tolerances: dict, rng, timer):
     timer.start("involution")
     invol = involution_report(h)
     inv_max = max(
-        (v for part in ("iota", "lie", "pb") for v in invol[part].values()), default=0.0
+        (v for part in ("lie", "pb") for v in invol[part].values()), default=0.0
     )
     timer.stop()
     section.update(

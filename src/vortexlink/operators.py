@@ -375,15 +375,13 @@ def curl_inv(b: GridField, eps_mean: float = EPS_MEAN) -> GridField:
     return GridField(b.grid, 1, comps)
 
 
-def lie_derivative(x: GridField, f: GridField, df: GridField | None = None,
-                   iota_f: GridField | None = None) -> GridField:
+def lie_derivative(x: GridField, f: GridField, df: GridField | None = None) -> GridField:
     """Cartan's formula: L_x f = d(iota_x f) + iota_x(d f), the second term
-    added in place; `df` is d f and `iota_f` is iota_x f when the caller
-    already holds them."""
+    added in place; `df` is d f when the caller already holds it."""
     k = f.degree
     if k == 0:
         return contract(x, ext_d(f) if df is None else df)
-    out = ext_d(contract(x, f) if iota_f is None else iota_f)
+    out = ext_d(contract(x, f))
     if k <= 2:
         out.comps += contract(x, ext_d(f) if df is None else df).comps
     return out

@@ -5,9 +5,13 @@ tests cover the solver contract, the gates and the algebraic identities on
 cheap scenes.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from vortexlink import massey
+from vortexlink.comomentum import pair_contraction
 from vortexlink.curves import hopf_link, split_triple
 from vortexlink.errors import MissingPrimitive, ObstructedClass
 from vortexlink.grid import Grid3, GridField
@@ -21,8 +25,11 @@ from vortexlink.massey import (
     involution_report,
     solve_primitive,
 )
-from vortexlink.operators import ext_d
+from vortexlink.operators import contract, ext_d, hodge_star, wedge
 from vortexlink.random_fields import random_form
+from vortexlink.scenes import load_scene
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 @pytest.fixture(scope="module")
@@ -85,9 +92,40 @@ def test_split_scene_trivial(split_hierarchy):
 
 def test_split_involution_trivial(split_hierarchy):
     rep = involution_report(split_hierarchy)
-    for section in ("iota", "lie", "pb"):
+    assert rep["tube_support"] == {"value": 0.0, "tol": 0.0, "pass": True}
+    assert len(rep["lie"]) == 5 and len(rep["pb"]) == 6
+    for section in ("lie", "pb"):
         for key, value in rep[section].items():
             assert value < 1e-6, (section, key, value)
+
+
+def _tube_support(h):
+    report = {"lie": {}}
+    massey._lie_residuals(h, report)
+    return report["tube_support"]
+
+
+@pytest.mark.parametrize("scene", ["borromean", "hopf"])
+def test_tube_fields_vanish_where_the_mask_does_not(scene):
+    # every tube field lies within r of its curve and the mask vanishes within
+    # MASK_FACTOR * r, so the certificate is exactly zero with no solve
+    grid, link = load_scene(FIXTURES / f"{scene}.json")
+    h = MasseyHierarchy.from_scene(link, grid)
+    assert _tube_support(h) == {"value": 0.0, "tol": 0.0, "pass": True}
+    # and so the masked terms linear in one xi_k, which the report leaves
+    # out, are exactly zero: iota_{xi_k} v_i and the bracket with xi_12
+    xi_12 = hodge_star(wedge(h.v[(1,)], h.v[(2,)]))
+    for k in range(1, len(link.components) + 1):
+        xi_k = hodge_star(h.tube_form(k))
+        assert h.dom.masked_rms(contract(xi_k, h.v[(1,)])) == 0.0
+        assert h.dom.masked_rms(pair_contraction(xi_k, xi_12)) == 0.0
+
+
+def test_tube_support_sees_a_mask_that_covers_the_tubes(grid48):
+    h = MasseyHierarchy.from_scene(split_triple(tube_radius=0.42), grid48)
+    h.dom.mask = np.ones(grid48.shape)
+    support = _tube_support(h)
+    assert support["value"] == 1.0 and not support["pass"]
 
 
 def test_hopf_obstruction_gate(grid48):
