@@ -32,7 +32,9 @@ DISC_DUAL_SIGN = -1
 # Sign relating the dT3 meridian period of the triple Massey form to the
 # combinatorial mu-bar(123) of the shipped Borromean fixture.  Calibrated
 # once against the Magnus-expansion oracle and frozen; reports carry the
-# magnitude and this sign separately.
+# magnitude and this sign separately.  It is calibrated at length 3 only:
+# the period of a longer top form Omega_{1..n} on dT_n reuses it unchecked
+# until the sign is derived.
 TRIPLE_LINKING_SIGN = +1
 
 # Tolerances a `massey` config may set: the four of the Massey hierarchy,

@@ -66,14 +66,14 @@ class NotPlanar(VortexLinkError):
 
 class ObstructedClass(VortexLinkError):
     """A meridian period exceeds the gate: the cohomology class is nonzero
-    and the Massey step is undefined.  `pair` names the (i, j) whose
-    primitive was being solved, when the hierarchy raised it."""
+    and the Massey step is undefined.  `interval` names the index tuple
+    whose primitive was being solved, when the hierarchy raised it."""
     exit_code = 4
 
     def __init__(self, message, periods=None):
         super().__init__(message)
         self.periods = periods or {}
-        self.pair = None
+        self.interval = None
 
 
 class NoConvergence(VortexLinkError):

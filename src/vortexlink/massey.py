@@ -1,10 +1,14 @@
 """The Chen/Massey hierarchy on the grid.
 
-Obstruction 2-forms Omega_ij = v_i ^ v_j of disc-dual 1-forms, masked
-least-squares primitive solves d v_ij = -Omega_ij on the link complement,
-the triple form Omega_123 = v_1 ^ v_23 + v_12 ^ v_3, meridian-torus
-periods, nilpotent-connection curvature/Bianchi checks, and the
-first-integrals-in-involution residuals.
+A defining system of any length on an n-component link: the disc-dual
+1-forms v_i, and for each interval I = (i, ..., j) of 1..n the obstruction
+2-form Omega_I = sum of v_I' ^ v_I'' over the splits of I into a prefix I'
+and a suffix I'' (v_i ^ v_j for a pair, v_1 ^ v_23 + v_12 ^ v_3 for 123),
+with a masked least-squares primitive d v_I = -Omega_I on the link
+complement for every interval shorter than n.  The period of the top form
+Omega_{1..n} over a meridian torus is the grid's higher linking number; the
+nilpotent connections of every level give curvature/Bianchi checks, and
+the first-integrals-in-involution residuals close the report.
 
 Complement geometry is realized by a smooth mask vanishing on the tubes
 (never by remeshing); every certificate is a masked norm.  The solver is a
@@ -27,32 +31,38 @@ fields; the iterates are therefore those of the same CG run in physical
 space, up to the order of rounding.
 
 Where the forms live.  A field is dropped after its last read, except what
-the hierarchy owns for its whole life: the mask, the v_I, Omega_123 and the
-certificates.  A pairwise Omega_ij is held only while a stage reads it.
-Omega_13 is dropped right after its closedness and period certificates,
-since no stage reads it before the brackets.  Omega_12 and Omega_23, which
-the solves and the level-1 connection read, are dropped once that
-connection is certified; level 2 makes v_i ^ v_j afresh.  The brackets
-make each dropped Omega_ij again with the same wedge(v_i, v_j), and no v_i
-is ever written, so its bits are those of the first.  The core weight,
-which only the CG reads, is dropped after the last solve.  The hierarchy
-keeps in `MasseyHierarchy.d` the exterior derivative of each form that more
-than one step reads: d Omega_12, d Omega_23 and d Omega_123 from their
-closedness certificates to the Bianchi checks (d Omega_13 has no later
-reader and is dropped at once), and d v_12, d v_23 from the solves'
-residual certificates to the Lie derivatives.  A kept derivative holds its
-form too, so a dropped Omega_ij is freed only once its derivative is
-released.  It keeps no tube form: the Lie loop of `involution_report`,
-their only reader, deposits each once.  The CG keeps its right-hand side
-and each preconditioned residual only until their last read.  The
-certificate stages own nothing that outlives them: `cartan_bianchi_report`
-builds, certifies and drops one connection at a time, each curvature and
-Bianchi entry is summed into one accumulator as its terms are made (the
-Bianchi accumulator of a fresh curvature entry is its own derivative), and
-a shared derivative or a stored Omega_I is read and never written.  From
-`cartan_bianchi_report` to `involution_report` the hierarchy keeps only
-d v_I, and `involution_report` drops each one right after its Lie
-derivative; its brackets then hold the four Omega_I and nothing else.
+the hierarchy owns for its whole life: the mask, the v_I and the closedness
+certificates.  The rules go by the length of an index range:
+
+- A pair's Omega_ij is made for its periods.  An interval's Omega_I is
+  stored with its closedness certificate, and any other pair's is dropped
+  at once.
+- A stored Omega_I of length l is read by its solve and by the level-(l-1)
+  connection, whose corner it is, and is dropped once that level is
+  certified; the top Omega_{1..n} is kept for the brackets.  The brackets
+  make each dropped Omega_I again with the same wedges, and no v_I is ever
+  written, so its bits are those of the first.
+- The hierarchy keeps in `MasseyHierarchy.d` the exterior derivative of each
+  form that more than one step reads: d Omega_I from its closedness
+  certificate to the same level's Bianchi check, d v_I from its solve's
+  residual certificate to its Lie derivative, and d(d v_i) from the level-1
+  Bianchi check to the last level.  A kept derivative holds its form too, so
+  a dropped Omega_I is freed only once its derivative is released.
+- The core weight, which only the CG reads, is dropped after the last
+  solve.  The CG keeps its right-hand side and each preconditioned residual
+  only until their last read.
+- No tube form is kept: the Lie loop of `involution_report`, their only
+  reader, deposits each once.
+
+The certificate stages own nothing that outlives them:
+`cartan_bianchi_report` builds, certifies and drops one connection at a
+time, each curvature and Bianchi entry is summed into one accumulator as its
+terms are made (the Bianchi accumulator of a fresh curvature entry is its
+own derivative), and a shared derivative or a stored Omega_I is read and
+never written.  From `cartan_bianchi_report` to `involution_report` the
+hierarchy keeps only d v_I, and `involution_report` drops each one right
+after its Lie derivative; its brackets then hold the Omega_I and nothing
+else.
 """
 
 from __future__ import annotations
@@ -372,23 +382,47 @@ def _telemetry(t_start, niter, loop_s, history) -> dict:
 
 # -- the hierarchy --------------------------------------------------------------
 
+def _intervals(n: int, length: int) -> list:
+    """The index ranges (i, i+1, ..., i+length-1) within 1..n, in order."""
+    return [tuple(range(i, i + length)) for i in range(1, n - length + 2)]
+
+
+def _key_name(key) -> str:
+    return "".join(str(i) for i in key)
+
+
+def _add_term(acc, term: GridField, sign: int = 1) -> GridField:
+    """acc + sign * term, added into acc in place; the first term (acc None)
+    is the fresh `term` itself, negated in place when sign < 0."""
+    if acc is None:
+        if sign < 0:
+            term.comps *= -1.0
+        return term
+    if sign < 0:
+        acc.comps -= term.comps
+    else:
+        acc.comps += term.comps
+    return acc
+
+
 @dataclass
 class MasseyHierarchy:
     """Disc duals v_i, obstruction forms Omega_I, solved primitives v_I and
-    their certificates, over one masked link scene.
+    the closedness certificates of the Omega_I, over one masked link scene.
 
-    `omega` holds Omega_123 from massey_triple on, and a pairwise Omega_ij
-    only while a stage reads it: obstruction_form stores only the
-    Omega_{i,i+1}, which the solves and the level-1 connection read, and
-    cartan_bianchi_report drops them once that connection is certified.  A
-    dropped Omega_ij is v_i ^ v_j, made again by the brackets.  The tube
-    2-forms are not kept: the Lie loop deposits each once (see tube_form)."""
+    `v` and `omega` are keyed by index tuples: (i,) for a disc dual and an
+    interval I = (i, ..., j) for a solved v_I and a stored Omega_I.  `omega`
+    holds each interval's Omega_I from obstruction_form until the last
+    connection that reads it is certified (see cartan_bianchi_report); a
+    dropped Omega_I is made again by `product`, with the same bits.  The
+    tube 2-forms are not kept: the Lie loop deposits each once (see
+    tube_form)."""
 
     dom: MaskedDomain
     config: MasseyConfig
     v: dict = field(default_factory=dict)
     omega: dict = field(default_factory=dict)
-    certificates: dict = field(default_factory=dict)
+    closedness: dict = field(default_factory=dict)
     # id(form) -> (form, ext_d(form)); see d()
     _derivatives: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -436,69 +470,50 @@ class MasseyHierarchy:
             form is df for _, df in self._derivatives.values()
         )
 
-    def _certify_closed(self, key, om):
+    def product(self, key) -> GridField:
+        """Omega_I = sum of v_I' ^ v_I'' over the splits of I into a prefix I'
+        and a suffix I'', added in split order: v_i ^ v_j for a pair (any
+        two components), v_1 ^ v_23 + v_12 ^ v_3 for 123.  The stored form
+        when there is one, else a fresh one that the caller owns."""
+        if key in self.omega:
+            return self.omega[key]
+        try:
+            splits = [(self.v[key[:s]], self.v[key[s:]]) for s in range(1, len(key))]
+        except KeyError as missing:
+            raise MissingPrimitive(f"primitive {missing} not solved") from None
+        om = None
+        for head, tail in splits:
+            om = _add_term(om, wedge(head, tail))
+        return om
+
+    def obstruction_form(self, interval: tuple) -> GridField:
+        """The interval's Omega_I, stored with its masked-closedness
+        certificate on first use (its derivative is kept: the Bianchi check
+        of the connection whose corner it is reads d Omega_I again)."""
+        if interval in self.omega:
+            return self.omega[interval]
+        om = self.omega[interval] = self.product(interval)
         den = self.dom.masked_rms(om)
         r = self.dom.link.tube.radius
         closed = self.dom.masked_rms(self.d(om)) * r / den if den > 0 else 0.0
-        self.certificates[("closedness", key)] = closed
-
-    def obstruction_form(self, i: int, j: int) -> GridField:
-        """Omega_ij = v_i ^ v_j with masked-closedness and period
-        certificates.  Only an Omega_{i,i+1} is stored (see the class
-        docstring); any other is the caller's alone."""
-        key = (i, j)
-        if key in self.omega:
-            return self.omega[key]
-        om = wedge(self.v[(i,)], self.v[(j,)])
-        self._certify_closed(key, om)
-        if j == i + 1:
-            # the Omega_{i,i+1} are solved and are curvature entries of the
-            # level-1 connection, whose Bianchi check reads d Omega again
-            self.omega[key] = om
-        else:
-            self.release_derivative(om)
-        self.certificates[("periods", key)] = self.dom.periods(om)
+        self.closedness[interval] = closed
         return om
 
-    def solve(self, i: int, j: int):
-        """Solve d v_ij = -Omega_ij on the masked complement."""
-        om = self.obstruction_form(i, j)
+    def solve(self, interval: tuple):
+        """Solve d v_I = -Omega_I on the masked complement."""
+        om = self.obstruction_form(interval)
         try:
             v, info = solve_primitive(om, self.dom, self.config, d=self.d)
         except ObstructedClass as exc:
-            exc.pair = (i, j)
+            exc.interval = interval
             raise
         if info["masked_residual"] > self.config.eps_massey:
             raise NoConvergence(
                 f"masked residual {info['masked_residual']:.3f} exceeds "
                 f"{self.config.eps_massey}"
             )
-        self.v[(i, j)] = v
-        self.certificates[("primitive", (i, j))] = info
+        self.v[interval] = v
         return v, info
-
-    def massey_triple(self, i=1, j=2, k=3) -> GridField:
-        """Omega_ijk = v_i ^ v_jk + v_ij ^ v_k, with its masked-closedness
-        certificate (direct check)."""
-        key = (i, j, k)
-        if key in self.omega:
-            return self.omega[key]
-        try:
-            vjk = self.v[(j, k)]
-            vij = self.v[(i, j)]
-        except KeyError as missing:
-            raise MissingPrimitive(f"primitive {missing} not solved") from None
-        om = wedge(self.v[(i,)], vjk) + wedge(vij, self.v[(k,)])
-        self.omega[key] = om
-        self._certify_closed(key, om)
-        return om
-
-    def triple_linking(self, k: int = 3, i=1, j=2, m=3) -> float:
-        """Period of the triple Massey form over the meridian torus dT_k."""
-        om = self.massey_triple(i, j, m)
-        return meridian_period(
-            om, self.dom.link.components[k - 1], self.dom.meridian_minor
-        )
 
 
 # -- nilpotent connections -------------------------------------------------------
@@ -520,32 +535,11 @@ class NilpotentConnection:
 
     @classmethod
     def from_hierarchy(cls, h: MasseyHierarchy, level: int):
-        """Level 1 places v_i on the superdiagonal; level 2 adds the solved
-        v_ij one diagonal further out (the paper's 4x4 displays)."""
-        n = len(h.dom.link.components) + 1
-        entries = {}
-        for i in range(n - 1):
-            entries[(i, i + 1)] = h.v[(i + 1,)]
-        if level >= 2:
-            for key, vv in h.v.items():
-                if len(key) == 2:
-                    i, j = key
-                    entries[(i - 1, j)] = vv
-        return cls(n, entries, level, h)
-
-
-def _add_term(acc, term: GridField, sign: int = 1) -> GridField:
-    """acc + sign * term, added into acc in place; the first term (acc None)
-    is the fresh `term` itself, negated in place when sign < 0."""
-    if acc is None:
-        if sign < 0:
-            term.comps *= -1.0
-        return term
-    if sign < 0:
-        acc.comps -= term.comps
-    else:
-        acc.comps += term.comps
-    return acc
+        """The connection of every v_I with |I| <= level: level 1 places the
+        v_i on the superdiagonal, level 2 adds the v_ij one diagonal further
+        out (the paper's 4x4 displays), and so on."""
+        entries = {(key[0] - 1, key[-1]): vI for key, vI in h.v.items() if len(key) <= level}
+        return cls(len(h.dom.link.components) + 1, entries, level, h)
 
 
 def connection_curvature(c: NilpotentConnection) -> dict:
@@ -626,43 +620,39 @@ def _certify_connection(h: MasseyHierarchy, level: int, top: tuple) -> tuple:
 
 
 def cartan_bianchi_report(h: MasseyHierarchy) -> dict:
-    """Certificates of the level-1 and level-2 connections: the curvature
-    entries that must equal Omega_12 and Omega_123 bit for bit, and both
-    Bianchi residuals.
+    """Certificates of the connections of levels 1 .. n-1 of an n-component
+    hierarchy: the corner curvature entry of level l, which must equal
+    Omega_{1..l+1} bit for bit, and the Bianchi residual of each level.
 
-    Level 1 is built, certified and dropped before level 2 is built.  Its
-    curvature is the shared d v_i and the stored Omega_12 and Omega_23.  Of
-    the derivatives kept so far, only d v_I (d v_12 and d v_23 from the
-    solves), d(d v_i) and the closedness certificate's d Omega_123 carry
-    over to level 2, which reads them again.  The pairwise Omega_ij have no
-    reader in level 2 and are dropped with their derivatives, so none is
-    alive while level 2 is certified.  Level 2's curvature adds the
-    fresh w = d v_ij + v_i ^ v_j, dropped with its connection, and the
-    stored Omega_123; the Bianchi check makes the derivative of each fresh w
-    and spends it as that entry's accumulator, so it is never kept.  On
-    return the hierarchy keeps the derivatives d v_I alone, for the Lie
-    derivatives of involution_report.
+    One connection is built, certified and dropped at a time.  Level l's
+    curvature is the shared d v_i, a fresh w = d v_I + (products) for each
+    v_I with 2 <= |I| <= l, dropped with its connection, and the stored
+    Omega_I of length l + 1.  Those Omega_I have no later reader but the
+    brackets, which make them again, so each is dropped with its derivative
+    once level l is certified; the top Omega_{1..n} is kept for the
+    brackets.  Of the kept derivatives, d v_I, d(d v_i) and the closedness
+    certificates' d Omega_I of a greater length carry over to the next
+    level, which reads them again.  The Bianchi check makes the derivative
+    of each fresh w and spends it as that entry's accumulator, so it is
+    never kept.  On return the hierarchy keeps the derivatives d v_I alone,
+    for the Lie derivatives of involution_report.
     """
     eps = h.config.eps_massey
-    exact1, bianchi1 = _certify_connection(h, 1, (1, 2))
-    singles = [vI for key, vI in h.v.items() if len(key) == 1]
-    h.release_derivatives(keep=[*h.v.values(), *map(h.d, singles), h.omega[(1, 2, 3)]])
-    h.omega = {key: om for key, om in h.omega.items() if len(key) > 2}
-    exact2, bianchi2 = _certify_connection(h, 2, (1, 2, 3))
-    h.release_derivatives(keep=h.v.values())
-    return {
-        "level1_matches_obstruction": checked(exact1, 0.0),
-        "level2_matches_triple": checked(exact2, 0.0),
-        "bianchi_level1": checked(bianchi1, eps),
-        "bianchi_level2": checked(bianchi2, eps),
-    }
+    n = len(h.dom.link.components)
+    report = {}
+    for level in range(1, n):
+        exact, bianchi = _certify_connection(h, level, tuple(range(1, level + 2)))
+        report[f"level{level}_matches_obstruction"] = checked(exact, 0.0)
+        report[f"bianchi_level{level}"] = checked(bianchi, eps)
+        later = [om for key, om in h.omega.items() if len(key) > level + 1]
+        shared = [h.d(vI) for key, vI in h.v.items() if len(key) == 1] if later else []
+        h.release_derivatives(keep=[*h.v.values(), *shared, *later])
+        h.omega = {key: om for key, om in h.omega.items()
+                   if len(key) > level + 1 or len(key) == n}
+    return report
 
 
 # -- first integrals in involution ------------------------------------------------
-
-def _key_name(key) -> str:
-    return "".join(str(i) for i in key)
-
 
 def involution_report(h: MasseyHierarchy) -> dict:
     """Masked residuals of the Lie derivatives L_{xi_L} v_I and of the
@@ -710,19 +700,18 @@ def _lie_residuals(h: MasseyHierarchy, report: dict) -> None:
 
 
 def _bracket_residuals(h: MasseyHierarchy, report: dict) -> None:
-    """The Poisson brackets of every two of the four Omega_I, read as views
-    xi_I = *Omega_I: the stored Omega_123, and v_i ^ v_j made again for each
-    pair the hierarchy dropped (the same wedge as obstruction_form's, so the
-    same bits)."""
+    """The Poisson brackets of every two Omega_I, read as views
+    xi_I = *Omega_I: the Omega_ij of every pair and the Omega_I of every
+    interval longer than two, the stored top form and each other one made
+    again by MasseyHierarchy.product (the wedges of obstruction_form, so
+    the same bits)."""
     dom = h.dom
     n = len(dom.link.components)
-    omega = {(i, j): wedge(h.v[(i,)], h.v[(j,)])
-             for i, j in combinations(range(1, n + 1), 2) if (i, j) not in h.omega}
-    omega.update(h.omega)
-    xi_of = {key: hodge_star(om) for key, om in omega.items()}
+    keys = [*combinations(range(1, n + 1), 2),
+            *(key for length in range(3, n + 1) for key in _intervals(n, length))]
+    xi_of = {key: hodge_star(h.product(key)) for key in keys}
     sup = {key: x.sup_norm() for key, x in xi_of.items()}
 
-    keys = sorted(xi_of, key=lambda k: (len(k), k))
     for ka, kb in combinations(keys, 2):
         den = sup[ka] * sup[kb]
         pb = pair_contraction(xi_of[ka], xi_of[kb])  # nu(xi_a, xi_b, .)
@@ -733,21 +722,24 @@ def _bracket_residuals(h: MasseyHierarchy, report: dict) -> None:
 # -- the report -------------------------------------------------------------------
 
 def massey_report(link: Link, grid: Grid3, tolerances: dict, rng, timer):
-    """The `massey` report section of a scene: the pairwise meridian periods,
-    the primitive solves of (1, 2) and, with three components, (2, 3), and
-    then the triple period against the oracle's mu-bar(123), the closedness,
+    """The `massey` report section of an n-component scene: the meridian
+    periods of every pair's Omega_ij, one loop over the interval lengths
+    that solves v_I for every interval shorter than n (and, with two
+    components, the pair), and then the period of the top form
+    Omega_{1..n} on dT_n against the oracle's mu-bar(1..n), the closedness,
     Cartan/Bianchi and involution certificates.
 
     Stages "scene_fields", "pairwise", "solves", "triple", "oracle",
-    "cartan_bianchi" and "involution" are timed on `timer`, and each solve's
-    telemetry goes to `timer.solver`.  The oracle's projection direction
-    comes from `rng`.
+    "cartan_bianchi" and "involution" are timed on `timer`: "solves" covers
+    every solve and the Omega_I it needs beyond the pairs, "triple" the top
+    form.  Each solve's telemetry goes to `timer.solver`.  The oracle's
+    projection direction comes from `rng`.
 
     `tolerances` overrides constants.DEFAULT_TOLERANCES (scenes.tolerance_config).
 
     Returns (section, obstruction).  When a solve is obstructed the section
-    holds the periods and the obstructed pair, and `obstruction` is the
-    ObstructedClass raised; otherwise it is None.
+    holds the periods and, under "pair", the obstructed interval, and
+    `obstruction` is the ObstructedClass raised; otherwise it is None.
     """
     cfg = MasseyConfig(**tolerances)
     timer.start("scene_fields")
@@ -756,39 +748,41 @@ def massey_report(link: Link, grid: Grid3, tolerances: dict, rng, timer):
     n = len(link.components)
     periods = {}
     timer.start("pairwise")
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            h.obstruction_form(i, j)
-            periods[f"{i}{j}"] = {
-                str(k): v for k, v in h.certificates[("periods", (i, j))].items()
-            }
+    for pair in combinations(range(1, n + 1), 2):
+        # an interval's Omega_ij is stored for its solve; any other pair's is
+        # made for its periods only
+        make = h.obstruction_form if pair in _intervals(n, 2) else h.product
+        periods[_key_name(pair)] = {str(k): p for k, p in h.dom.periods(make(pair)).items()}
     timer.stop()
     prim_res = {}
     try:
         timer.start("solves")
-        for (i, j) in ((1, 2), (2, 3)) if n >= 3 else ((1, 2),):
-            _, info = h.solve(i, j)
-            prim_res[f"{i}{j}"] = {
-                "masked_residual": checked(info["masked_residual"], cfg.eps_massey),
-                "iterations": info["iterations"],
-            }
-            timer.solver[f"{i}{j}"] = info["telemetry"]
+        # every interval shorter than n, and with n = 2 the pair itself,
+        # whose gate stops a linked pair
+        for length in range(2, max(n, 3)):
+            for key in _intervals(n, length):
+                _, info = h.solve(key)
+                prim_res[_key_name(key)] = {
+                    "masked_residual": checked(info["masked_residual"], cfg.eps_massey),
+                    "iterations": info["iterations"],
+                }
+                timer.solver[_key_name(key)] = info["telemetry"]
         h.dom.core = None  # the CG is its only reader
         timer.stop()
     except ObstructedClass as exc:
         timer.stop()
-        obstructed = {"pair": "{},{}".format(*exc.pair), "message": str(exc)}
+        obstructed = {"pair": ",".join(map(str, exc.interval)), "message": str(exc)}
         return {"periods": periods, "obstructed": obstructed}, exc
 
     section = {"periods": periods, "primitive_residuals": prim_res}
     if n < 3:
         return section, None
+    top = tuple(range(1, n + 1))
     timer.start("triple")
-    h.massey_triple()
-    mu_grid = h.triple_linking(3)
+    mu_grid = meridian_period(h.obstruction_form(top), link.components[-1], h.dom.meridian_minor)
     timer.stop()
     timer.start("oracle")
-    mu_oracle = mu_bar(scene_diagram(link, rng), (1, 2, 3))
+    mu_oracle = mu_bar(scene_diagram(link, rng), top)
     timer.stop()
     timer.start("cartan_bianchi")
     cartan = cartan_bianchi_report(h)
@@ -799,16 +793,15 @@ def massey_report(link: Link, grid: Grid3, tolerances: dict, rng, timer):
         (v for part in ("lie", "pb") for v in invol[part].values()), default=0.0
     )
     timer.stop()
+    name = _key_name(top)
     section.update(
         {
             "closedness": {
-                "".join(map(str, key)):
-                    checked(h.certificates[("closedness", key)], cfg.eps_massey)
-                for key in ((1, 2), (2, 3), (1, 2, 3))
+                _key_name(key): checked(c, cfg.eps_massey) for key, c in h.closedness.items()
             },
-            "mu123_grid": mu_grid,
-            "mu123_grid_calibrated": TRIPLE_LINKING_SIGN * mu_grid,
-            "mu123_oracle": int(mu_oracle),
+            f"mu{name}_grid": mu_grid,
+            f"mu{name}_grid_calibrated": TRIPLE_LINKING_SIGN * mu_grid,
+            f"mu{name}_oracle": int(mu_oracle),
             "calibrated_sign": TRIPLE_LINKING_SIGN,
             # a zero oracle value has no ratio: the grid period must
             # then pass the meridian-period gate for a vanishing class

@@ -56,7 +56,8 @@ def _resident_mb() -> float:
 class StageTimer:
     """Collects per-stage wall times, written to a sidecar file.
 
-    `solver` holds per-solve CG telemetry (keyed by the solved pair),
+    `solver` holds per-solve CG telemetry (keyed by the solved interval,
+    such as "12" or "123"),
     `peak_rss_mb` the process's peak resident set at the end of each stage
     (a high-water mark, so it never falls from one stage to the next),
     `rss_mb` its current resident set at the end of each stage (it falls

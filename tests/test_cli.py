@@ -28,6 +28,7 @@ from vortexlink.curves import (
     TubeParams,
     as_polygon,
     borromean_rings,
+    circle,
     split_triple,
 )
 from vortexlink.grid import Grid3
@@ -51,6 +52,15 @@ COMOMENTUM_CONFIG = "tests/golden/comomentum_config.json"
 # three-component massey run that reaches the cartan_bianchi and involution
 # stages in about two seconds
 SPLIT_TRIPLE_N48 = "tests/golden/split_triple_n48_scene.json"
+# four stacked radius-0.5 circles at N = 48 (r = 0.4, about 3.05h, and a
+# spacing of 2.55r), written by scenes.dump_scene: an unlinked scene that
+# runs the hierarchy to length 4 in about two seconds
+SPLIT_QUAD_N48 = "tests/golden/split_quad_n48_scene.json"
+
+
+def split_quad():
+    comps = [circle((0.0, 0.0, z), (0, 0, 1.0), 0.5) for z in (-1.53, -0.51, 0.51, 1.53)]
+    return Link(comps, TubeParams(0.4))
 
 
 def _cases():
@@ -69,6 +79,7 @@ def _cases():
     cases.append(("massey_hopf", ["massey", "--scene", "fixtures/hopf.json"], 4))
     cases.append(("massey_split", ["massey", "--scene", "fixtures/split.json"], 0))
     cases.append(("massey_split_triple_n48", ["massey", "--scene", SPLIT_TRIPLE_N48], 0))
+    cases.append(("massey_split_quad_n48", ["massey", "--scene", SPLIT_QUAD_N48], 0))
     cases.append(
         (
             "comomentum_n32",
@@ -792,6 +803,7 @@ if __name__ == "__main__":
     os.chdir(ROOT)
     GOLDEN.mkdir(exist_ok=True)
     dump_scene(SPLIT_TRIPLE_N48, Grid3(48, 2 * math.pi), split_triple(tube_radius=0.42))
+    dump_scene(SPLIT_QUAD_N48, Grid3(48, 2 * math.pi), split_quad())
     with tempfile.TemporaryDirectory() as tmp:
         for name, argv, code in CASES:
             got_code, got = _run(argv, Path(tmp) / "report.json")

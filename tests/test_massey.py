@@ -41,11 +41,9 @@ def grid48():
 def split_hierarchy(grid48):
     link = split_triple(tube_radius=0.42)
     h = MasseyHierarchy.from_scene(link, grid48)
-    h.obstruction_form(1, 2)
-    h.obstruction_form(2, 3)
-    h.solve(1, 2)
-    h.solve(2, 3)
-    h.massey_triple()
+    h.solve((1, 2))
+    h.solve((2, 3))
+    h.obstruction_form((1, 2, 3))
     return h
 
 
@@ -85,9 +83,8 @@ def test_split_scene_trivial(split_hierarchy):
     assert h.omega[(2, 3)].sup_norm() == 0.0
     assert h.v[(1, 2)].sup_norm() == 0.0
     assert h.omega[(1, 2, 3)].sup_norm() == 0.0
-    assert h.triple_linking(3) == 0.0
-    assert all(abs(p) < 1e-12
-               for p in h.certificates[("periods", (1, 2))].values())
+    assert h.dom.periods(h.omega[(1, 2, 3)])[3] == 0.0
+    assert all(abs(p) < 1e-12 for p in h.dom.periods(h.omega[(1, 2)]).values())
 
 
 def test_split_involution_trivial(split_hierarchy):
@@ -136,21 +133,20 @@ def test_hopf_obstruction_gate(grid48):
     # by 1 - 0.546 = 0.454 > r.
     link = hopf_link(tube_radius=0.42)
     h = MasseyHierarchy.from_scene(link, grid48, MasseyConfig(meridian_factor=1.3))
-    om = h.obstruction_form(1, 2)
-    periods = h.certificates[("periods", (1, 2))]
+    periods = h.dom.periods(h.obstruction_form((1, 2)))
     # the pair is essentially linked: some meridian period is order one
     assert max(abs(p) for p in periods.values()) > 0.5
     with pytest.raises(ObstructedClass) as exc:
-        h.solve(1, 2)
-    assert exc.value.periods
+        h.solve((1, 2))
+    assert exc.value.periods and exc.value.interval == (1, 2)
 
 
 def test_missing_primitive(grid48):
     link = split_triple(tube_radius=0.42)
     h = MasseyHierarchy.from_scene(link, grid48)
-    h.obstruction_form(1, 2)
+    h.obstruction_form((1, 2))
     with pytest.raises(MissingPrimitive):
-        h.massey_triple()
+        h.obstruction_form((1, 2, 3))
 
 
 def test_connection_curvature_matches_hierarchy(split_hierarchy):

@@ -23,7 +23,8 @@ from conftest import _fields, _LiveTimer, _traced
 from vortexlink import massey, operators
 from vortexlink.comomentum import pair_contraction
 from vortexlink.constants import DEFAULT_TOLERANCES
-from vortexlink.curves import split_triple
+from vortexlink.curves import Link, TubeParams, circle, split_triple
+from vortexlink.errors import ObstructedClass
 from vortexlink.grid import Grid3, GridField
 from vortexlink.massey import (
     MaskedDomain,
@@ -38,6 +39,7 @@ from vortexlink.massey import (
 )
 from vortexlink.operators import _symbols, contract, ext_d, wedge
 from vortexlink.random_fields import random_form
+from vortexlink.reports import StageTimer
 from vortexlink.scenes import load_scene
 
 PRIMITIVE_KEYS = ((1,), (2,), (3,), (1, 2), (2, 3))
@@ -69,9 +71,8 @@ def _hierarchy(seed, consistent):
     for key in PRIMITIVE_KEYS[3:]:
         h.v[key] = random_form(grid, 1, rng)
     if consistent:
-        for i, j in PAIRS:
-            h.obstruction_form(i, j)
-        h.massey_triple()
+        for key in ((1, 2), (2, 3), (1, 2, 3)):
+            h.obstruction_form(key)
     else:
         for key in ((1, 2), (1, 3), (2, 3), (1, 2, 3)):
             h.omega[key] = random_form(grid, 2, rng)
@@ -190,7 +191,7 @@ def test_report_stages_match_reference_bitwise(consistent):
 
     cartan = cartan_bianchi_report(h)
     assert cartan["level1_matches_obstruction"]["value"] == ref_exact1
-    assert cartan["level2_matches_triple"]["value"] == ref_exact2
+    assert cartan["level2_matches_obstruction"]["value"] == ref_exact2
     assert cartan["bianchi_level1"]["value"] == ref_bianchi[1]
     assert cartan["bianchi_level2"]["value"] == ref_bianchi[2]
     # the exactness certificates hold exactly when Omega_I is the product
@@ -234,22 +235,24 @@ def test_each_exterior_derivative_is_computed_once(monkeypatch):
     # the solves, which need only a few CG iterations here
     cfg = MasseyConfig(eps_period=np.inf, eps_massey=np.inf, cg_tol=0.1)
     h, _ = _random_hierarchy(11, cfg)
-    for i, j in ((1, 2), (1, 3), (2, 3)):
-        h.obstruction_form(i, j)
-    # d Omega_13 has no reader after its closedness certificate
+    # the intervals' Omega_I are certified closed; Omega_13, which no
+    # interval names, is made for its periods only and never differentiated
+    for key in ((1, 2), (2, 3)):
+        h.obstruction_form(key)
+    h.product((1, 3))
     kept = [id(f) for f, _ in h._derivatives.values()]
     assert kept == [id(h.omega[(1, 2)]), id(h.omega[(2, 3)])]
-    h.solve(1, 2)
-    h.solve(2, 3)
-    h.massey_triple()
+    h.solve((1, 2))
+    h.solve((2, 3))
+    h.obstruction_form((1, 2, 3))
     cartan_bianchi_report(h)
     involution_report(h)
     assert len(seen) == len(set(seen))
-    # 4 d Omega_I; the codifferentials of the 2 right-hand sides; 5 d v_I
+    # 3 d Omega_I; the codifferentials of the 2 right-hand sides; 5 d v_I
     # (2 in the solves) and the Bianchi terms of 11 curvature entries, of
     # which 3 are shared between the levels (d d v_i) and 3 are d Omega_I;
     # 5 d(iota_xi v_I)
-    assert len(seen) == 4 + 2 + 5 + (11 - 3 - 3) + 5
+    assert len(seen) == 3 + 2 + 5 + (11 - 3 - 3) + 5
 
 
 def test_derivatives_are_released_after_the_lie_derivatives():
@@ -277,7 +280,7 @@ def test_cartan_bianchi_keeps_one_connection_alive():
 class _TubeTimer(_LiveTimer):
     """A live timer that also counts, when each stage stops, the tube forms
     made so far and those still alive, and lists the pairwise Omega_ij that
-    obstruction_form made and that are still alive."""
+    the pairwise stage made and that are still alive."""
 
     def __init__(self):
         super().__init__()
@@ -311,13 +314,14 @@ def test_massey_report_holds_each_field_only_while_read(monkeypatch):
         timer.made.append((timer._name, weakref.ref(form.comps)))
         return form
 
-    obstruction_form = MasseyHierarchy.obstruction_form
+    product = MasseyHierarchy.product
 
-    def tracked_pair(h, i, j):
-        om = obstruction_form(h, i, j)
-        # the solves read Omega_12 and Omega_23 again: the same arrays
-        timer.pairs[(i, j)] = weakref.ref(om.comps)
-        timer.core = weakref.ref(h.dom.core)
+    def tracked_pair(h, key):
+        om = product(h, key)
+        if timer._name == "pairwise":
+            # the solves read Omega_12 and Omega_23 again: the same arrays
+            timer.pairs[key] = weakref.ref(om.comps)
+            timer.core = weakref.ref(h.dom.core)
         return om
 
     certify = massey._certify_connection
@@ -328,7 +332,7 @@ def test_massey_report_holds_each_field_only_while_read(monkeypatch):
         return certify(h, level, top)
 
     monkeypatch.setattr(massey, "tube_2form", tracked)
-    monkeypatch.setattr(MasseyHierarchy, "obstruction_form", tracked_pair)
+    monkeypatch.setattr(MasseyHierarchy, "product", tracked_pair)
     monkeypatch.setattr(massey, "_certify_connection", watched)
     (section, obstruction), base, peak = _traced(lambda: massey_report(
         link, grid, dict(DEFAULT_TOLERANCES), np.random.default_rng(1), timer))
@@ -358,20 +362,21 @@ def test_massey_report_holds_each_field_only_while_read(monkeypatch):
 
 
 def test_brackets_remake_the_dropped_obstruction_forms_bit_for_bit(monkeypatch):
-    """The brackets read, for each pairwise Omega_ij the hierarchy dropped,
-    the bits obstruction_form made, compared as uint64."""
+    """The brackets read, for each Omega_I the hierarchy dropped, the bits
+    first made, compared as uint64, and the stored Omega_123 itself."""
     made = {}
-    obstruction_form = MasseyHierarchy.obstruction_form
+    product = MasseyHierarchy.product
 
-    def kept_bits(h, i, j):
-        om = obstruction_form(h, i, j)
-        made[(i, j)] = _bits(om).copy()
+    def kept_bits(h, key):
+        om = product(h, key)
+        made.setdefault(key, _bits(om).copy())
         return om
 
-    monkeypatch.setattr(MasseyHierarchy, "obstruction_form", kept_bits)
+    monkeypatch.setattr(MasseyHierarchy, "product", kept_bits)
     h = _hierarchy(5, True)
+    h.product((1, 3))  # as the pairwise stage makes it, for its periods
     cartan_bianchi_report(h)
-    assert list(made) == list(PAIRS) and list(h.omega) == [(1, 2, 3)]
+    assert sorted(made) == sorted([*PAIRS, (1, 2, 3)]) and list(h.omega) == [(1, 2, 3)]
     read = []
     star = massey.hodge_star
 
@@ -383,3 +388,36 @@ def test_brackets_remake_the_dropped_obstruction_forms_bit_for_bit(monkeypatch):
     involution_report(h)
     for key, bits in made.items():
         assert sum(np.array_equal(got, bits) for got in read) == 1, key
+
+
+def test_an_obstructed_interval_is_named_in_full(monkeypatch):
+    """A length-3 solve that the period gate stops names the whole interval
+    (1, 2, 3), in the exception and in the report section.  The four disc
+    duals are random 1-forms at N = 24, scaled by 100: a pair's periods grow
+    as the square of the scale and the triple form's as its cube, so a gate
+    at twice the largest pair period lets the pairs through and stops 123."""
+    grid = Grid3(24, 2 * np.pi)
+    rng = np.random.default_rng(0)
+    # four stacked circles give the mask and the meridian tori only
+    link = Link([circle((0, 0, z), (0, 0, 1.0), 0.5) for z in (-1.53, -0.51, 0.51, 1.53)],
+                TubeParams(0.4))
+    dom = MaskedDomain.build(link, grid)
+    v = {(i,): random_form(grid, 1, rng) * 100.0 for i in range(1, 5)}
+
+    def from_scene(cls, link, grid, config):
+        h = cls(dom, config)
+        h.v.update(v)
+        return h
+
+    probe = from_scene(MasseyHierarchy, link, grid, MasseyConfig())
+    gate = 2 * max(abs(p) for key in ((1, 2), (2, 3), (3, 4))
+                   for p in dom.periods(probe.product(key)).values())
+    monkeypatch.setattr(MasseyHierarchy, "from_scene", classmethod(from_scene))
+    # random Omega_ij are not closed: no masked-residual gate may stop a pair
+    tolerances = {"eps_period": gate, "eps_massey": np.inf, "cg_tol": 0.1}
+    timer = StageTimer()
+    section, exc = massey_report(link, grid, tolerances, np.random.default_rng(1), timer)
+    assert isinstance(exc, ObstructedClass) and exc.interval == (1, 2, 3)
+    assert max(abs(p) for p in exc.periods.values()) > gate
+    assert section["obstructed"] == {"pair": "1,2,3", "message": str(exc)}
+    assert list(timer.solver) == ["12", "23", "34"]
