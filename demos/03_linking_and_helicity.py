@@ -8,8 +8,9 @@ flow realizes the analytic helicity identity.
 import numpy as np
 
 from vortexlink.curves import borromean_rings, hopf_link, split_link
+from vortexlink.diagrams import diagram_from_curves
 from vortexlink.grid import Grid3, GridField
-from vortexlink.linking import crossing_counts, gauss_linking, gauss_writhe
+from vortexlink.linking import gauss_linking, gauss_writhe
 from vortexlink.operators import ext_d
 from vortexlink.tubes import LinkFields, helicity, link_helicity
 
@@ -18,10 +19,11 @@ grid = Grid3(96, 2 * np.pi)
 hopf = hopf_link()
 c1, c2 = hopf.components
 print("Hopf gauss linking:   ", gauss_linking(c1, c2))
-# one projection gives the crossing linking matrix and the blackboard framings
-matrix, framing = crossing_counts(hopf.components, (0.13, 0.21, 0.95))
-print("Hopf crossing linking:", matrix[0][1])
-print("component writhe/framing:", gauss_writhe(c1), framing[0])
+# one projection's diagram gives the crossing linking matrix and the
+# blackboard framings
+diagram = diagram_from_curves(hopf.components, (0.13, 0.21, 0.95))
+print("Hopf crossing linking:", diagram.linking_matrix()[0][1])
+print("component writhe/framing:", gauss_writhe(c1), diagram.self_writhe(0))
 
 split = split_link()
 print("split gauss linking:  ", gauss_linking(*split.components))

@@ -8,7 +8,8 @@ document through `scenes.read_json`), and writes the files.  Reports are
 deterministic JSON (byte-identical under identical inputs/config/seed);
 per-stage timings go to a `<out>.timings.json` sidecar.  `--seed` (default
 0) is the only seed source; `lk`, `oracle --scene` and `massey` each
-project their scene once, along the first generic direction drawn from it.
+project their scene once, through `diagrams.scene_diagram`, along the
+first generic direction drawn from it.
 
 A command takes only the inputs it reads.  `comomentum` reads only the
 `grid` section (`N`, `L`) of its `--config`, `massey` only `tolerances`

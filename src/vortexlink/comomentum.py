@@ -35,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import EPS_HAM, EPS_OBSTRUCTION, QUAD_REFINE, TOWER_BRACKET_SIGN
+from .constants import EPS_HAM, EPS_OBSTRUCTION, TOWER_BRACKET_SIGN
+from .curves import dyadic_refinement
 from .errors import ObstructedPotential
 from .grid import Grid3, GridField, cross, dot
 from .operators import (
@@ -251,21 +252,12 @@ def rasetti_regge(b: GridField, gamma) -> float:
     The 1-form is sampled by `interpolate.sample_form1_along`: exactly
     (fourier_eval) when its active spectrum is small, as for band-limited
     inputs, else trilinearly.  Each polygon segment uses the composite
-    midpoint rule with dyadic refinement, up to 8 levels, until two
-    successive levels agree to QUAD_REFINE relative.
+    midpoint rule, refined by `curves.dyadic_refinement` up to 8 levels.
     """
     from .interpolate import sample_form1_along  # local: avoids cycle
 
     h = f1(b)
-    prev = None
-    for level in range(8):
-        value = sample_form1_along(h, gamma, subdiv=2**level)
-        if prev is not None:
-            scale = max(abs(value), abs(prev), 1e-30)
-            if abs(value - prev) <= QUAD_REFINE * scale:
-                return value
-        prev = value
-    return prev
+    return dyadic_refinement(lambda sub: sample_form1_along(h, gamma, subdiv=sub), 8)
 
 
 def loop_2form(gamma, u: np.ndarray, v: np.ndarray) -> float:

@@ -11,6 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .constants import QUAD_REFINE
 from .errors import NotPlanar, SceneError
 
 
@@ -184,6 +185,19 @@ def min_distance(c1, c2) -> float:
     a = p1.refined(p1.length() / (4 * p1.n_vertices)).vertices
     b = p2.refined(p2.length() / (4 * p2.n_vertices)).vertices
     return float(np.sqrt(pairwise_d2(a, b).min()))
+
+
+def dyadic_refinement(quadrature, levels):
+    """quadrature(subdiv) of a curve integral at subdiv = 1, 2, 4, ...
+    until two successive levels agree to QUAD_REFINE * max(1, |value|); the
+    last of `levels` levels otherwise."""
+    prev = None
+    for level in range(levels):
+        val = quadrature(2**level)
+        if prev is not None and abs(val - prev) <= QUAD_REFINE * max(1.0, abs(val)):
+            return val
+        prev = val
+    return prev
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,10 @@
 
 The two estimators are independent (quadrature of the Gauss kernel vs
 combinatorics of a generic planar projection) and cross-validate each other
-throughout the test suite.  A scene is projected once: `crossing_counts`
-reads the linking matrix and every component's blackboard framing off one
-`find_crossings` call over all components, and `linking_report` retries
-that one projection through `with_generic_direction`, as
-`diagrams.scene_diagram` does for the oracle.
+throughout the test suite.  `find_crossings` finds the double points of
+one projection of all components; `diagrams.scene_diagram` retries it over
+directions and assembles the diagram, off which `linking_report` reads the
+linking matrix and every component's blackboard framing.
 """
 
 from __future__ import annotations
@@ -15,13 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CROSS_ANGLE, CROSS_SEP, QUAD_REFINE
-from .curves import as_polygon, orthonormal_frame, pairwise_d2
+from .constants import CROSS_ANGLE, CROSS_SEP
+from .curves import as_polygon, dyadic_refinement, orthonormal_frame, pairwise_d2
+from .diagrams import scene_diagram
 from .errors import CurvesIntersect, DegenerateProjection
 from .reports import checked
-
-# projection directions tried before a scene is declared degenerate
-DIRECTION_TRIES = 32
 
 # sample rows per block of the Gauss double sums, bounding their
 # (rows, samples, 3) temporaries
@@ -41,19 +38,6 @@ def _gauss_sum(m1, t1, m2, t2):
     return total / (4 * np.pi)
 
 
-def _refined(quadrature, levels):
-    """quadrature(subdiv) at subdiv = 1, 2, 4, ... until two successive
-    levels agree to QUAD_REFINE * max(1, |value|); the last of `levels`
-    levels otherwise."""
-    prev = None
-    for level in range(levels):
-        val = quadrature(2**level)
-        if prev is not None and abs(val - prev) <= QUAD_REFINE * max(1.0, abs(val)):
-            return val
-        prev = val
-    return prev
-
-
 def gauss_linking(c1, c2) -> float:
     """Gauss linking integral of two disjoint closed curves.
 
@@ -71,7 +55,7 @@ def gauss_linking(c1, c2) -> float:
     dist = float(np.sqrt(pairwise_d2(p1.vertices, p2.vertices).min()))
     if dist <= min_sep:
         raise CurvesIntersect(f"curves at distance {dist:.3e} <= {min_sep:.3e}")
-    return _refined(
+    return dyadic_refinement(
         lambda sub: _gauss_sum(*p1.midpoint_samples(sub), *p2.midpoint_samples(sub)), 6
     )
 
@@ -99,7 +83,7 @@ def gauss_writhe(c) -> float:
             total += float(np.sum(np.where(keep, val, 0.0)))
         return total / (4 * np.pi)
 
-    return _refined(writhe_sum, 5)
+    return dyadic_refinement(writhe_sum, 5)
 
 
 # -- generic projections and signed crossings ----------------------------------
@@ -240,50 +224,13 @@ def find_crossings(curves, direction):
     return crossings
 
 
-def crossing_counts(curves, direction):
-    """The crossing linking matrix and the blackboard framings of one
-    projection of all `curves` along `direction`.
-
-    Entry (i, j) of the matrix is half the signed count of the crossings
-    between components i and j, an exact integer; an odd count raises
-    DegenerateProjection.  Framing i is the signed count of the
-    self-crossings of component i.
-    """
-    n = len(curves)
-    twice = [[0] * n for _ in range(n)]
-    framing = [0] * n
-    for x in find_crossings(curves, direction):
-        i, j = x.comp_over, x.comp_under
-        if i == j:
-            framing[i] += x.sign
-        else:
-            twice[i][j] += x.sign
-            twice[j][i] += x.sign
-    if any(t % 2 for row in twice for t in row):
-        raise DegenerateProjection("odd inter-component crossing sum")
-    return [[t // 2 for t in row] for row in twice], framing
-
-
-def with_generic_direction(fn, rng):
-    """fn(direction) on the first of DIRECTION_TRIES directions
-    rng.standard_normal(3) for which it raises no DegenerateProjection
-    (deterministic per rng)."""
-    for _ in range(DIRECTION_TRIES):
-        direction = rng.standard_normal(3)
-        try:
-            return fn(direction)
-        except DegenerateProjection:
-            continue
-    raise DegenerateProjection(f"no generic direction found in {DIRECTION_TRIES} tries")
-
-
 def linking_report(link, rng, timer) -> dict:
     """The `lk` report section: the Gauss and crossing linking matrices,
     writhe and blackboard framing per component, and the largest
     disagreement of the two linking estimators (gate 1e-3).
 
-    The crossing matrix and the framings come from one projection of the
-    whole link, along the first generic direction drawn from `rng`.  The
+    The crossing matrix and the framings are read off the diagram of one
+    projection of the whole link, `diagrams.scene_diagram(link, rng)`.  The
     stage "linking_matrix" times the Gauss matrix and the projection,
     "writhe_framing" the Gauss writhes; both are timed on `timer`.
     """
@@ -294,10 +241,12 @@ def linking_report(link, rng, timer) -> dict:
     for i in range(n):
         for j in range(i + 1, n):
             gauss[i][j] = gauss[j][i] = gauss_linking(comps[i], comps[j])
-    crossing, framing = with_generic_direction(lambda d: crossing_counts(comps, d), rng)
+    diagram = scene_diagram(link, rng)
+    crossing = diagram.linking_matrix()
     timer.stop()
     timer.start("writhe_framing")
     writhe = [gauss_writhe(c) for c in comps]
+    framing = [diagram.self_writhe(c) for c in range(n)]
     timer.stop()
     agreement = max(
         (abs(gauss[i][j] - crossing[i][j]) for i in range(n) for j in range(n) if i != j),

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-@dataclass
+@dataclass(eq=False)
 class MagnusSeries:
     truncation: int
     coeffs: dict = field(default_factory=dict)  # word tuple -> int
@@ -47,31 +47,11 @@ class MagnusSeries:
                 out[w] = out.get(w, 0) + ca * cb
         return MagnusSeries(self.truncation, out)
 
-    def __add__(self, other: "MagnusSeries") -> "MagnusSeries":
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            out[w] = out.get(w, 0) + c
-        return MagnusSeries(self.truncation, out)
-
-    def __sub__(self, other: "MagnusSeries") -> "MagnusSeries":
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            out[w] = out.get(w, 0) - c
-        return MagnusSeries(self.truncation, out)
-
     def coefficient(self, word) -> int:
         return self.coeffs.get(tuple(word), 0)
 
     def is_unit(self) -> bool:
         return all(c == 0 for w, c in self.coeffs.items() if w != ())
-
-    def __eq__(self, other):
-        if not isinstance(other, MagnusSeries):
-            return NotImplemented
-        keys = set(self.coeffs) | set(other.coeffs)
-        return all(
-            self.coeffs.get(k, 0) == other.coeffs.get(k, 0) for k in keys
-        )
 
 
 def word_series(letters, truncation: int) -> MagnusSeries:

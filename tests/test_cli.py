@@ -313,7 +313,8 @@ def test_diagram_component_count_must_match_its_arcs(components, tmp_path, monke
 
 
 # a part of fixtures/hopf_diagram.json replaced by a value of the wrong JSON type,
-# or a key the diagram does not read added
+# or a key the diagram does not read added (a SceneError), or by a diagram whose
+# parts do not fit together (an InconsistentDiagram, listed in INCONSISTENT)
 MALFORMED_DIAGRAMS = {
     "list": ((), []),
     "crossings-number": (("crossings",), 5),
@@ -326,7 +327,10 @@ MALFORMED_DIAGRAMS = {
     "schema": (("schema",), "vlink-1"),
     "unknown-key": (("crossing",), []),
     "crossing-unknown-key": (("crossings", 0, "signs"), 1),
+    # one crossing between the two components: no closed link projects so
+    "odd-crossings": (("crossings",), [{"over": 0, "under_in": 1, "under_out": 1, "sign": 1}]),
 }
+INCONSISTENT = {"odd-crossings"}
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_DIAGRAMS))
@@ -335,7 +339,8 @@ def test_malformed_diagram_exits_2(case, tmp_path, capsys):
     path = tmp_path / "diagram.json"
     path.write_text(json.dumps(_replaced(doc, *MALFORMED_DIAGRAMS[case])))
     assert cli.main(["oracle", "12", "--diagram", str(path)]) == 2
-    assert capsys.readouterr().err.startswith("SceneError: ")
+    error = "InconsistentDiagram" if case in INCONSISTENT else "SceneError"
+    assert capsys.readouterr().err.startswith(f"{error}: ")
 
 
 @pytest.mark.parametrize("index", ["1x", "1", "12.", "\uff11\uff12"])
@@ -400,9 +405,10 @@ def test_reverse_flips_the_crossing_linking_number(tmp_path, capsys):
     assert crossing == [1, -1]
 
 
-def test_lk_projects_the_scene_once(monkeypatch, capsys):
-    # every find_crossings call sees the whole link, and only a rejected
-    # direction is followed by another call
+def _assert_projects_once(argv, monkeypatch, capsys):
+    """Every find_crossings call of the command sees the whole
+    three-component link, and only a rejected direction is followed by
+    another call."""
     calls = []
 
     def counting(curves, direction):
@@ -412,11 +418,47 @@ def test_lk_projects_the_scene_once(monkeypatch, capsys):
         return out
 
     find_crossings = linking.find_crossings
+    monkeypatch.chdir(ROOT)
     monkeypatch.setattr(linking, "find_crossings", counting)
-    assert cli.main(["lk", "--scene", str(ROOT / "fixtures" / "borromean.json")]) == 0
+    assert cli.main(argv) == 0
     capsys.readouterr()
     assert [accepted for _, accepted in calls] == [False] * (len(calls) - 1) + [True]
     assert {n for n, _ in calls} == {3}
+
+
+def test_lk_projects_the_scene_once(monkeypatch, capsys):
+    _assert_projects_once(["lk", "--scene", "fixtures/borromean.json"], monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "123", "--scene", SPLIT_TRIPLE_N48], ["massey", "--scene", SPLIT_TRIPLE_N48],
+], ids=["oracle", "massey"])
+def test_scene_commands_project_the_scene_once(argv, monkeypatch, capsys):
+    # through the one retry loop, diagrams.scene_diagram, as lk does
+    _assert_projects_once(argv, monkeypatch, capsys)
+
+
+def test_one_magnus_pass_per_oracle_report(monkeypatch, capsys):
+    # mu-bar(123) and its trail 12, 13, 23: four longitudes expanded, all
+    # through one meridian rewriter
+    counts = {"series": 0, "rewriters": 0}
+
+    def series(*args):
+        counts["series"] += 1
+        return word_series(*args)
+
+    class Rewriter(diagrams._Rewriter):
+        def __init__(self, diagram):
+            counts["rewriters"] += 1
+            super().__init__(diagram)
+
+    word_series = diagrams.word_series
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setattr(diagrams, "word_series", series)
+    monkeypatch.setattr(diagrams, "_Rewriter", Rewriter)
+    assert cli.main(["oracle", "--diagram", "fixtures/borromean_diagram.json", "123"]) == 0
+    assert capsys.readouterr().out.endswith("mu_bar(123) = -1\n")
+    assert counts == {"series": 4, "rewriters": 1}
 
 
 def _with_config(command, doc, tmp_path, monkeypatch, capsys):

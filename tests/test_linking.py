@@ -3,23 +3,33 @@
 import numpy as np
 import pytest
 
-from vortexlink.curves import PolygonalCurve, borromean_rings, circle, hopf_link, split_link
-from vortexlink.errors import CurvesIntersect, DegenerateProjection
-from vortexlink.linking import (
-    crossing_counts,
-    find_crossings,
-    gauss_linking,
-    gauss_writhe,
-    with_generic_direction,
+from vortexlink.curves import (
+    Link,
+    PolygonalCurve,
+    TubeParams,
+    borromean_rings,
+    circle,
+    hopf_link,
+    split_link,
 )
+from vortexlink.diagrams import diagram_from_curves, scene_diagram
+from vortexlink.errors import CurvesIntersect, DegenerateProjection
+from vortexlink.linking import find_crossings, gauss_linking, gauss_writhe
 
 HOPF = hopf_link(centered=False)
 DIRS = np.random.default_rng(11).standard_normal((20, 3))
 
 
+def diagram_counts(curves, direction):
+    """The linking matrix and the blackboard framings read off the diagram
+    of one projection of all `curves`."""
+    d = diagram_from_curves(curves, direction)
+    return d.linking_matrix(), [d.self_writhe(c) for c in range(d.n_components)]
+
+
 def crossing_lk(c1, c2, direction):
     """The crossing linking number of a pair, from its joint projection."""
-    matrix, _ = crossing_counts([c1, c2], direction)
+    matrix, _ = diagram_counts([c1, c2], direction)
     return matrix[0][1]
 
 
@@ -39,7 +49,7 @@ def test_split_pair_zero():
 
 def test_borromean_pairs_zero():
     comps = borromean_rings().components
-    matrix, framing = crossing_counts(comps, (0.11, 0.23, 0.96))
+    matrix, framing = diagram_counts(comps, (0.11, 0.23, 0.96))
     assert matrix == [[0] * 3] * 3
     assert framing == [0] * 3
     for i in range(3):
@@ -81,7 +91,7 @@ def test_random_circle_pairs_agree(rng):
         c2 = circle(center, normal, r2, n_samples=128)
         try:
             lk = gauss_linking(c1, c2)
-            n = with_generic_direction(lambda d: crossing_lk(c1, c2, d), rng)
+            n = scene_diagram(Link([c1, c2], TubeParams(0.1)), rng).linking_matrix()[0][1]
         except (CurvesIntersect, DegenerateProjection):
             continue
         made += 1
@@ -104,7 +114,7 @@ def test_degenerate_projection_detected():
 
 def test_planar_convex_curve_framing_and_writhe():
     c = circle((0, 0, 0), (0, 0, 1), 1.0, n_samples=128)
-    _, framing = crossing_counts([c], (0.05, -0.03, 0.99))
+    _, framing = diagram_counts([c], (0.05, -0.03, 0.99))
     assert framing == [0]
     assert abs(gauss_writhe(c)) < 1e-3  # identically zero for planar curves
 
@@ -120,7 +130,7 @@ def figure_eight_curve(z_sign=-1.0, n=160):
 
 def test_figure_eight_framing():
     c = figure_eight_curve()
-    _, framing = crossing_counts([c], (0, 0, 1.0))
+    _, framing = diagram_counts([c], (0, 0, 1.0))
     assert framing == [+1]
 
 
@@ -130,7 +140,7 @@ def test_joint_projection_reads_matrix_and_framings():
     c1, c2 = HOPF.components
     eight = figure_eight_curve().translated((0.0, 0.0, 3.0))
     d = (0.02, -0.01, 1.0)
-    matrix, framing = crossing_counts([c1, eight, c2], d)
+    matrix, framing = diagram_counts([c1, eight, c2], d)
     lk = crossing_lk(c1, c2, d)
     assert abs(lk) == 1
     assert matrix == [[0, 0, lk], [0, 0, 0], [lk, 0, 0]]

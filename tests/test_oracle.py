@@ -1,4 +1,4 @@
-"""The combinatorial Milnor oracle: diagrams, Wirtinger data, mu-bar."""
+"""The combinatorial Milnor oracle: diagrams, Magnus series, mu-bar."""
 
 import json
 
@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vortexlink import linking
 from vortexlink.curves import (
     Link,
     PolygonalCurve,
@@ -21,14 +22,12 @@ from vortexlink.diagrams import (
     diagram_to_doc,
     longitude_word,
     mu_bar,
-    wirtinger,
 )
 from vortexlink.errors import (
     DegenerateProjection,
     InconsistentDiagram,
     IndeterminateInvariant,
 )
-from vortexlink.linking import crossing_counts
 from vortexlink.magnus import MagnusSeries, word_series
 
 HOPF = hopf_link(centered=False)
@@ -82,9 +81,6 @@ def test_hopf_diagram_structure():
     assert len(d.crossings) == 2
     signs = [x.sign for x in d.crossings]
     assert signs[0] == signs[1]  # equal-sign pair
-    w = wirtinger(d)
-    assert len(w.relations) == len(d.crossings) == 2
-    assert len(w.generators) == sum(len(a) for a in d.arcs)
 
 
 def test_borromean_diagram_structure():
@@ -94,8 +90,6 @@ def test_borromean_diagram_structure():
     d = diagram_from_curves(borromean_venn().components, (0.02, -0.03, 1.0))
     assert len(d.crossings) == 6
     assert [len(a) for a in d.arcs] == [2, 2, 2]
-    w = wirtinger(d)
-    assert len(w.generators) == 6 and len(w.relations) == 6
     # each pair of components crosses twice with opposite signs
     comp_of = {a: c for c, seq in enumerate(d.arcs) for a in seq}
     pair_signs = {}
@@ -112,8 +106,7 @@ def test_borromean_diagram_structure():
 def test_unknot_diagram():
     d = diagram_from_curves([circle((0, 0, 0), (0, 0, 1), 1.0)], DIR)
     assert len(d.crossings) == 0
-    w = wirtinger(d)
-    assert len(w.generators) == 1 and len(w.relations) == 0
+    assert [len(a) for a in d.arcs] == [1]
     assert longitude_word(d, 0) == ()
 
 
@@ -121,8 +114,7 @@ def test_unknot_diagram():
 
 def test_mu12_hopf_exact():
     d = diagram_from_curves(HOPF.components, DIR)
-    matrix, _ = crossing_counts(HOPF.components, DIR)
-    assert mu_bar(d, (1, 2)) == matrix[0][1]
+    assert mu_bar(d, (1, 2)) == d.linking_matrix()[0][1]
     assert abs(mu_bar(d, (1, 2))) == 1
 
 
@@ -185,12 +177,11 @@ def test_mu12_random_scenes_match_crossing(rng):
         c2 = circle(center, normal, rng.uniform(0.7, 1.3), n_samples=96)
         direction = rng.standard_normal(3)
         try:
-            matrix, _ = crossing_counts([c1, c2], direction)
             d = diagram_from_curves([c1, c2], direction)
         except DegenerateProjection:
             continue
         made += 1
-        assert mu_bar(d, (1, 2)) == matrix[0][1]
+        assert mu_bar(d, (1, 2)) == d.linking_matrix()[0][1]
 
 
 def kinked_hopf():
@@ -265,3 +256,12 @@ def test_inconsistent_diagram_rejected():
     doc["crossings"] = bad
     with pytest.raises(InconsistentDiagram):
         diagram_from_doc(doc)
+
+
+def test_odd_projection_is_degenerate(monkeypatch):
+    # a projection that lost one of the Hopf pair's two crossings is retried,
+    # not refused as an inconsistent diagram
+    find_crossings = linking.find_crossings
+    monkeypatch.setattr(linking, "find_crossings", lambda *a: find_crossings(*a)[1:])
+    with pytest.raises(DegenerateProjection, match="cross an odd number"):
+        diagram_from_curves(HOPF.components, DIR)
