@@ -23,6 +23,8 @@ from .reports import checked
 # sample rows per block of the Gauss double sums, bounding their
 # (rows, samples, 3) temporaries
 _GAUSS_CHUNK = 256
+# segment pairs per block of find_crossings, bounding its per-pair arrays
+_PAIR_CHUNK = 8192
 
 
 # -- Gauss double integral -----------------------------------------------------
@@ -127,8 +129,10 @@ def _parallel_overlap(a1, da, b1, db, sep):
     return bool(np.any(d2 < sep * sep))
 
 
-def _segment_pairs(n1, n2, same_curve):
-    i, j = np.meshgrid(np.arange(n1), np.arange(n2), indexing="ij")
+def _segment_pairs(lo, hi, n1, n2, same_curve):
+    """Segment pairs (i, j), i-major, of polygons with n1 and n2 segments,
+    for lo <= i < hi; on one curve only i < j, and no adjacent pair."""
+    i, j = np.meshgrid(np.arange(lo, hi), np.arange(n2), indexing="ij")
     i, j = i.ravel(), j.ravel()
     if same_curve:
         gap = np.abs(i - j)
@@ -137,84 +141,91 @@ def _segment_pairs(n1, n2, same_curve):
     return i, j
 
 
+def _block_crossings(ci, cj, proj, seg, depth, ii, jj, sep):
+    """The crossings of segments ii of component ci with segments jj of
+    component cj, in pair order, each pair's over/under resolved by depth."""
+    pi, pj = proj[ci], proj[cj]
+    a1, da = pi[ii], seg[ci][ii]
+    b1, db = pj[jj], seg[cj][jj]
+    denom = _cross2(da, db)
+    rhs = b1 - a1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = _cross2(rhs, db) / denom
+        t = _cross2(rhs, da) / denom
+    # parallel segments give s, t = inf or nan, which every window
+    # below excludes
+    hit = (s >= 0) & (s < 1) & (t >= 0) & (t < 1)
+    # knife-edge crossings at segment endpoints are silently missed
+    # or double-counted by the open/half-open window: refuse them
+    eps_end = 1e-9
+    near_end = (
+        (np.minimum(np.abs(s), np.abs(s - 1)) < eps_end)
+        & (t > -eps_end) & (t < 1 + eps_end)
+    ) | (
+        (np.minimum(np.abs(t), np.abs(t - 1)) < eps_end)
+        & (s > -eps_end) & (s < 1 + eps_end)
+    )
+    if np.any(near_end):
+        raise DegenerateProjection("crossing at a segment endpoint")
+    # transversality at actual intersections
+    la = np.linalg.norm(da, axis=1)
+    lb = np.linalg.norm(db, axis=1)
+    sin_angle = np.abs(denom) / np.where(la * lb > 0, la * lb, 1.0)
+    if np.any(hit & (sin_angle < CROSS_ANGLE)):
+        raise DegenerateProjection("near-tangent crossing")
+    # near-parallel segments are degenerate when they overlap: the
+    # intersection solve cannot see tangencies of coincident shadows
+    par = sin_angle < CROSS_ANGLE
+    if np.any(par):
+        if _parallel_overlap(a1[par], da[par], b1[par], db[par], sep):
+            raise DegenerateProjection("near-parallel overlapping segments")
+    crossings = []
+    for idx in np.nonzero(hit)[0]:
+        i, j = int(ii[idx]), int(jj[idx])
+        ss, tt = float(s[idx]), float(t[idx])
+        pt = a1[idx] + ss * da[idx]
+        zi = depth[ci][i] + ss * (depth[ci][(i + 1) % len(pi)] - depth[ci][i])
+        zj = depth[cj][j] + tt * (depth[cj][(j + 1) % len(pj)] - depth[cj][j])
+        if abs(zi - zj) < sep:
+            raise DegenerateProjection("ambiguous over/under depth")
+        # sign: orientation of (over tangent, under tangent)
+        over, under = (ci, i, ss), (cj, j, tt)
+        sgn = int(np.sign(_cross2(da[idx], db[idx])))
+        if zi < zj:
+            over, under, sgn = under, over, -sgn
+        crossings.append(Crossing(*over, *under, sgn, (float(pt[0]), float(pt[1]))))
+    return crossings
+
+
 def find_crossings(curves, direction):
     """All transverse double points of the projection of `curves` along
     `direction`, with over/under resolved by depth.
 
     Raises DegenerateProjection on tangencies (angle below CROSS_ANGLE),
     crossings or depths closer than CROSS_SEP of the diameter; the caller
-    retries with a perturbed direction.
+    retries with a perturbed direction.  Each component pair's segment
+    pairs are taken in i-major blocks of about _PAIR_CHUNK, which bounds the
+    per-pair arrays and keeps the crossings in pair order; a projection
+    with degeneracies of two kinds in two blocks may name another of them
+    than a single block would, but it raises all the same.
     """
     e1, e2, d = orthonormal_frame(direction)
     polys = [as_polygon(c) for c in curves]
     sep = CROSS_SEP * max(p.diameter() for p in polys)
 
     proj = [np.stack([p.vertices @ e1, p.vertices @ e2], axis=1) for p in polys]
+    seg = [np.roll(p, -1, axis=0) - p for p in proj]
     depth = [p.vertices @ d for p in polys]
 
     crossings = []
     for ci in range(len(polys)):
         for cj in range(ci, len(polys)):
-            pi, pj = proj[ci], proj[cj]
-            si = np.roll(pi, -1, axis=0) - pi
-            sj = np.roll(pj, -1, axis=0) - pj
-            ii, jj = _segment_pairs(len(pi), len(pj), ci == cj)
-            if len(ii) == 0:
-                continue
-            a1, da = pi[ii], si[ii]
-            b1, db = pj[jj], sj[jj]
-            denom = _cross2(da, db)
-            rhs = b1 - a1
-            with np.errstate(divide="ignore", invalid="ignore"):
-                s = _cross2(rhs, db) / denom
-                t = _cross2(rhs, da) / denom
-            # parallel segments give s, t = inf or nan, which every window
-            # below excludes
-            hit = (s >= 0) & (s < 1) & (t >= 0) & (t < 1)
-            # knife-edge crossings at segment endpoints are silently missed
-            # or double-counted by the open/half-open window: refuse them
-            eps_end = 1e-9
-            near_end = (
-                (np.minimum(np.abs(s), np.abs(s - 1)) < eps_end)
-                & (t > -eps_end) & (t < 1 + eps_end)
-            ) | (
-                (np.minimum(np.abs(t), np.abs(t - 1)) < eps_end)
-                & (s > -eps_end) & (s < 1 + eps_end)
-            )
-            if np.any(near_end):
-                raise DegenerateProjection("crossing at a segment endpoint")
-            # transversality at actual intersections
-            la = np.linalg.norm(da, axis=1)
-            lb = np.linalg.norm(db, axis=1)
-            sin_angle = np.abs(denom) / np.where(la * lb > 0, la * lb, 1.0)
-            if np.any(hit & (sin_angle < CROSS_ANGLE)):
-                raise DegenerateProjection("near-tangent crossing")
-            # near-parallel segments are degenerate when they overlap: the
-            # intersection solve cannot see tangencies of coincident shadows
-            par = sin_angle < CROSS_ANGLE
-            if np.any(par):
-                if _parallel_overlap(a1[par], da[par], b1[par], db[par], sep):
-                    raise DegenerateProjection("near-parallel overlapping segments")
-            for idx in np.nonzero(hit)[0]:
-                i, j = int(ii[idx]), int(jj[idx])
-                ss, tt = float(s[idx]), float(t[idx])
-                pt = a1[idx] + ss * da[idx]
-                zi = depth[ci][i] + ss * (
-                    depth[ci][(i + 1) % len(pi)] - depth[ci][i]
-                )
-                zj = depth[cj][j] + tt * (
-                    depth[cj][(j + 1) % len(pj)] - depth[cj][j]
-                )
-                if abs(zi - zj) < sep:
-                    raise DegenerateProjection("ambiguous over/under depth")
-                # sign: orientation of (over tangent, under tangent)
-                over, under = (ci, i, ss), (cj, j, tt)
-                sgn = int(np.sign(_cross2(da[idx], db[idx])))
-                if zi < zj:
-                    over, under, sgn = under, over, -sgn
-                crossings.append(
-                    Crossing(*over, *under, sgn, (float(pt[0]), float(pt[1])))
-                )
+            n1, n2 = len(proj[ci]), len(proj[cj])
+            rows = max(1, _PAIR_CHUNK // n2)
+            for lo in range(0, n1, rows):
+                ii, jj = _segment_pairs(lo, min(lo + rows, n1), n1, n2, ci == cj)
+                if len(ii):
+                    crossings += _block_crossings(ci, cj, proj, seg, depth, ii, jj, sep)
     pts = np.array([c.point2d for c in crossings]) if crossings else np.zeros((0, 2))
     if len(pts) > 1:
         dd = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)

@@ -13,7 +13,17 @@ they are the only FFT entry points, and they count their calls in
 pass order of scipy.fft's rfftn/irfftn, which gives that library's bits
 without importing it (scipy.fft alone costs more to import than the whole
 package), and each pass is split over `_workers()` threads.  `irfft3`
-overwrites the spectrum it inverts.  The symbols (K, K2, mode) are cached
+overwrites the spectrum it inverts.
+
+`rfft3(a, band)` transforms only the modes of a boolean half-spectrum mask,
+as the band-limited random fields need: the r2c pass runs on every line, the
+axis -3 pass only on the kz planes the band reaches and the axis -2 pass
+only on its kx rows, and every mode outside the band is +0.0.  A kept mode
+is the same 1-D transforms of the same lines as in the whole transform, and
+numpy transforms each line on its own, so it has the whole transform's bits
+(pruning in the sense of Markel, IEEE Trans. Audio Electroacoust. 19, 1971).
+`irfft3` has no band: skipping its zero lines saves little and could flip
+the sign of an exactly zero output.  The symbols (K, K2, mode) are cached
 per grid, and the curl symbol `_k_cross` and the Leray split `_leray` are
 written once here for every caller.
 
@@ -114,18 +124,40 @@ def _pass(transform, src, dst, axis: int, split: int, **kwargs) -> None:
             f.result()
 
 
-def rfft3(a: np.ndarray) -> np.ndarray:
+def rfft3(a: np.ndarray, band: np.ndarray | None = None) -> np.ndarray:
     """Real FFT over the last three axes: one call for every component.
 
     The passes are those of scipy.fft.rfftn: r2c along the last axis, then
-    c2c along axis -3 and then along axis -2, in place."""
+    c2c along axis -3 and then along axis -2, in place.
+
+    `band`, a boolean mask of the half spectrum (the last three axes of the
+    result), keeps only the modes inside it: the r2c pass runs on every
+    line, the axis -3 pass only on the kz planes the band reaches and the
+    axis -2 pass only on its kx rows.  Every kept mode has the bits of the
+    whole transform, and every other mode is +0.0."""
     global fft_calls
     fft_calls += 1
     out = np.empty(a.shape[:-1] + (a.shape[-1] // 2 + 1,), dtype=np.complex128)
     _pass(np.fft.rfft, a, out, axis=-1, split=-3)
-    _pass(np.fft.fft, out, out, axis=-3, split=-2)
-    _pass(np.fft.fft, out, out, axis=-2, split=-3)
+    if band is None:
+        _pass(np.fft.fft, out, out, axis=-3, split=-2)
+        _pass(np.fft.fft, out, out, axis=-2, split=-3)
+        return out
+    rows = _runs(band.any(axis=(1, 2)))
+    for planes in _runs(band.any(axis=(0, 1))):
+        box = out[..., planes]
+        _pass(np.fft.fft, box, box, axis=-3, split=-2)
+        for r in rows:
+            box = out[..., r, :, planes]
+            _pass(np.fft.fft, box, box, axis=-2, split=-3)
+    np.copyto(out, 0.0, where=~band)
     return out
+
+
+def _runs(mask: np.ndarray) -> list[slice]:
+    """The runs of True of a 1-D boolean mask, as slices."""
+    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
+    return [slice(lo, hi) for lo, hi in zip(edges[::2], edges[1::2])]
 
 
 def irfft3(ah: np.ndarray, shape) -> np.ndarray:
@@ -371,8 +403,9 @@ def curl_inv(b: GridField, eps_mean: float = EPS_MEAN) -> GridField:
     if sup > 0 and np.max(np.abs(b.mean())) > eps_mean * sup:
         raise NonzeroMean(f"curl_inv input: component mean exceeds {eps_mean:.1e} * sup")
     K, K2, _ = _symbols(b.grid)
-    comps = irfft3(_inverse_k2(_k_cross(K, bh), K2), b.grid.shape)
-    return GridField(b.grid, 1, comps)
+    # rebinding frees b's spectrum before the inverse transform allocates
+    bh = _inverse_k2(_k_cross(K, bh), K2)
+    return GridField(b.grid, 1, irfft3(bh, b.grid.shape))
 
 
 def lie_derivative(x: GridField, f: GridField, df: GridField | None = None) -> GridField:

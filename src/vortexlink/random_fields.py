@@ -1,8 +1,13 @@
 """Seeded random field ensembles for property suites.
 
-Band limits are enforced on true mode magnitudes (Nyquist planes always
-excluded).  The identity suites for the co-momentum tower draw solenoidal
-fields from pairwise-disjoint Fourier shells: for shells S1, S2, S3 with
+Band limits are enforced on true mode magnitudes, kmin <= |k| <= kmax in
+integer-mode units, so a band with kmax >= N/2 keeps modes of the Nyquist
+planes of an even N.  Only the band's modes are transformed (`rfft3` with a
+band) and Leray-projected; every mode outside it is +0.0, which gives the
+bits of transforming and projecting the whole spectrum.
+
+The identity suites for the co-momentum tower draw solenoidal fields from
+pairwise-disjoint Fourier shells: for shells S1, S2, S3 with
 (Si + Sj) disjoint from Sk for all permutations, every product appearing in
 the tower (cross products, brackets of pairs against the third field) has an
 exactly vanishing zero mode, which is the torus realization of the
@@ -15,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import FORM_COMPONENTS, Grid3, GridField
+from .grid import FORM_COMPONENTS, Grid3, GridField, sup_abs
 from .operators import _leray, _symbols, _zero_k2, irfft3, rfft3
 
 # default shells (integer mode magnitudes): pairwise disjoint and sumset-safe
@@ -27,15 +32,14 @@ def _band_mask(grid: Grid3, kmin: float, kmax: float) -> np.ndarray:
     return (mode >= kmin - 1e-9) & (mode <= kmax + 1e-9)
 
 
-def _band_limited_hat(grid: Grid3, n_comps: int, rng, kmax, kmin) -> np.ndarray:
-    """Spectrum of n_comps white-noise components restricted to the band."""
-    hat = rfft3(rng.standard_normal((n_comps,) + grid.shape))
-    hat[..., ~_band_mask(grid, kmin, kmax)] = 0.0
-    return hat
+def _band_limited_hat(grid: Grid3, n_comps: int, rng, band) -> np.ndarray:
+    """Spectrum of n_comps white-noise components restricted to `band`:
+    only the band's modes are transformed, and every other mode is +0.0."""
+    return rfft3(rng.standard_normal((n_comps,) + grid.shape), band)
 
 
 def _sup_normalized(comps: np.ndarray) -> np.ndarray:
-    sup = np.max(np.abs(comps))
+    sup = sup_abs(comps)
     if sup > 0:
         comps /= sup
     return comps
@@ -43,7 +47,8 @@ def _sup_normalized(comps: np.ndarray) -> np.ndarray:
 
 def random_form(grid: Grid3, degree: int, rng: np.random.Generator, kmax=6.0, kmin=1.0) -> GridField:
     """Random band-limited k-form with zero mean, sup-normalized."""
-    vh = _band_limited_hat(grid, FORM_COMPONENTS[degree], rng, kmax, kmin)
+    band = _band_mask(grid, kmin, kmax)
+    vh = _band_limited_hat(grid, FORM_COMPONENTS[degree], rng, band)
     return GridField(grid, degree, _sup_normalized(irfft3(vh, grid.shape)))
 
 
@@ -55,8 +60,14 @@ def random_vector_field(grid: Grid3, rng, kmax=6.0, kmin=1.0) -> GridField:
 def random_solenoidal(grid: Grid3, rng, kmax=6.0, kmin=1.0) -> GridField:
     """Random divergence-free, zero-mean, band-limited vector field."""
     K, K2, _ = _symbols(grid)
-    # bind the transverse part alone: the longitudinal one dies here
-    vh = _zero_k2(_leray(K, K2, _band_limited_hat(grid, 3, rng, kmax, kmin))[0], K2)
+    band = _band_mask(grid, kmin, kmax)
+    vh = _band_limited_hat(grid, 3, rng, band)
+    # the Leray split and the K2 = 0 zeroing act mode by mode, so the band's
+    # modes alone give the whole spectrum's bits; outside the band both hold
+    # +0.0.  Only the transverse part is bound: the longitudinal one dies here
+    k2 = K2[band]
+    kb = [np.broadcast_to(k, K2.shape)[band] for k in K]
+    vh[:, band] = _zero_k2(_leray(kb, k2, vh[:, band])[0], k2)
     return GridField(grid, 1, _sup_normalized(irfft3(vh, grid.shape)))
 
 

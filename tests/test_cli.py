@@ -188,16 +188,17 @@ def test_sidecar_reports_peak_rss_per_stage(tmp_path, monkeypatch):
 
 def test_comomentum_sidecar_counts_transforms(tmp_path, monkeypatch):
     # one pair and one triple: each tower object is computed once and each
-    # field's divergence is checked once, so the suites make 92 rfft3/irfft3
-    # calls in all (114 when eq27 and the ABC stage re-checked fields and
-    # brackets, 182 when the eq26/eq29 suite, the f2 gate, curl_inv and the
-    # ABC stage repeated work)
+    # field's divergence is checked once, so the suites make 90 rfft3/irfft3
+    # calls in all (92 when the ABC stage checked its field twice, as both
+    # arguments of equivariance_defect; 114 when eq27 and the ABC stage
+    # re-checked fields and brackets, 182 when the eq26/eq29 suite, the f2
+    # gate, curl_inv and the ABC stage repeated work)
     monkeypatch.chdir(ROOT)
     argv = ["comomentum", "--pairs", "1", "--triples", "1", "--config", COMOMENTUM_CONFIG]
     _run(argv, tmp_path / "report.json")
     sidecar = json.loads((tmp_path / "report.json.timings.json").read_text())
     assert sidecar["fft_calls"] == {
-        "eq25_suite": 11, "eq26_eq29_suite": 19, "eq27_suite": 45, "abc_fixture": 17,
+        "eq25_suite": 11, "eq26_eq29_suite": 19, "eq27_suite": 45, "abc_fixture": 15,
     }
 
 

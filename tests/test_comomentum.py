@@ -299,4 +299,15 @@ def test_triple_evaluation_builds_one_bracket_at_a_time(grid32, rng):
     triple_evaluation_residual(*x)  # warm the symbol cache
     value, base, peak = _traced(lambda: triple_evaluation_residual(*x))
     assert value < 1e-5
-    assert _fields(peak - base, grid32) <= 6  # 7.8 with all three brackets alive
+    # 7.8 fields with all three brackets alive, 5.8 when curl_inv kept its
+    # input's spectrum through the inverse transform
+    assert _fields(peak - base, grid32) <= 5.5
+
+
+def test_pair_identities_hold_no_extra_field(grid32, rng):
+    # eq. 29's sum is made in the difference's array and its harmonic part is
+    # removed in place: 6.3 fields with a sum temporary and a harmonic copy
+    b, c = tower_pair(grid32, rng)
+    pair_identities(b, c)  # warm the symbol cache
+    _, base, peak = _traced(lambda: pair_identities(b, c))
+    assert _fields(peak - base, grid32) <= 5.6

@@ -1,8 +1,12 @@
 """Gauss quadrature vs crossing combinatorics for linking numbers."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+from conftest import _traced
 
+from vortexlink import linking
 from vortexlink.curves import (
     Link,
     PolygonalCurve,
@@ -15,6 +19,7 @@ from vortexlink.curves import (
 from vortexlink.diagrams import diagram_from_curves, scene_diagram
 from vortexlink.errors import CurvesIntersect, DegenerateProjection
 from vortexlink.linking import find_crossings, gauss_linking, gauss_writhe
+from vortexlink.scenes import load_scene
 
 HOPF = hopf_link(centered=False)
 DIRS = np.random.default_rng(11).standard_normal((20, 3))
@@ -145,6 +150,40 @@ def test_joint_projection_reads_matrix_and_framings():
     assert abs(lk) == 1
     assert matrix == [[0, 0, lk], [0, 0, 0], [lk, 0, 0]]
     assert framing == [0, +1, 0]
+
+
+SPLIT_TRIPLE_N48 = Path(__file__).parent / "golden" / "split_triple_n48_scene.json"
+
+
+def _crossings_or_refusal(curves, direction):
+    try:
+        return find_crossings(curves, direction)
+    except DegenerateProjection:
+        return "degenerate"
+
+
+def test_find_crossings_peak_is_bounded():
+    # three 256-sample components: the segment pairs go in blocks, where
+    # each component pair's 65,536 pairs at once peaked at 11.85 MB traced
+    _, link = load_scene(SPLIT_TRIPLE_N48)
+    direction = np.random.default_rng(0).standard_normal(3)
+    crossings, base, peak = _traced(lambda: find_crossings(link.components, direction))
+    assert len(crossings) == 6
+    assert peak - base <= 4e6
+
+
+@pytest.mark.parametrize("chunk", [1, 1 << 30], ids=["one-row", "whole-pair"])
+def test_find_crossings_blocks_keep_crossings_and_order(chunk, monkeypatch):
+    # one segment row per block, or every pair of a component pair at once,
+    # gives the crossings of the default blocks in the same order
+    _, link = load_scene(SPLIT_TRIPLE_N48)
+    c1, c2 = HOPF.components
+    scenes = [link.components, [c1, figure_eight_curve().translated((0.0, 0.0, 3.0)), c2]]
+    directions = np.random.default_rng(1).standard_normal((6, 3))
+    want = [_crossings_or_refusal(s, d) for s in scenes for d in directions]
+    assert any(w != "degenerate" and len(w) > 0 for w in want)
+    monkeypatch.setattr(linking, "_PAIR_CHUNK", chunk)
+    assert [_crossings_or_refusal(s, d) for s in scenes for d in directions] == want
 
 
 def test_knife_edge_crossing_rejected():

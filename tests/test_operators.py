@@ -304,6 +304,39 @@ def test_fft_thread_split_is_exact(rng, monkeypatch):
     assert runs[0] == runs[1] == runs[2]
 
 
+# (N, kmin, kmax): the tower's three shells, and bands that reach the Nyquist
+# planes of an even N (kmax >= N / 2) or the last modes of an odd one
+BAND_CASES = [(24, 1.0, 2.0), (25, 3.0, 4.0), (32, 8.0, 10.0),
+              (24, 1.0, 12.0), (25, 10.0, 13.0), (32, 0.0, 17.0)]
+
+
+@pytest.mark.parametrize("n, kmin, kmax", BAND_CASES,
+                         ids=[f"n{n}-k{kmin:g}-{kmax:g}" for n, kmin, kmax in BAND_CASES])
+def test_banded_rfft3_keeps_the_bits_of_the_full_transform(n, kmin, kmax, rng, monkeypatch):
+    # the band's modes carry the full transform's bits and every other mode
+    # is +0.0, with one thread, the default and an uneven split over more
+    # threads than cores
+    grid = Grid3(n, 2 * np.pi)
+    band = random_fields._band_mask(grid, kmin, kmax)
+    a = rng.standard_normal((3,) + grid.shape)
+    want = rfft3(a)[..., band].tobytes()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for threads in ("1", None, "7"):
+            if threads is None:
+                monkeypatch.delenv("VORTEXLINK_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("VORTEXLINK_THREADS", threads)
+            ah = rfft3(a, band)
+            assert ah[..., band].tobytes() == want
+            outside = ah[..., ~band]
+            assert not np.any(outside)
+            assert not np.any(np.signbit(outside.real) | np.signbit(outside.imag))
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_irfft3_rejects_a_spectrum_of_another_shape(grid32, rng):
     ah = rfft3(rng.standard_normal(grid32.shape))
     with pytest.raises(ValueError, match="not the rfft3 of"):
@@ -453,6 +486,48 @@ def test_leray_callers_keep_only_the_transverse_part(grid32, rng, monkeypatch):
         # one three-component half spectrum (1.02 fields) at the inverse
         # transform, 2.1 when the longitudinal part is kept as well
         assert _fields(live[0] - base, grid32) < 1.5
-        # random_solenoidal peaked at 4.13 fields with it; both peak at
-        # 3.54 in the split itself
+        # random_solenoidal peaked at 4.13 fields with it; solenoidal_part
+        # peaks at 3.54 in the split itself, random_solenoidal at 2.63 in its
+        # banded transform (3.54 when it split the whole spectrum)
         assert _fields(peak - base, grid32) < 3.7
+
+
+# the reference recipe of the draws: the whole spectrum transformed, the
+# modes outside the band set to zero, then the whole spectrum projected
+
+
+def _full_grid_hat(grid, n_comps, rng, kmax, kmin):
+    hat = rfft3(rng.standard_normal((n_comps,) + grid.shape))
+    hat[..., ~random_fields._band_mask(grid, kmin, kmax)] = 0.0
+    return hat
+
+
+def _full_grid_normalized(comps):
+    sup = np.max(np.abs(comps))
+    if sup > 0:
+        comps /= sup
+    return comps
+
+
+def _full_grid_solenoidal(grid, rng, kmax, kmin):
+    K, K2, _ = operators._symbols(grid)
+    vh = _full_grid_hat(grid, 3, rng, kmax, kmin)
+    vh = operators._zero_k2(operators._leray(K, K2, vh)[0], K2)
+    return _full_grid_normalized(irfft3(vh, grid.shape))
+
+
+@pytest.mark.parametrize("n", [32, 33])
+@pytest.mark.parametrize("seed", range(5))
+def test_band_limited_draws_match_the_full_grid_recipe(n, seed):
+    grid = Grid3(n, 2 * np.pi)
+    for lo, hi in random_fields.TOWER_SHELLS:
+        got = random_fields.shell_solenoidal(grid, np.random.default_rng(seed), (lo, hi))
+        want = _full_grid_solenoidal(grid, np.random.default_rng(seed), hi, lo)
+        assert got.comps.tobytes() == want.tobytes()
+    got = random_solenoidal(grid, np.random.default_rng(seed))
+    want = _full_grid_solenoidal(grid, np.random.default_rng(seed), 6.0, 1.0)
+    assert got.comps.tobytes() == want.tobytes()
+    for degree in range(4):
+        got = random_form(grid, degree, np.random.default_rng(seed))
+        want = _full_grid_hat(grid, got.comps.shape[0], np.random.default_rng(seed), 6.0, 1.0)
+        assert got.comps.tobytes() == _full_grid_normalized(irfft3(want, grid.shape)).tobytes()
