@@ -19,9 +19,11 @@ is read.  `lk`, `oracle` and `export` have no `--config`, `comomentum` no
 `--scene`, and `oracle` reads one of `--scene` and `--diagram`.
 
 Exit codes: 0 success, 2 for a usage error (the parser checks the counts
-and the oracle's multi-index digits before any file is read) or a missing
-or malformed input (a SceneError), otherwise the `exit_code` of the raised
-error (see `errors.py`).  `massey` and `export` gate their scene once with
+and the oracle's multi-index digits before any file is read), a malformed
+input (a SceneError) or a path that cannot be read or written (any
+OSError: a missing file, a directory where a file belongs, an `--out`
+under a regular file), otherwise the `exit_code` of the raised error (see
+`errors.py`).  `massey` and `export` gate their scene once with
 `tubes.validate_scene`, whose docstring gives the order of the checks.
 """
 
@@ -239,7 +241,9 @@ def main(argv=None) -> int:
             raise
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        # a missing input, a directory named as a file or an output path
+        # that cannot be made: one line, no traceback
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -184,13 +184,6 @@ def poisson_bracket(h1: HamiltonianPair, h2: HamiltonianPair) -> GridField:
     return pair_contraction(h1.field, h2.field)
 
 
-def _relative_nonharmonic(lhs: GridField, den: float) -> float:
-    """sup norm of lhs minus its harmonic part, relative to den when den > 0.
-    lhs is a temporary: its harmonic part is removed in place."""
-    lhs.comps -= lhs.mean()[:, None, None, None]
-    return lhs.sup_norm() / den if den > 0 else lhs.sup_norm()
-
-
 def pair_identities(b: GridField, c: GridField) -> dict:
     """Relative residuals, on the non-harmonic sector, of the potential
     equation d f2(b^c) = mu2(b, c) ("eq26") and the bracket-defect identity
@@ -198,19 +191,24 @@ def pair_identities(b: GridField, c: GridField) -> dict:
     part of mu2(b, c) ("harmonic_part").  The bracket, its f1, mu2, f2(b, c)
     and its d are computed once, by the operations mu2, f2 and f1 apply, so
     the values carry the bits of the identities evaluated one by one.
+
+    With m = mu2(b, c) = f1([b, c]) - {f1(b), f1(c)}, eq. 29's numerator
+    {f1(b), f1(c)} - f1([b, c]) + d f2 is eq. 26's d f2 - m element for
+    element (IEEE subtraction is antisymmetric), so one numerator is made,
+    its harmonic part removed once, and its sup read over sup |m| for eq26
+    and over sup |{f1(b), f1(c)}| for eq29.  eq29 is therefore eq26 over
+    another norm and cannot fail on its own.
     """
     pb = pair_contraction(b, c)
-    h_bracket = f1(tower_bracket(b, c))
-    m = h_bracket - pb
+    m = f1(tower_bracket(b, c)) - pb
     potential, harm = _mu2_potential(m)
-    d_potential = ext_d(potential)
-    eq26 = _relative_nonharmonic(d_potential - m, m.sup_norm())
-    # pb - h_bracket + d_potential, the sum made in the difference's array
-    eq29 = pb - h_bracket
-    eq29.comps += d_potential.comps
+    num = ext_d(potential) - m
+    num.comps -= num.mean()[:, None, None, None]
+    sup = num.sup_norm()
+    den26, den29 = m.sup_norm(), pb.sup_norm()
     return {
-        "eq26": eq26,
-        "eq29": _relative_nonharmonic(eq29, pb.sup_norm()),
+        "eq26": sup / den26 if den26 > 0 else sup,
+        "eq29": sup / den29 if den29 > 0 else sup,
         "harmonic_part": harm,
     }
 
@@ -305,7 +303,9 @@ def comomentum_report(grid, rng, pairs, triples, timer) -> dict:
     (with the Coulomb gauge), eqs. 26 and 29 (with the harmonic part of
     mu2) over `pairs` tower pairs, of eq. 27 over `triples` tower triples,
     all drawn from `rng` in that order, and eq. 25 and the equivariance
-    defect of the ABC flow on the 2 pi box of the same N.
+    defect of the ABC flow on the 2 pi box of the same N.  eq29 is eq26's
+    numerator over another norm (see pair_identities), so it cannot fail on
+    its own.
 
     Stages "eq25_suite", "eq26_eq29_suite", "eq27_suite" and "abc_fixture"
     are timed on `timer`.  Each drawn field's divergence is checked once, and

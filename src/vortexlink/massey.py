@@ -6,9 +6,12 @@ A defining system of any length on an n-component link: the disc-dual
 and a suffix I'' (v_i ^ v_j for a pair, v_1 ^ v_23 + v_12 ^ v_3 for 123),
 with a masked least-squares primitive d v_I = -Omega_I on the link
 complement for every interval shorter than n.  The period of the top form
-Omega_{1..n} over a meridian torus is the grid's higher linking number; the
-nilpotent connections of every level give curvature/Bianchi checks, and
-the first-integrals-in-involution residuals close the report.
+Omega_{1..n} over a meridian torus is the grid's higher linking number.  The
+connection of level l is the dict {I: v_I} of every v_I with |I| <= l, keyed
+by interval as the defining system is (entry (i, j) of the paper's
+nilpotent connection matrix is the interval (i+1, ..., j)); its curvature
+and Bianchi checks and the first-integrals-in-involution residuals close
+the report.  `_splits` is the one enumeration of an interval's splits.
 
 Complement geometry is realized by a smooth mask vanishing on the tubes
 (never by remeshing); every certificate is a masked norm.  The solver is a
@@ -38,10 +41,10 @@ certificates.  The rules go by the length of an index range:
   stored with its closedness certificate, and any other pair's is dropped
   at once.
 - A stored Omega_I of length l is read by its solve and by the level-(l-1)
-  connection, whose corner it is, and is dropped once that level is
-  certified; the top Omega_{1..n} is kept for the brackets.  The brackets
-  make each dropped Omega_I again with the same wedges, and no v_I is ever
-  written, so its bits are those of the first.
+  connection, whose curvature entry w_I it is, and is dropped once that
+  level is certified; the top Omega_{1..n} is kept for the brackets.  The
+  brackets make each dropped Omega_I again with the same wedges, and no v_I
+  is ever written, so its bits are those of the first.
 - The hierarchy keeps in `MasseyHierarchy.d` the exterior derivative of each
   form that more than one step reads: d Omega_I from its closedness
   certificate to the same level's Bianchi check, d v_I from its solve's
@@ -69,7 +72,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -382,9 +385,17 @@ def _telemetry(t_start, niter, loop_s, history) -> dict:
 
 # -- the hierarchy --------------------------------------------------------------
 
-def _intervals(n: int, length: int) -> list:
-    """The index ranges (i, i+1, ..., i+length-1) within 1..n, in order."""
-    return [tuple(range(i, i + length)) for i in range(1, n - length + 2)]
+def _intervals(n: int, length: int | None = None) -> list:
+    """The index ranges (i, ..., j) within 1..n, by first index, then last:
+    every one, or those of the given length."""
+    spans = [tuple(range(i, j + 1)) for i in range(1, n + 1) for j in range(i, n + 1)]
+    return spans if length is None else [key for key in spans if len(key) == length]
+
+
+def _splits(key) -> list:
+    """The splits (I', I'') of an interval I into a prefix I' and a suffix
+    I'', by the length of the prefix: ((1,), (2, 3)), ((1, 2), (3,)) for 123."""
+    return [(key[:s], key[s:]) for s in range(1, len(key))]
 
 
 def _key_name(key) -> str:
@@ -478,7 +489,7 @@ class MasseyHierarchy:
         if key in self.omega:
             return self.omega[key]
         try:
-            splits = [(self.v[key[:s]], self.v[key[s:]]) for s in range(1, len(key))]
+            splits = [(self.v[head], self.v[tail]) for head, tail in _splits(key)]
         except KeyError as missing:
             raise MissingPrimitive(f"primitive {missing} not solved") from None
         om = None
@@ -489,7 +500,8 @@ class MasseyHierarchy:
     def obstruction_form(self, interval: tuple) -> GridField:
         """The interval's Omega_I, stored with its masked-closedness
         certificate on first use (its derivative is kept: the Bianchi check
-        of the connection whose corner it is reads d Omega_I again)."""
+        of the connection whose curvature entry it is reads d Omega_I
+        again)."""
         if interval in self.omega:
             return self.omega[interval]
         om = self.omega[interval] = self.product(interval)
@@ -516,126 +528,107 @@ class MasseyHierarchy:
         return v, info
 
 
-# -- nilpotent connections -------------------------------------------------------
+# -- connections ---------------------------------------------------------------
 
-@dataclass
-class NilpotentConnection:
-    """Strictly upper-triangular matrix of 1-forms (structural nilpotency).
+def connection_curvature(h: MasseyHierarchy, v: dict) -> dict:
+    """Entrywise Cartan structure equation of the connection v = {I: v_I}:
+    w_I = d v_I + sum of v_I' ^ v_I'' over the splits of I whose parts are
+    both in v.  Entry (i, j) of the paper's connection matrix is the
+    interval I = (i+1, ..., j).
 
-    Entry (i, j) is the hierarchy's v_I with I = (i+1, ..., j); derivatives
-    go through the hierarchy's shared d."""
-
-    size: int
-    entries: dict  # (row, col) -> GridField(1)
-    level: int
-    hierarchy: MasseyHierarchy
-    # set by connection_curvature on first use
-    _curvature: dict | None = field(default=None, init=False, repr=False,
-                                    compare=False)
-
-    @classmethod
-    def from_hierarchy(cls, h: MasseyHierarchy, level: int):
-        """The connection of every v_I with |I| <= level: level 1 places the
-        v_i on the superdiagonal, level 2 adds the v_ij one diagonal further
-        out (the paper's 4x4 displays), and so on."""
-        entries = {(key[0] - 1, key[-1]): vI for key, vI in h.v.items() if len(key) <= level}
-        return cls(len(h.dom.link.components) + 1, entries, level, h)
-
-
-def connection_curvature(c: NilpotentConnection) -> dict:
-    """Entrywise Cartan structure equation: w = d v + v ^ v.
-
-    Computed once per connection and kept on it, so the report's exactness
-    checks and bianchi_residual share one evaluation; the entries must not
-    change afterwards, and callers must not modify the returned forms.
-
-    Each entry's products are added into one accumulator as they are made.
-    d v_ij is computed before them, so its transforms run with fewer fields
-    alive, and added after them (the bits of d v + (sum of products)).  An
-    entry without products is the hierarchy's shared d v_ij itself.  A pure
-    product entry w_ij = sum_k v_ik ^ v_kj is replaced by the stored Omega_I
-    of the same index range when their bits agree, so it shares that form's
-    derivative.  The result holds the entries first, then the product-only
-    entries, in the order the Bianchi denominator sums them.
+    The intervals are taken by first index, then last.  Each entry's
+    products are added into one accumulator as they are made.  d v_I is
+    computed before them, so its transforms run with fewer fields alive, and
+    added after them (the bits of d v + (sum of products)).  An entry
+    without products is the hierarchy's shared d v_I itself.  A pure product
+    entry is replaced by the stored Omega_I when their bits agree, so it
+    shares that form's derivative.  The result holds v's entries first, in
+    v's order, then the product-only entries, in the order the Bianchi
+    denominator sums them; callers must not modify its forms.
     """
-    if c._curvature is not None:
-        return c._curvature
-    h, v = c.hierarchy, c.entries
     out = dict.fromkeys(v)
-    for i, j in product(range(c.size), repeat=2):
-        dv = h.d(v[(i, j)]) if (i, j) in v else None
+    for key in _intervals(len(h.dom.link.components)):
+        # drop the last entry's accumulator before d v_I is made: when the
+        # stored Omega_I replaced it, nothing else holds it, and it would
+        # stay alive beside d v_I's transforms and raise the peak
         acc = None
-        for k in range(c.size):
-            if (i, k) in v and (k, j) in v:
-                acc = _add_term(acc, wedge(v[(i, k)], v[(k, j)]))
+        dv = h.d(v[key]) if key in v else None
+        for head, tail in _splits(key):
+            if head in v and tail in v:
+                acc = _add_term(acc, wedge(v[head], v[tail]))
         if dv is not None:
-            out[(i, j)] = dv if acc is None else _add_term(acc, dv)
+            out[key] = dv if acc is None else _add_term(acc, dv)
         elif acc is not None:
-            stored = h.omega.get(tuple(range(i + 1, j + 1)))
+            stored = h.omega.get(key)
             same = stored is not None and np.array_equal(stored.comps, acc.comps)
-            out[(i, j)] = stored if same else acc
-    c._curvature = out
+            out[key] = stored if same else acc
     return out
 
 
-def bianchi_residual(c: NilpotentConnection, dom: MaskedDomain) -> float:
-    """Masked norm of d w + v ^ w - w ^ v relative to ||w||.
+def bianchi_residual(h: MasseyHierarchy, v: dict, w: dict) -> float:
+    """Masked norm of d w + v ^ w - w ^ v relative to ||w||, for the
+    connection v and its curvature w.
 
-    Each entry's terms are added, in that order, into one 3-form accumulator
-    as they are made, and the accumulator is dropped once its norm is read.
-    It starts from d w_ij.  The derivative of a form the hierarchy holds (a
-    d v_i, a stored Omega_I) is kept, since the other level or a certificate
-    reads it too, and is copied; an entry this connection made fresh has no
-    other reader, so its derivative is made here, accumulated into and never
-    kept."""
-    h, w, v = c.hierarchy, connection_curvature(c), c.entries
+    Each interval's terms are added into one 3-form accumulator as they are
+    made: d w_I, then for each split +v ^ w before -w ^ v.  The accumulator
+    is dropped once its norm is read.  The derivative of a form the
+    hierarchy holds (a d v_i, a stored Omega_I) is kept, since the other
+    level or a certificate reads it too, and is copied; an entry made fresh
+    for this connection has no other reader, so its derivative is made
+    here, accumulated into and never kept."""
+    dom = h.dom
     num2 = 0.0
-    r = dom.link.tube.radius
-    for i, j in product(range(c.size), repeat=2):
-        wij = w.get((i, j))
-        if wij is None:
+    for key in _intervals(len(dom.link.components)):
+        wI = w.get(key)
+        if wI is None:
             acc = None
         else:
-            acc = h.d(wij).copy() if h.holds(wij) else ext_d(wij)
-        for k in range(c.size):
-            if (i, k) in v and (k, j) in w:
-                acc = _add_term(acc, wedge(v[(i, k)], w[(k, j)]))
-            if (i, k) in w and (k, j) in v:
-                acc = _add_term(acc, wedge(w[(i, k)], v[(k, j)]), -1)
+            acc = h.d(wI).copy() if h.holds(wI) else ext_d(wI)
+        for head, tail in _splits(key):
+            if head in v and tail in w:
+                acc = _add_term(acc, wedge(v[head], w[tail]))
+            if head in w and tail in v:
+                acc = _add_term(acc, wedge(w[head], v[tail]), -1)
         if acc is not None:
             num2 += dom.masked_rms(acc) ** 2
             acc = None  # not alive while the next entry's terms are made
+    r = dom.link.tube.radius
     den2 = sum((dom.masked_rms(val) / r) ** 2 for val in w.values())
     return float(np.sqrt(num2 / den2)) if den2 > 0 else 0.0
 
 
 def _certify_connection(h: MasseyHierarchy, level: int, top: tuple) -> tuple:
-    """(exactness, Bianchi residual) of one level's connection, which lives
-    only in this call.  Exactness is sup |w_0n - Omega_top| for the corner
-    entry w_0n, and 0.0 without a difference when that entry is Omega_top."""
-    c = NilpotentConnection.from_hierarchy(h, level)
-    corner, stored = connection_curvature(c)[(0, len(top))], h.omega[top]
-    exact = 0.0 if corner is stored else sup_abs(corner.comps - stored.comps)
-    return exact, bianchi_residual(c, h.dom)
+    """(exactness, Bianchi residual) of the connection of every v_I with
+    |I| <= level, which lives only in this call.  Exactness is
+    sup |w_top - Omega_top|, and 0.0 without a difference when that entry
+    is Omega_top."""
+    v = {key: vI for key, vI in h.v.items() if len(key) <= level}
+    w = connection_curvature(h, v)
+    w_top, stored = w[top], h.omega[top]
+    exact = 0.0 if w_top is stored else sup_abs(w_top.comps - stored.comps)
+    return exact, bianchi_residual(h, v, w)
 
 
 def cartan_bianchi_report(h: MasseyHierarchy) -> dict:
     """Certificates of the connections of levels 1 .. n-1 of an n-component
-    hierarchy: the corner curvature entry of level l, which must equal
+    hierarchy: the curvature entry w_{1..l+1} of level l, which must equal
     Omega_{1..l+1} bit for bit, and the Bianchi residual of each level.
 
     One connection is built, certified and dropped at a time.  Level l's
-    curvature is the shared d v_i, a fresh w = d v_I + (products) for each
-    v_I with 2 <= |I| <= l, dropped with its connection, and the stored
-    Omega_I of length l + 1.  Those Omega_I have no later reader but the
-    brackets, which make them again, so each is dropped with its derivative
-    once level l is certified; the top Omega_{1..n} is kept for the
-    brackets.  Of the kept derivatives, d v_I, d(d v_i) and the closedness
-    certificates' d Omega_I of a greater length carry over to the next
-    level, which reads them again.  The Bianchi check makes the derivative
-    of each fresh w and spends it as that entry's accumulator, so it is
-    never kept.  On return the hierarchy keeps the derivatives d v_I alone,
-    for the Lie derivatives of involution_report.
+    curvature is the shared d v_i, a fresh w_I = d v_I + (products) for each
+    v_I with 2 <= |I| <= l, the stored Omega_I of length l + 1 and, with
+    four or more components, a fresh partial product for each longer
+    interval that two of the v_I split (at level 2 of four, w_1234 =
+    v_12 ^ v_34); the fresh entries are dropped with their connection.  The
+    Omega_I of length l + 1 have no later reader but the brackets, which
+    make them again, so each is dropped with its derivative once level l is
+    certified; the top Omega_{1..n} is kept for the brackets.  Of the kept
+    derivatives, d v_I, d(d v_i) and the closedness certificates' d Omega_I
+    of a greater length carry over to the next level, which reads them
+    again.  The Bianchi check makes the derivative of each fresh w_I and
+    spends it as that entry's accumulator, so it is never kept.  On return
+    the hierarchy keeps the derivatives d v_I alone, for the Lie derivatives
+    of involution_report.
     """
     eps = h.config.eps_massey
     n = len(h.dom.link.components)

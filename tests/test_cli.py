@@ -136,6 +136,27 @@ def test_unreadable_json_exits_2(raw, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("SceneError: unreadable JSON: ")
 
 
+HOPF = str(ROOT / "fixtures" / "hopf.json")
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["lk", "--scene", "{tmp}/missing.json"], "FileNotFoundError"),
+    (["lk", "--scene", "{tmp}"], "IsADirectoryError"),
+    (["oracle", "12", "--diagram", "{tmp}"], "IsADirectoryError"),
+    (["comomentum", "--config", "{tmp}"], "IsADirectoryError"),
+    (["lk", "--scene", HOPF, "--out", "{tmp}"], "IsADirectoryError"),
+    (["lk", "--scene", HOPF, "--out", "{tmp}/file/report.json"], "NotADirectoryError"),
+    (["export", "--scene", HOPF, "--out", "{tmp}/file"], "FileExistsError"),
+], ids=["missing-file", "scene-directory", "diagram-directory", "config-directory",
+        "out-directory", "out-under-a-file", "export-out-file"])
+def test_bad_paths_exit_2_with_one_line(argv, error, tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"{error}: ") and err.count("\n") == 1
+
+
 def test_non_solenoidal_comomentum_exits_3(monkeypatch):
     # a non-solenoidal field reaching f1 fails its divergence gate, which the
     # command reports as a numerical precondition

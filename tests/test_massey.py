@@ -19,7 +19,6 @@ from vortexlink.massey import (
     MaskedDomain,
     MasseyConfig,
     MasseyHierarchy,
-    NilpotentConnection,
     bianchi_residual,
     connection_curvature,
     involution_report,
@@ -151,17 +150,16 @@ def test_missing_primitive(grid48):
 
 def test_connection_curvature_matches_hierarchy(split_hierarchy):
     h = split_hierarchy
-    lvl1 = NilpotentConnection.from_hierarchy(h, 1)
-    w1 = connection_curvature(lvl1)
-    assert connection_curvature(lvl1) is w1  # computed once per connection
-    # entries (1,3) and (2,4) of the paper's display: same arithmetic
-    assert np.array_equal(w1[(0, 2)].comps, h.omega[(1, 2)].comps)
-    assert np.array_equal(w1[(1, 3)].comps, h.omega[(2, 3)].comps)
-    lvl2 = NilpotentConnection.from_hierarchy(h, 2)
-    w2 = connection_curvature(lvl2)
-    assert np.array_equal(w2[(0, 3)].comps, h.omega[(1, 2, 3)].comps)
-    assert bianchi_residual(lvl1, h.dom) < 0.05
-    assert bianchi_residual(lvl2, h.dom) < 0.05
+    lvl1 = {key: vI for key, vI in h.v.items() if len(key) == 1}
+    w1 = connection_curvature(h, lvl1)
+    # entries (1,3) and (2,4) of the paper's display, the intervals 12 and
+    # 23: same arithmetic
+    assert np.array_equal(w1[(1, 2)].comps, h.omega[(1, 2)].comps)
+    assert np.array_equal(w1[(2, 3)].comps, h.omega[(2, 3)].comps)
+    w2 = connection_curvature(h, h.v)
+    assert np.array_equal(w2[(1, 2, 3)].comps, h.omega[(1, 2, 3)].comps)
+    assert bianchi_residual(h, lvl1, w1) < 0.05
+    assert bianchi_residual(h, h.v, w2) < 0.05
 
 
 def test_solver_determinism(grid48, rng):

@@ -4,16 +4,20 @@ The curvature, the Bianchi residual and the involution report now share one
 exterior derivative per stored form and take the fields xi_I as views of the
 Omega_I.  The functions below are the previous implementations, which
 differentiated every form afresh and copied every xi_I; the new code must
-give the same bits.  The hierarchy is built at N = 24 from random
-band-limited fields, so every Lie derivative and every bracket is non-zero
-(the shipped split scenes have Omega = 0).  Its tube forms are random
-2-forms too, handed out as fresh copies the way `tube_form` deposits them;
-they fill the masked complement, so the tube-support certificate reads > 0
-and fails.
+give the same bits.  The connections are keyed by interval; the reference
+curvature and Bianchi residual keep the paper's matrix form, entry (i, j)
+for the interval (i+1, ..., j).  The hierarchy is built at N = 24 from
+random band-limited fields, so every Lie derivative and every bracket is
+non-zero (the shipped split scenes have Omega = 0), on three components and
+on four, where level 2 has the partial product w_1234 = v_12 ^ v_34.  Its
+tube forms are random 2-forms too, handed out as fresh copies the way
+`tube_form` deposits them; they fill the masked complement, so the
+tube-support certificate reads > 0 and fails.
 """
 
 import hashlib
 import weakref
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +34,6 @@ from vortexlink.massey import (
     MaskedDomain,
     MasseyConfig,
     MasseyHierarchy,
-    NilpotentConnection,
     bianchi_residual,
     cartan_bianchi_report,
     connection_curvature,
@@ -42,77 +45,100 @@ from vortexlink.random_fields import random_form
 from vortexlink.reports import StageTimer
 from vortexlink.scenes import load_scene
 
-PRIMITIVE_KEYS = ((1,), (2,), (3,), (1, 2), (2, 3))
 PAIRS = ((1, 2), (1, 3), (2, 3))
 SPLIT_TRIPLE_N48 = Path(__file__).parent / "golden" / "split_triple_n48_scene.json"
 
 
-def _random_hierarchy(seed, config=None):
-    """A three-component hierarchy at N = 24 with random disc duals v_i and
-    random tube forms, and the random generator for what comes next."""
+def _stacked_circles():
+    """Four stacked radius-0.5 circles of tube radius 0.4."""
+    return Link([circle((0, 0, z), (0, 0, 1.0), 0.5) for z in (-1.53, -0.51, 0.51, 1.53)],
+                TubeParams(0.4))
+
+
+def _intervals(n, lengths):
+    return [tuple(range(i, i + length)) for length in lengths
+            for i in range(1, n - length + 2)]
+
+
+def _random_hierarchy(seed, config=None, n=3):
+    """An n-component hierarchy (three or four) at N = 24 with random disc
+    duals v_i and random tube forms, and the random generator for what comes
+    next."""
     grid = Grid3(24, 2 * np.pi)
     rng = np.random.default_rng(seed)
     # the scene gives the mask, the meridian tori and the tube radius only
-    link = split_triple(tube_radius=0.42)
+    link = split_triple(tube_radius=0.42) if n == 3 else _stacked_circles()
     h = MasseyHierarchy(MaskedDomain.build(link, grid), config or MasseyConfig())
-    tubes = [random_form(grid, 2, rng) for _ in range(3)]
+    tubes = [random_form(grid, 2, rng) for _ in range(n)]
     h.tube_form = lambda k: tubes[k - 1].copy()
-    for key in PRIMITIVE_KEYS[:3]:
+    for key in _intervals(n, [1]):
         h.v[key] = random_form(grid, 1, rng)
     return h, rng
 
 
-def _hierarchy(seed, consistent):
-    """A three-component hierarchy on random fields.  With `consistent` the
-    Omega_I are the hierarchy's own products of the random v_I (as in a
-    run); otherwise they are random 2-forms as well."""
-    h, rng = _random_hierarchy(seed)
+def _hierarchy(seed, consistent, n=3):
+    """An n-component hierarchy on random fields, with a v_I for every
+    interval shorter than n.  With `consistent` the Omega_I are the
+    hierarchy's own products of the random v_I (as in a run); otherwise they
+    are random 2-forms as well, for every pair and every longer interval."""
+    h, rng = _random_hierarchy(seed, n=n)
     grid = h.dom.grid
-    for key in PRIMITIVE_KEYS[3:]:
+    for key in _intervals(n, range(2, n)):
         h.v[key] = random_form(grid, 1, rng)
     if consistent:
-        for key in ((1, 2), (2, 3), (1, 2, 3)):
+        for key in _intervals(n, range(2, n + 1)):
             h.obstruction_form(key)
     else:
-        for key in ((1, 2), (1, 3), (2, 3), (1, 2, 3)):
+        pairs = list(combinations(range(1, n + 1), 2))
+        for key in pairs + _intervals(n, range(3, n + 1)):
             h.omega[key] = random_form(grid, 2, rng)
     return h
 
 
 # -- the previous implementations ------------------------------------------------
 
-def reference_curvature(c):
+def matrix_entries(h, level):
+    """The paper's connection matrix of one level: entry (i, j) is the v_I
+    with I = (i+1, ..., j) and |I| <= level."""
+    return {(key[0] - 1, key[-1]): vI for key, vI in h.v.items() if len(key) <= level}
+
+
+def _interval(ij):
+    return tuple(range(ij[0] + 1, ij[1] + 1))
+
+
+def reference_curvature(entries, size):
     out = {}
-    for (i, j), vij in c.entries.items():
+    for (i, j), vij in entries.items():
         out[(i, j)] = ext_d(vij)
-    for i in range(c.size):
-        for j in range(c.size):
+    for i in range(size):
+        for j in range(size):
             acc = None
-            for k in range(c.size):
-                if (i, k) in c.entries and (k, j) in c.entries:
-                    term = wedge(c.entries[(i, k)], c.entries[(k, j)])
+            for k in range(size):
+                if (i, k) in entries and (k, j) in entries:
+                    term = wedge(entries[(i, k)], entries[(k, j)])
                     acc = term if acc is None else acc + term
             if acc is not None:
                 out[(i, j)] = out[(i, j)] + acc if (i, j) in out else acc
     return out
 
 
-def reference_bianchi(c, dom):
-    w = reference_curvature(c)
+def reference_bianchi(entries, size, dom):
+    w = reference_curvature(entries, size)
     num2 = 0.0
     den2 = 0.0
     r = dom.link.tube.radius
-    for i in range(c.size):
-        for j in range(c.size):
+    for i in range(size):
+        for j in range(size):
             acc = None
             if (i, j) in w:
                 acc = ext_d(w[(i, j)])
-            for k in range(c.size):
-                if (i, k) in c.entries and (k, j) in w:
-                    t = wedge(c.entries[(i, k)], w[(k, j)])
+            for k in range(size):
+                if (i, k) in entries and (k, j) in w:
+                    t = wedge(entries[(i, k)], w[(k, j)])
                     acc = t if acc is None else acc + t
-                if (i, k) in w and (k, j) in c.entries:
-                    t = -1 * wedge(w[(i, k)], c.entries[(k, j)])
+                if (i, k) in w and (k, j) in entries:
+                    t = -1 * wedge(w[(i, k)], entries[(k, j)])
                     acc = t if acc is None else acc + t
             if acc is not None:
                 num2 += dom.masked_rms(acc) ** 2
@@ -127,7 +153,7 @@ def _xi_copy(om):
 
 def reference_involution(h, omega):
     dom = h.dom
-    tubes = [h.tube_form(k) for k in (1, 2, 3)]
+    tubes = [h.tube_form(k) for k in range(1, len(dom.link.components) + 1)]
     xis = [_xi_copy(om) for om in tubes]
     xi_L = xis[0].copy()
     for x in xis[1:]:
@@ -169,48 +195,109 @@ def _bits(f):
 
 # -- checks -------------------------------------------------------------------------
 
-@pytest.mark.parametrize("consistent", [True, False], ids=["hierarchy_omega", "random_omega"])
-def test_report_stages_match_reference_bitwise(consistent):
-    h = _hierarchy(7, consistent)
-    ref_w, ref_bianchi = {}, {}
-    for level in (1, 2):
-        c = NilpotentConnection.from_hierarchy(h, level)
-        ref_w[level] = reference_curvature(c)
-        ref_bianchi[level] = reference_bianchi(c, h.dom)
-    ref_exact1 = float(np.max(np.abs(ref_w[1][(0, 2)].comps - h.omega[(1, 2)].comps)))
-    ref_exact2 = float(np.max(np.abs(ref_w[2][(0, 3)].comps - h.omega[(1, 2, 3)].comps)))
+@pytest.mark.parametrize("consistent, n", [(True, 3), (False, 3), (True, 4), (False, 4)],
+                         ids=["hierarchy_omega", "random_omega",
+                              "hierarchy_omega-four", "random_omega-four"])
+def test_report_stages_match_reference_bitwise(consistent, n):
+    h = _hierarchy(7, consistent, n)
+    levels = range(1, n)
+    ref_w, ref_bianchi, ref_exact = {}, {}, {}
+    for level in levels:
+        entries = matrix_entries(h, level)
+        ref_w[level] = reference_curvature(entries, n + 1)
+        ref_bianchi[level] = reference_bianchi(entries, n + 1, h.dom)
+        corner = ref_w[level][(0, level + 1)].comps - h.omega[tuple(range(1, level + 2))].comps
+        ref_exact[level] = float(np.max(np.abs(corner)))
 
-    for level in (1, 2):
-        c = NilpotentConnection.from_hierarchy(h, level)
-        w = connection_curvature(c)
-        assert w.keys() == ref_w[level].keys()
-        for ij, wij in w.items():
-            assert np.array_equal(_bits(wij), _bits(ref_w[level][ij])), (level, ij)
-        assert bianchi_residual(c, h.dom) == ref_bianchi[level]
+    for level in levels:
+        v = {key: vI for key, vI in h.v.items() if len(key) <= level}
+        w = connection_curvature(h, v)
+        assert list(w) == [_interval(ij) for ij in ref_w[level]]
+        for (key, wI), ref in zip(w.items(), ref_w[level].values()):
+            assert np.array_equal(_bits(wI), _bits(ref)), (level, key)
+        assert bianchi_residual(h, v, w) == ref_bianchi[level]
         assert ref_bianchi[level] > 0
 
     cartan = cartan_bianchi_report(h)
-    assert cartan["level1_matches_obstruction"]["value"] == ref_exact1
-    assert cartan["level2_matches_obstruction"]["value"] == ref_exact2
-    assert cartan["bianchi_level1"]["value"] == ref_bianchi[1]
-    assert cartan["bianchi_level2"]["value"] == ref_bianchi[2]
+    for level in levels:
+        assert cartan[f"level{level}_matches_obstruction"]["value"] == ref_exact[level]
+        assert cartan[f"bianchi_level{level}"]["value"] == ref_bianchi[level]
     # the exactness certificates hold exactly when Omega_I is the product
-    assert (ref_exact1 == 0.0 and ref_exact2 == 0.0) == consistent
+    assert all(ref_exact[level] == 0.0 for level in levels) == consistent
 
     # the level-1 certificates were the last readers of the pairwise
     # Omega_ij; the brackets take v_i ^ v_j for each, whatever the hierarchy
-    # held before, and the stored Omega_123
-    assert list(h.omega) == [(1, 2, 3)]
-    omega = {(i, j): wedge(h.v[(i,)], h.v[(j,)]) for i, j in PAIRS}
-    omega[(1, 2, 3)] = h.omega[(1, 2, 3)]
+    # held before, every shorter Omega_I made again from the v_I, and the
+    # stored top form
+    top = tuple(range(1, n + 1))
+    assert list(h.omega) == [top]
+    pairs = list(combinations(range(1, n + 1), 2))
+    omega = {(i, j): wedge(h.v[(i,)], h.v[(j,)]) for i, j in pairs}
+    for key in _intervals(n, range(3, n)):
+        omega[key] = wedge(h.v[key[:1]], h.v[key[1:]]) + wedge(h.v[key[:2]], h.v[key[2:]])
+    omega[top] = h.omega[top]
     ref_inv = reference_involution(h, omega)
     got = involution_report(h)
     assert got == ref_inv
-    # only the brackets among the four Omega_I are reported, each non-zero
-    assert sorted(got["pb"]) == ["12,123", "12,13", "12,23", "13,123", "13,23", "23,123"]
+    # only the brackets among the Omega_I are reported, each non-zero
+    names = ["".join(map(str, key)) for key in omega]
+    assert sorted(got["pb"]) == sorted(f"{a},{b}" for a, b in combinations(names, 2))
     assert all(v > 0 for v in got["pb"].values())
     # random tube forms do not vanish on the masked complement
     assert got["tube_support"]["value"] > 0 and not got["tube_support"]["pass"]
+
+
+@pytest.mark.parametrize("n, counts", [
+    (3, {"wedge": 20, "ext_d": 10, "bianchi_residual": 2}),
+    (4, {"wedge": 69, "ext_d": 22, "bianchi_residual": 3}),
+], ids=["three", "four"])
+def test_cartan_bianchi_makes_one_curvature_per_level(n, counts, monkeypatch):
+    """Each level's curvature is made once and read by its exactness and
+    Bianchi checks, and the Bianchi residual runs once per certified level
+    (the span a traced run times).  The wedges are those of one curvature
+    and one Bianchi check per level; the derivatives are the fresh d v_I and
+    d w_I beside the shared ones."""
+    h = _hierarchy(7, True, n)
+    calls = dict.fromkeys(counts, 0)
+
+    def counting(name):
+        real = getattr(massey, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        return counted
+
+    for name in counts:
+        monkeypatch.setattr(massey, name, counting(name))
+    cartan_bianchi_report(h)
+    assert calls == counts
+
+
+def test_a_replaced_product_is_dropped_before_the_next_derivative(monkeypatch):
+    """A product that the stored Omega_I replaced is dropped before the next
+    d v_I is made.  Alive beside that derivative's transforms, it raised
+    the split_triple cartan_bianchi stage's RSS peak from 373.2 to 379.9 MB,
+    although the traced peak did not move."""
+    h = _hierarchy(7, True)
+    products, alive = [], []
+    wedge_, ext_d_ = massey.wedge, massey.ext_d
+
+    def tracked(a, b):
+        out = wedge_(a, b)
+        products.append(weakref.ref(out.comps))
+        return out
+
+    def watched(f):
+        alive.append(sum(ref() is not None for ref in products))
+        return ext_d_(f)
+
+    monkeypatch.setattr(massey, "wedge", tracked)
+    monkeypatch.setattr(massey, "ext_d", watched)
+    w = connection_curvature(h, {key: vI for key, vI in h.v.items() if len(key) == 1})
+    assert w[(1, 2)] is h.omega[(1, 2)] and w[(2, 3)] is h.omega[(2, 3)]
+    # d v_1, d v_2, d v_3, each made with no product alive
+    assert alive == [0, 0, 0]
 
 
 def _sha(a):
@@ -399,8 +486,7 @@ def test_an_obstructed_interval_is_named_in_full(monkeypatch):
     grid = Grid3(24, 2 * np.pi)
     rng = np.random.default_rng(0)
     # four stacked circles give the mask and the meridian tori only
-    link = Link([circle((0, 0, z), (0, 0, 1.0), 0.5) for z in (-1.53, -0.51, 0.51, 1.53)],
-                TubeParams(0.4))
+    link = _stacked_circles()
     dom = MaskedDomain.build(link, grid)
     v = {(i,): random_form(grid, 1, rng) * 100.0 for i in range(1, 5)}
 
