@@ -31,8 +31,6 @@ once (`pair_identities`), and no suite's fields outlive it: each suite of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .constants import EPS_HAM, EPS_OBSTRUCTION, TOWER_BRACKET_SIGN
@@ -94,23 +92,6 @@ def hamiltonian_residual(h: GridField, b: GridField) -> float:
     lhs = ext_d(h) + hodge_star(b)
     den = b.sup_norm()
     return lhs.sup_norm() / den if den > 0 else lhs.sup_norm()
-
-
-@dataclass
-class HamiltonianPair:
-    """A divergence-free field with its Hamiltonian 1-form and certificate."""
-
-    field: GridField
-    form: GridField
-    residual: float
-
-    @classmethod
-    def build(cls, b: GridField) -> "HamiltonianPair":
-        h = f1(b)
-        res = hamiltonian_residual(h, b)
-        if res > EPS_HAM:
-            raise ValueError(f"Hamiltonian residual {res:.3e} > {EPS_HAM:.1e}")
-        return cls(b, h, res)
 
 
 def _mu2(x1, x2):
@@ -177,11 +158,6 @@ def f2_of_boundary_triple(x1, x2, x3) -> GridField:
         term = sign * _f2(_bracket(a, b), partner)
         out = term if out is None else out + term
     return out
-
-
-def poisson_bracket(h1: HamiltonianPair, h2: HamiltonianPair) -> GridField:
-    """{f1(b), f1(c)}(.) = nu(b, c, .), equal to (b x c) flat pointwise."""
-    return pair_contraction(h1.field, h2.field)
 
 
 def pair_identities(b: GridField, c: GridField) -> dict:

@@ -52,7 +52,7 @@ DEFAULT_TOLERANCES = {
 EPS_DIV = 1e-10          # relative divergence for "divergence-free"
 EPS_MEAN = 1e-10         # relative zero-mean test for inversion inputs
 EPS_HARM = 1e-8          # relative harmonic part allowed by laplace_inv
-EPS_HAM = 1e-8           # Hamiltonian-pair residual
+EPS_HAM = 1e-8           # Hamiltonian residual of f1 (eq. 25)
 EPS_OBSTRUCTION = 1e-6   # harmonic part of mu2 tolerated by f2
 QUAD_REFINE = 1e-4       # adaptive quadrature stopping rule (relative)
 CROSS_ANGLE = 1e-3       # min transversality angle (rad) for crossings

@@ -72,7 +72,10 @@ def fourier_eval(grid: Grid3, comps: np.ndarray, points: np.ndarray):
     my = freq[active[:, 1]]
     mz = active[:, 2].astype(float)  # rfft axis: modes 0..N/2
     k = (2 * np.pi / L) * np.stack([mx, my, mz], axis=1)
-    weight = np.where((active[:, 2] == 0) | (active[:, 2] == n // 2), 1.0, 2.0)
+    # the kz = 0 plane and, at even n only, the Nyquist plane are their own
+    # conjugates: every other rfft plane stands for two modes
+    once = (active[:, 2] == 0) | ((active[:, 2] == n // 2) & (n % 2 == 0))
+    weight = np.where(once, 1.0, 2.0)
     out = np.empty((comps.shape[0], len(p)))
     phases = np.exp(1j * (p @ k.T))  # (M, modes)
     for c in range(comps.shape[0]):

@@ -10,8 +10,8 @@ Omega_{1..n} over a meridian torus is the grid's higher linking number.  The
 connection of level l is the dict {I: v_I} of every v_I with |I| <= l, keyed
 by interval as the defining system is (entry (i, j) of the paper's
 nilpotent connection matrix is the interval (i+1, ..., j)); its curvature
-and Bianchi checks and the first-integrals-in-involution residuals close
-the report.  `_splits` is the one enumeration of an interval's splits.
+and Bianchi checks and the tube-support certificate of the first integrals
+close the report.  `_splits` is the one enumeration of an interval's splits.
 
 Complement geometry is realized by a smooth mask vanishing on the tubes
 (never by remeshing); every certificate is a masked norm.  The solver is a
@@ -42,30 +42,28 @@ certificates.  The rules go by the length of an index range:
   at once.
 - A stored Omega_I of length l is read by its solve and by the level-(l-1)
   connection, whose curvature entry w_I it is, and is dropped once that
-  level is certified; the top Omega_{1..n} is kept for the brackets.  The
-  brackets make each dropped Omega_I again with the same wedges, and no v_I
-  is ever written, so its bits are those of the first.
+  level is certified.
 - The hierarchy keeps in `MasseyHierarchy.d` the exterior derivative of each
   form that more than one step reads: d Omega_I from its closedness
   certificate to the same level's Bianchi check, d v_I from its solve's
-  residual certificate to its Lie derivative, and d(d v_i) from the level-1
-  Bianchi check to the last level.  A kept derivative holds its form too, so
-  a dropped Omega_I is freed only once its derivative is released.
+  residual certificate to the last level's curvature, and d(d v_i) from the
+  level-1 Bianchi check to the last level.  A kept derivative holds its
+  form too, so a dropped Omega_I is freed only once its derivative is
+  released.
 - The core weight, which only the CG reads, is dropped after the last
   solve.  The CG keeps its right-hand side and each preconditioned residual
   only until their last read.
-- No tube form is kept: the Lie loop of `involution_report`, their only
-  reader, deposits each once.
+- No tube form is kept: `involution_report`, their only reader, deposits
+  each once.
 
 The certificate stages own nothing that outlives them:
 `cartan_bianchi_report` builds, certifies and drops one connection at a
 time, each curvature and Bianchi entry is summed into one accumulator as its
 terms are made (the Bianchi accumulator of a fresh curvature entry is its
 own derivative), and a shared derivative or a stored Omega_I is read and
-never written.  From `cartan_bianchi_report` to `involution_report` the
-hierarchy keeps only d v_I, and `involution_report` drops each one right
-after its Lie derivative; its brackets then hold the Omega_I and nothing
-else.
+never written.  `cartan_bianchi_report` leaves no kept derivative and no
+stored Omega_I behind, so `involution_report` holds only the tube forms it
+deposits.
 """
 
 from __future__ import annotations
@@ -76,7 +74,6 @@ from itertools import combinations
 
 import numpy as np
 
-from .comomentum import pair_contraction
 from .constants import DEFAULT_TOLERANCES, TRIPLE_LINKING_SIGN
 from .curves import Link, as_polygon
 from .diagrams import mu_bar, scene_diagram
@@ -89,7 +86,6 @@ from .operators import (
     ext_d,
     hodge_star,
     irfft3,
-    lie_derivative,
     rfft3,
     wedge,
 )
@@ -424,9 +420,8 @@ class MasseyHierarchy:
     `v` and `omega` are keyed by index tuples: (i,) for a disc dual and an
     interval I = (i, ..., j) for a solved v_I and a stored Omega_I.  `omega`
     holds each interval's Omega_I from obstruction_form until the last
-    connection that reads it is certified (see cartan_bianchi_report); a
-    dropped Omega_I is made again by `product`, with the same bits.  The
-    tube 2-forms are not kept: the Lie loop deposits each once (see
+    connection that reads it is certified (see cartan_bianchi_report).  The
+    tube 2-forms are not kept: involution_report deposits each once (see
     tube_form)."""
 
     dom: MaskedDomain
@@ -441,8 +436,8 @@ class MasseyHierarchy:
     def from_scene(cls, link: Link, grid: Grid3, config: MasseyConfig | None = None):
         """Gate the scene with validate_scene, Massey checks included, before
         any field is built; then build the mask and the disc duals v_i.  No
-        tube form is deposited here: the Lie loop of involution_report, their
-        only reader, deposits each once with tube_form."""
+        tube form is deposited here: involution_report, their only reader,
+        deposits each once with tube_form."""
         cfg = config or MasseyConfig()
         validate_scene(link, grid, cfg)
         h = cls(MaskedDomain.build(link, grid, cfg), cfg)
@@ -469,10 +464,6 @@ class MasseyHierarchy:
         """Drop the kept derivatives, except those of the forms in `keep`."""
         kept = {id(f) for f in keep}
         self._derivatives = {k: v for k, v in self._derivatives.items() if k in kept}
-
-    def release_derivative(self, form: GridField):
-        """Drop the kept derivative of one form, if any."""
-        self._derivatives.pop(id(form), None)
 
     def holds(self, form: GridField) -> bool:
         """Whether `form` is a stored Omega_I or a kept derivative, which
@@ -620,15 +611,13 @@ def cartan_bianchi_report(h: MasseyHierarchy) -> dict:
     four or more components, a fresh partial product for each longer
     interval that two of the v_I split (at level 2 of four, w_1234 =
     v_12 ^ v_34); the fresh entries are dropped with their connection.  The
-    Omega_I of length l + 1 have no later reader but the brackets, which
-    make them again, so each is dropped with its derivative once level l is
-    certified; the top Omega_{1..n} is kept for the brackets.  Of the kept
-    derivatives, d v_I, d(d v_i) and the closedness certificates' d Omega_I
-    of a greater length carry over to the next level, which reads them
-    again.  The Bianchi check makes the derivative of each fresh w_I and
-    spends it as that entry's accumulator, so it is never kept.  On return
-    the hierarchy keeps the derivatives d v_I alone, for the Lie derivatives
-    of involution_report.
+    Omega_I of length l + 1 have no later reader, so each is dropped with
+    its derivative once level l is certified.  Of the kept derivatives,
+    d v_I, d(d v_i) and the closedness certificates' d Omega_I of a greater
+    length carry over to the next level, which reads them again.  The
+    Bianchi check makes the derivative of each fresh w_I and spends it as
+    that entry's accumulator, so it is never kept.  On return the hierarchy
+    keeps no derivative and no Omega_I.
     """
     eps = h.config.eps_massey
     n = len(h.dom.link.components)
@@ -638,78 +627,40 @@ def cartan_bianchi_report(h: MasseyHierarchy) -> dict:
         report[f"level{level}_matches_obstruction"] = checked(exact, 0.0)
         report[f"bianchi_level{level}"] = checked(bianchi, eps)
         later = [om for key, om in h.omega.items() if len(key) > level + 1]
-        shared = [h.d(vI) for key, vI in h.v.items() if len(key) == 1] if later else []
-        h.release_derivatives(keep=[*h.v.values(), *shared, *later])
-        h.omega = {key: om for key, om in h.omega.items()
-                   if len(key) > level + 1 or len(key) == n}
+        if later:
+            shared = [h.d(vI) for key, vI in h.v.items() if len(key) == 1]
+            h.release_derivatives(keep=[*h.v.values(), *shared, *later])
+        else:  # the last level: no later step reads a derivative
+            h.release_derivatives()
+        h.omega = {key: om for key, om in h.omega.items() if len(key) > level + 1}
     return report
 
 
 # -- first integrals in involution ------------------------------------------------
 
 def involution_report(h: MasseyHierarchy) -> dict:
-    """Masked residuals of the Lie derivatives L_{xi_L} v_I and of the
-    Poisson brackets {v_I, v_J} = nu(xi_I, xi_J, .) among the Omega_I,
-    xi_I = *Omega_I, over products of input sup norms (with the tube radius
-    as the length scale of a derivative).
+    """The certificate that each v_I is a first integral of the vorticity
+    xi_L = *(omega_1 + omega_2 + ...) on the link complement.
 
-    `tube_support`, max_k sup |m xi_k| / sup |xi_k| over the tube fields
-    xi_k = *omega_k, is gated at exactly 0: each xi_k lies within r of its
-    curve and the mask vanishes within MASK_FACTOR * r.  It stands for every
+    By Cartan's formula L_{xi_L} v_I = d iota_{xi_L} v_I + iota_{xi_L} d v_I,
+    which vanishes on every open set where xi_L vanishes.  So the claim
+    that each v_I is a first integral of xi_L on the complement reduces to
+    xi_L vanishing there: `tube_support`, max_k sup |m xi_k| / sup |xi_k|
+    over the tube fields xi_k = *omega_k, gated at exactly 0.  Each xi_k lies within r of
+    its curve and the mask vanishes within MASK_FACTOR * r, so it reads 0
+    unless the mask fails to cover the tubes.  The same zero makes every
     masked term pointwise linear in one xi_k (iota_{xi_L} v_I, the bracket
-    of a xi_k with any field), which is then exactly 0 and not reported.
+    of a xi_k with any field) exactly 0.
 
-    The Lie loop deposits each tube form once; the brackets read none.
-    Nothing here mutates a form of the hierarchy.
+    Each tube form is deposited once; no form of the hierarchy is read.
     """
-    report = {"lie": {}, "pb": {}}
-    _lie_residuals(h, report)
-    _bracket_residuals(h, report)
-    return report
-
-
-def _lie_residuals(h: MasseyHierarchy, report: dict) -> None:
-    """The Lie residuals of every v_I against xi_L, and the tube support.
-
-    xi_L = *(omega_1 + omega_2 + ...) is summed in place into the first tube
-    form, each read for its support before it is added, which gives the bits
-    of the pairwise sums.  Each shared d v_I is dropped after its use."""
     dom = h.dom
-    xi_L, support = None, 0.0
+    support = 0.0
     for k in range(1, len(dom.link.components) + 1):
         xi_k = hodge_star(h.tube_form(k))
         support = max(support, dom.masked_sup(xi_k) / xi_k.sup_norm())
-        xi_L = _add_term(xi_L, xi_k)
         del xi_k  # not alive beside the next deposit
-    report["tube_support"] = checked(support, 0.0)
-    r = dom.link.tube.radius
-    sup_xi = xi_L.sup_norm()
-    for key, vI in h.v.items():
-        den = sup_xi * vI.sup_norm() / r
-        lie = dom.masked_rms(lie_derivative(xi_L, vI, h.d(vI)))
-        h.release_derivative(vI)
-        report["lie"][_key_name(key)] = lie / den if den > 0 else 0.0
-    h.release_derivatives()
-
-
-def _bracket_residuals(h: MasseyHierarchy, report: dict) -> None:
-    """The Poisson brackets of every two Omega_I, read as views
-    xi_I = *Omega_I: the Omega_ij of every pair and the Omega_I of every
-    interval longer than two, the stored top form and each other one made
-    again by MasseyHierarchy.product (the wedges of obstruction_form, so
-    the same bits)."""
-    dom = h.dom
-    n = len(dom.link.components)
-    keys = [*combinations(range(1, n + 1), 2),
-            *(key for length in range(3, n + 1) for key in _intervals(n, length))]
-    xi_of = {key: hodge_star(h.product(key)) for key in keys}
-    sup = {key: x.sup_norm() for key, x in xi_of.items()}
-
-    for ka, kb in combinations(keys, 2):
-        den = sup[ka] * sup[kb]
-        pb = pair_contraction(xi_of[ka], xi_of[kb])  # nu(xi_a, xi_b, .)
-        name = f"{_key_name(ka)},{_key_name(kb)}"
-        report["pb"][name] = dom.masked_rms(pb) / den if den > 0 else 0.0
+    return {"tube_support": checked(support, 0.0)}
 
 
 # -- the report -------------------------------------------------------------------
@@ -719,8 +670,9 @@ def massey_report(link: Link, grid: Grid3, tolerances: dict, rng, timer):
     periods of every pair's Omega_ij, one loop over the interval lengths
     that solves v_I for every interval shorter than n (and, with two
     components, the pair), and then the period of the top form
-    Omega_{1..n} on dT_n against the oracle's mu-bar(1..n), the closedness,
-    Cartan/Bianchi and involution certificates.
+    Omega_{1..n} on dT_n against the oracle's mu-bar(1..n), the closedness
+    and Cartan/Bianchi certificates and the involution section's tube
+    support (see involution_report).
 
     Stages "scene_fields", "pairwise", "solves", "triple", "oracle",
     "cartan_bianchi" and "involution" are timed on `timer`: "solves" covers
@@ -782,9 +734,6 @@ def massey_report(link: Link, grid: Grid3, tolerances: dict, rng, timer):
     timer.stop()
     timer.start("involution")
     invol = involution_report(h)
-    inv_max = max(
-        (v for part in ("lie", "pb") for v in invol[part].values()), default=0.0
-    )
     timer.stop()
     name = _key_name(top)
     section.update(
@@ -805,7 +754,6 @@ def massey_report(link: Link, grid: Grid3, tolerances: dict, rng, timer):
             ),
             "cartan_bianchi": cartan,
             "involution": invol,
-            "involution_max_residual": checked(inv_max, cfg.eps_massey),
         }
     )
     return section, None

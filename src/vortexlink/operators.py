@@ -3,8 +3,10 @@
 All differential operators act by Fourier multipliers, so the structural
 identities (d^2 = 0, delta^2 = 0, ** = id, adjointness of d and delta,
 curl grad = 0, div curl = 0) hold to rounding error on band-limited fields.
-The Nyquist wavenumber is zeroed in every differentiation symbol to keep
-derivatives of real fields real and the operators skew-adjoint.
+At even N the Nyquist wavenumber is zeroed in every differentiation
+symbol to keep derivatives of real fields real and the operators
+skew-adjoint; odd N has no Nyquist mode, so its top modes +-(N-1)/2 keep
+their wavenumbers.
 
 This module is the package's one spectral layer.  `rfft3`/`irfft3` act on
 the last three axes, so a whole (C, N, N, N) field goes through one call;
@@ -62,16 +64,17 @@ def _spectral(n: int, box_length: float):
     """Symbols of an N^3 rfft grid, cached per grid: (K, K2, mode).
 
     K = (KX, KY, KZ) are the broadcastable derivative wavenumbers (Nyquist
-    zeroed), K2 = |K|^2, and mode the true mode magnitudes (Nyquist not
-    zeroed) in integer-mode units.
+    zeroed at even n), K2 = |K|^2, and mode the true mode magnitudes
+    (Nyquist not zeroed) in integer-mode units.
     """
     h = box_length / n
     kfull = 2 * np.pi * np.fft.fftfreq(n, d=h)
     krf = 2 * np.pi * np.fft.rfftfreq(n, d=h)
     kd = kfull.copy()
-    kd[n // 2] = 0.0
     krd = krf.copy()
-    krd[-1] = 0.0
+    if n % 2 == 0:
+        kd[n // 2] = 0.0
+        krd[-1] = 0.0
     KX = kd[:, None, None]
     KY = kd[None, :, None]
     KZ = krd[None, None, :]
@@ -231,7 +234,8 @@ def _leray(K, K2, vh):
 
 
 def _zero_k2(vh, K2):
-    """Set every mode with K2 = 0 (the zero mode, Nyquist lines) to zero, in place."""
+    """Set every mode with K2 = 0 (the zero mode and, at even N, the Nyquist
+    lines) to zero, in place."""
     vh[..., K2 == 0] = 0.0
     return vh
 
@@ -340,12 +344,6 @@ def codiff(f: GridField) -> GridField:
     return out
 
 
-def harmonic_proj(f: GridField) -> GridField:
-    """The harmonic part on the flat torus: each component's mean, broadcast."""
-    out = np.broadcast_to(f.mean()[:, None, None, None], f.comps.shape).copy()
-    return GridField(f.grid, f.degree, out)
-
-
 def laplace_inv(f: GridField) -> GridField:
     """Invert the Riemannian Hodge Laplacian (symbol +|k|^2) componentwise.
 
@@ -428,17 +426,6 @@ def l2_inner(f: GridField, g: GridField) -> float:
     if f.degree != g.degree:
         raise ValueError("inner product of forms of different degree")
     return float(np.sum(f.comps * g.comps) * f.grid.cell_volume)
-
-
-def l2_inner_exact(f: GridField, g: GridField) -> float:
-    """Correctly rounded inner product (math.fsum): invariant under lattice
-    translations of both fields, at the cost of speed."""
-    import math
-
-    _check_same_grid(f, g)
-    if f.degree != g.degree:
-        raise ValueError("inner product of forms of different degree")
-    return math.fsum((f.comps * g.comps).ravel()) * f.grid.cell_volume
 
 
 def integrate(f: GridField) -> float:

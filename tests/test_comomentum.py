@@ -5,7 +5,6 @@ import pytest
 from conftest import _fields, _LiveTimer, _traced
 
 from vortexlink.comomentum import (
-    HamiltonianPair,
     abc_flow,
     equivariance_defect,
     euler_vorticity_rhs,
@@ -19,7 +18,6 @@ from vortexlink.comomentum import (
     mu2_certificates,
     pair_contraction,
     pair_identities,
-    poisson_bracket,
     rasetti_regge,
     comomentum_report,
     tower_bracket,
@@ -28,7 +26,7 @@ from vortexlink.comomentum import (
 from vortexlink.curves import circle
 from vortexlink.errors import NotDivergenceFree
 from vortexlink.grid import Grid3, GridField, cross, dot
-from vortexlink.operators import codiff, ext_d, harmonic_proj
+from vortexlink.operators import codiff, ext_d
 from vortexlink.random_fields import (
     random_vector_field,
     shell_solenoidal,
@@ -93,8 +91,6 @@ def test_f1_zero_linear_and_hamiltonian(grid32, rng):
     lin = f1(2.0 * b + c) - (2.0 * f1(b) + f1(c))
     assert lin.sup_norm() < 1e-12
     assert hamiltonian_residual(f1(b), b) < 1e-8
-    pair = HamiltonianPair.build(b)
-    assert pair.residual < 1e-8
 
 
 def test_mu2_certificates_and_antisymmetry(grid32, rng):
@@ -108,14 +104,14 @@ def test_mu2_certificates_and_antisymmetry(grid32, rng):
 
 
 def test_mu2_harmonic_part_is_the_largest_component_mean(grid32, rng):
-    # the certificate reads max|component mean| in place of the sup norm of
-    # the broadcast harmonic projection: the same bits
+    # the certificate reads max|component mean|, the sup norm of the
+    # harmonic part on the flat torus (each component's mean, broadcast)
     b, c = tower_pair(grid32, rng)
     m = mu2(b, c)
     shifted = m + GridField(grid32, 1, np.broadcast_to(
         np.array([0.3, -0.7, 0.1])[:, None, None, None], m.comps.shape).copy())
     for form in (m, shifted):
-        want = harmonic_proj(form).sup_norm() / form.sup_norm()
+        want = float(np.max(np.abs(form.mean()))) / form.sup_norm()
         assert mu2_certificates(form)["harmonic_part"] == want
     assert mu2_certificates(shifted)["harmonic_part"] > 0.1
 
@@ -128,7 +124,7 @@ def test_f2_identities(grid32, rng):
 
 
 def _nonharmonic_residual(lhs, den):
-    lhs = lhs - harmonic_proj(lhs)
+    lhs = GridField(lhs.grid, lhs.degree, lhs.comps - lhs.mean()[:, None, None, None])
     return lhs.sup_norm() / den
 
 
@@ -148,14 +144,6 @@ def test_pair_identities_match_one_by_one_evaluation(grid32, rng):
 def test_triple_evaluation(grid32, rng):
     x1, x2, x3 = tower_triple(grid32, rng)
     assert triple_evaluation_residual(x1, x2, x3) < 1e-5
-
-
-def test_poisson_bracket_cross_product(grid32, rng):
-    b, c = tower_pair(grid32, rng)
-    hb, hc = HamiltonianPair.build(b), HamiltonianPair.build(c)
-    pb = poisson_bracket(hb, hc)
-    assert np.max(np.abs(pb.comps - cross(b, c).comps)) < 1e-14
-    assert poisson_bracket(hb, hb).sup_norm() == 0.0
 
 
 def test_bracket_defect_identity(grid32, rng):

@@ -16,17 +16,16 @@ from vortexlink.errors import (
     NotDivergenceFree,
 )
 from vortexlink.grid import Grid3, GridField, cross, dot
+from vortexlink.interpolate import fourier_eval
 from vortexlink.operators import (
     codiff,
     contract,
     curl_inv,
     ext_d,
-    harmonic_proj,
     hodge_star,
     integrate,
     irfft3,
     l2_inner,
-    l2_inner_exact,
     laplace_inv,
     rfft3,
     solenoidal_part,
@@ -171,16 +170,6 @@ def test_laplace_inv_residual_and_gate(grid32, rng):
         laplace_inv(bad)
 
 
-def test_harmonic_proj(grid32, rng):
-    const = GridField.zeros(grid32, 1)
-    const.comps[1] = 2.5
-    assert np.array_equal(harmonic_proj(const).comps, const.comps)
-    f = random_form(grid32, 0, rng)
-    assert harmonic_proj(f).sup_norm() < 1e-13
-    shifted = f + const if False else GridField(grid32, 0, f.comps + 3.0)
-    assert abs(harmonic_proj(shifted).comps[0][0, 0, 0] - 3.0) < 1e-12
-
-
 def test_curl_inv_abc_eigenfield(grid48):
     x, y, z = grid48.meshgrid()
     A = B = C = 1.0
@@ -224,15 +213,32 @@ def test_curl_grad_and_div_curl_vanish(grid32, rng):
     assert codiff(curl_x).sup_norm() < 1e-10 * max(curl_x.sup_norm(), 1)
 
 
+@pytest.mark.parametrize("n", [30, 31])
+def test_top_mode_is_exact_at_even_and_odd_n(n):
+    """f = cos(m z + 0.3) with m = (n - 1) // 2, the highest mode below
+    Nyquist.  Odd n has no Nyquist mode, so m = 15 at n = 31 is an ordinary
+    mode: d f keeps its wavenumber (zeroing it was off by 15.0) and
+    fourier_eval weights its rfft plane twice (once was off by 0.50)."""
+    grid = Grid3(n, 2 * np.pi)
+    x, y, z = grid.meshgrid()
+    m = (n - 1) // 2
+    f = GridField.from_scalar(grid, np.cos(m * z + 0.3), degree=0)
+    df = ext_d(f)
+    want = np.stack([0 * z, 0 * z, -m * np.sin(m * z + 0.3)])
+    assert np.max(np.abs(df.comps - want)) < 1e-12
+    nodes = np.stack([x.ravel(), y.ravel(), z.ravel()], axis=1)[::97]
+    vals = fourier_eval(grid, f.comps, nodes)
+    assert np.max(np.abs(vals[0] - np.cos(m * nodes[:, 2] + 0.3))) < 1e-12
+
+
 def test_inner_product_translation_invariance(grid32, rng):
     f = random_form(grid32, 1, rng)
     g = random_form(grid32, 1, rng)
-    before = l2_inner_exact(f, g)
+    before = l2_inner(f, g)
     shift = (3, 7, 11)
     fs = GridField(grid32, 1, np.roll(f.comps, shift, axis=(1, 2, 3)))
     gs = GridField(grid32, 1, np.roll(g.comps, shift, axis=(1, 2, 3)))
-    assert l2_inner_exact(fs, gs) == before
-    # the fast path agrees to rounding
+    # a lattice translation only reorders the sum: equal to rounding
     assert abs(l2_inner(fs, gs) - before) < 1e-13 * max(abs(before), 1)
 
 

@@ -1,18 +1,18 @@
 """The Massey report stages on non-zero data, bit for bit against the old code.
 
-The curvature, the Bianchi residual and the involution report now share one
-exterior derivative per stored form and take the fields xi_I as views of the
-Omega_I.  The functions below are the previous implementations, which
-differentiated every form afresh and copied every xi_I; the new code must
-give the same bits.  The connections are keyed by interval; the reference
-curvature and Bianchi residual keep the paper's matrix form, entry (i, j)
-for the interval (i+1, ..., j).  The hierarchy is built at N = 24 from
-random band-limited fields, so every Lie derivative and every bracket is
-non-zero (the shipped split scenes have Omega = 0), on three components and
-on four, where level 2 has the partial product w_1234 = v_12 ^ v_34.  Its
-tube forms are random 2-forms too, handed out as fresh copies the way
-`tube_form` deposits them; they fill the masked complement, so the
-tube-support certificate reads > 0 and fails.
+The curvature and the Bianchi residual now share one exterior derivative
+per stored form, and the involution report takes the tube fields xi_k as
+views of the tube forms.  The functions below are the previous
+implementations, which differentiated every form afresh and copied every
+xi_k; the new code must give the same bits.  The connections are keyed by
+interval; the reference curvature and Bianchi residual keep the paper's
+matrix form, entry (i, j) for the interval (i+1, ..., j).  The hierarchy is
+built at N = 24 from random band-limited fields, so every curvature and
+Bianchi term is non-zero (the shipped split scenes have Omega = 0), on three
+components and on four, where level 2 has the partial product
+w_1234 = v_12 ^ v_34.  Its tube forms are random 2-forms too, handed out as
+fresh copies the way `tube_form` deposits them; they fill the masked
+complement, so the tube-support certificate reads > 0 and fails.
 """
 
 import hashlib
@@ -25,7 +25,6 @@ import pytest
 from conftest import _fields, _LiveTimer, _traced
 
 from vortexlink import massey, operators
-from vortexlink.comomentum import pair_contraction
 from vortexlink.constants import DEFAULT_TOLERANCES
 from vortexlink.curves import Link, TubeParams, circle, split_triple
 from vortexlink.errors import ObstructedClass
@@ -40,7 +39,7 @@ from vortexlink.massey import (
     involution_report,
     massey_report,
 )
-from vortexlink.operators import _symbols, contract, ext_d, wedge
+from vortexlink.operators import _symbols, ext_d, wedge
 from vortexlink.random_fields import random_form
 from vortexlink.reports import StageTimer
 from vortexlink.scenes import load_scene
@@ -151,42 +150,11 @@ def _xi_copy(om):
     return GridField(om.grid, 1, om.comps.copy())
 
 
-def reference_involution(h, omega):
+def reference_involution(h):
     dom = h.dom
-    tubes = [h.tube_form(k) for k in range(1, len(dom.link.components) + 1)]
-    xis = [_xi_copy(om) for om in tubes]
-    xi_L = xis[0].copy()
-    for x in xis[1:]:
-        xi_L = xi_L + x
-    r = dom.link.tube.radius
-    sup_xi = xi_L.sup_norm()
+    xis = [_xi_copy(h.tube_form(k)) for k in range(1, len(dom.link.components) + 1)]
     support = max(float(np.max(np.abs(dom.mask * x.comps))) / x.sup_norm() for x in xis)
-    report = {
-        "lie": {},
-        "pb": {},
-        "tube_support": {"value": support, "tol": 0.0, "pass": support == 0.0},
-    }
-
-    def key_name(key):
-        return "".join(str(i) for i in key)
-
-    for key, vI in h.v.items():
-        den_l = sup_xi * vI.sup_norm() / r
-        lie = ext_d(contract(xi_L, vI)) + contract(xi_L, ext_d(vI))
-        report["lie"][key_name(key)] = (
-            dom.masked_rms(lie) / den_l if den_l > 0 else 0.0
-        )
-    xi_of = {key: _xi_copy(om) for key, om in omega.items()}
-    keys = sorted(xi_of, key=lambda k: (len(k), k))
-    for a in range(len(keys)):
-        for b in range(a + 1, len(keys)):
-            ka, kb = keys[a], keys[b]
-            xa, xb = xi_of[ka], xi_of[kb]
-            den = xa.sup_norm() * xb.sup_norm()
-            pb = pair_contraction(xa, xb)
-            name = f"{key_name(ka)},{key_name(kb)}"
-            report["pb"][name] = dom.masked_rms(pb) / den if den > 0 else 0.0
-    return report
+    return {"tube_support": {"value": support, "tol": 0.0, "pass": support == 0.0}}
 
 
 def _bits(f):
@@ -225,26 +193,19 @@ def test_report_stages_match_reference_bitwise(consistent, n):
     # the exactness certificates hold exactly when Omega_I is the product
     assert all(ref_exact[level] == 0.0 for level in levels) == consistent
 
-    # the level-1 certificates were the last readers of the pairwise
-    # Omega_ij; the brackets take v_i ^ v_j for each, whatever the hierarchy
-    # held before, every shorter Omega_I made again from the v_I, and the
-    # stored top form
-    top = tuple(range(1, n + 1))
-    assert list(h.omega) == [top]
-    pairs = list(combinations(range(1, n + 1), 2))
-    omega = {(i, j): wedge(h.v[(i,)], h.v[(j,)]) for i, j in pairs}
-    for key in _intervals(n, range(3, n)):
-        omega[key] = wedge(h.v[key[:1]], h.v[key[1:]]) + wedge(h.v[key[:2]], h.v[key[2:]])
-    omega[top] = h.omega[top]
-    ref_inv = reference_involution(h, omega)
     got = involution_report(h)
-    assert got == ref_inv
-    # only the brackets among the Omega_I are reported, each non-zero
-    names = ["".join(map(str, key)) for key in omega]
-    assert sorted(got["pb"]) == sorted(f"{a},{b}" for a, b in combinations(names, 2))
-    assert all(v > 0 for v in got["pb"].values())
+    assert got == reference_involution(h)
     # random tube forms do not vanish on the masked complement
     assert got["tube_support"]["value"] > 0 and not got["tube_support"]["pass"]
+
+
+@pytest.mark.parametrize("n", [3, 4], ids=["three", "four"])
+def test_cartan_bianchi_leaves_no_derivative_and_no_obstruction_form(n):
+    """The last level is the last reader of every kept derivative and of
+    the top Omega_{1..n}: nothing is held past the certificates."""
+    h = _hierarchy(7, True, n)
+    cartan_bianchi_report(h)
+    assert h._derivatives == {} and h.omega == {}
 
 
 @pytest.mark.parametrize("n, counts", [
@@ -306,9 +267,9 @@ def _sha(a):
 
 def test_each_exterior_derivative_is_computed_once(monkeypatch):
     """Across the closedness certificates, the primitive solves, both
-    curvatures, both Bianchi residuals and the Lie derivatives, no form is
-    differentiated twice: the solves' d v_12 and d v_23 are the ones the
-    level-2 curvature and the Lie derivatives read."""
+    curvatures and both Bianchi residuals, no form is differentiated twice:
+    the solves' d v_12 and d v_23 are the ones the level-2 curvature
+    reads."""
     seen = []
     real = operators.ext_d
 
@@ -337,18 +298,8 @@ def test_each_exterior_derivative_is_computed_once(monkeypatch):
     assert len(seen) == len(set(seen))
     # 3 d Omega_I; the codifferentials of the 2 right-hand sides; 5 d v_I
     # (2 in the solves) and the Bianchi terms of 11 curvature entries, of
-    # which 3 are shared between the levels (d d v_i) and 3 are d Omega_I;
-    # 5 d(iota_xi v_I)
-    assert len(seen) == 3 + 2 + 5 + (11 - 3 - 3) + 5
-
-
-def test_derivatives_are_released_after_the_lie_derivatives():
-    h = _hierarchy(3, True)
-    cartan_bianchi_report(h)
-    kept = {id(f) for f, _ in h._derivatives.values()}
-    assert kept == {id(v) for v in h.v.values()}
-    involution_report(h)
-    assert h._derivatives == {}
+    # which 3 are shared between the levels (d d v_i) and 3 are d Omega_I
+    assert len(seen) == 3 + 2 + 5 + (11 - 3 - 3)
 
 
 def test_cartan_bianchi_keeps_one_connection_alive():
@@ -446,35 +397,6 @@ def test_massey_report_holds_each_field_only_while_read(monkeypatch):
     # with the pairwise Omega_ij and the core weight kept to the end; 16.4
     # now, at the last level-2 Bianchi entry
     assert _fields(peak - base, grid) < 17.0
-
-
-def test_brackets_remake_the_dropped_obstruction_forms_bit_for_bit(monkeypatch):
-    """The brackets read, for each Omega_I the hierarchy dropped, the bits
-    first made, compared as uint64, and the stored Omega_123 itself."""
-    made = {}
-    product = MasseyHierarchy.product
-
-    def kept_bits(h, key):
-        om = product(h, key)
-        made.setdefault(key, _bits(om).copy())
-        return om
-
-    monkeypatch.setattr(MasseyHierarchy, "product", kept_bits)
-    h = _hierarchy(5, True)
-    h.product((1, 3))  # as the pairwise stage makes it, for its periods
-    cartan_bianchi_report(h)
-    assert sorted(made) == sorted([*PAIRS, (1, 2, 3)]) and list(h.omega) == [(1, 2, 3)]
-    read = []
-    star = massey.hodge_star
-
-    def recorded(f):
-        read.append(_bits(f).copy())
-        return star(f)
-
-    monkeypatch.setattr(massey, "hodge_star", recorded)
-    involution_report(h)
-    for key, bits in made.items():
-        assert sum(np.array_equal(got, bits) for got in read) == 1, key
 
 
 def test_an_obstructed_interval_is_named_in_full(monkeypatch):
