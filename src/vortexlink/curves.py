@@ -210,6 +210,8 @@ class TubeParams:
     def __post_init__(self):
         if not self.radius > 0:
             raise SceneError(f"tube radius must be positive, got {self.radius}")
+        if self.flux == 0:
+            raise SceneError("tube flux must be nonzero")
 
 
 @dataclass

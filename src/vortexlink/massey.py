@@ -9,8 +9,9 @@ complement for every interval shorter than n.  The period of the top form
 Omega_{1..n} over a meridian torus is the grid's higher linking number.  The
 connection of level l is the dict {I: v_I} of every v_I with |I| <= l, keyed
 by interval as the defining system is (entry (i, j) of the paper's
-nilpotent connection matrix is the interval (i+1, ..., j)); its curvature
-and Bianchi checks and the tube-support certificate of the first integrals
+nilpotent connection matrix is the interval (i+1, ..., j)), and its
+curvature entry of an interval of length l + 1 is the stored Omega_I; the
+Bianchi checks and the tube-support certificate of the first integrals
 close the report.  `_splits` is the one enumeration of an interval's splits.
 
 Complement geometry is realized by a smooth mask vanishing on the tubes
@@ -476,7 +477,8 @@ class MasseyHierarchy:
         """Omega_I = sum of v_I' ^ v_I'' over the splits of I into a prefix I'
         and a suffix I'', added in split order: v_i ^ v_j for a pair (any
         two components), v_1 ^ v_23 + v_12 ^ v_3 for 123.  The stored form
-        when there is one, else a fresh one that the caller owns."""
+        when there is one, else a fresh one that the caller owns; also each
+        complete curvature entry (see connection_curvature)."""
         if key in self.omega:
             return self.omega[key]
         try:
@@ -527,32 +529,32 @@ def connection_curvature(h: MasseyHierarchy, v: dict) -> dict:
     both in v.  Entry (i, j) of the paper's connection matrix is the
     interval I = (i+1, ..., j).
 
-    The intervals are taken by first index, then last.  Each entry's
-    products are added into one accumulator as they are made.  d v_I is
-    computed before them, so its transforms run with fewer fields alive, and
-    added after them (the bits of d v + (sum of products)).  An entry
-    without products is the hierarchy's shared d v_I itself.  A pure product
-    entry is replaced by the stored Omega_I when their bits agree, so it
-    shares that form's derivative.  The result holds v's entries first, in
-    v's order, then the product-only entries, in the order the Bianchi
-    denominator sums them; callers must not modify its forms.
+    An interval outside v whose every split has both parts in v (at level
+    l, those of length l + 1) is complete: its entry is Omega_I by the
+    definition of the defining system, so it is `h.product(key)`, the
+    stored form when the hierarchy holds it, with no wedge made.  The other
+    entries are made by first index, then last: each entry's products are
+    added into one accumulator as they are made.  d v_I is computed before
+    them, so its transforms run with fewer fields alive, and added after
+    them (the bits of d v + (sum of products)).  An entry without products
+    is the hierarchy's shared d v_I itself.  The result holds v's entries
+    first, in v's order, then the product-only entries, in the order the
+    Bianchi denominator sums them; callers must not modify its forms.
     """
     out = dict.fromkeys(v)
     for key in _intervals(len(h.dom.link.components)):
-        # drop the last entry's accumulator before d v_I is made: when the
-        # stored Omega_I replaced it, nothing else holds it, and it would
-        # stay alive beside d v_I's transforms and raise the peak
-        acc = None
+        splits = [(head, tail) for head, tail in _splits(key) if head in v and tail in v]
+        if key not in v and splits and len(splits) == len(key) - 1:
+            out[key] = h.product(key)
+            continue
         dv = h.d(v[key]) if key in v else None
-        for head, tail in _splits(key):
-            if head in v and tail in v:
-                acc = _add_term(acc, wedge(v[head], v[tail]))
+        acc = None
+        for head, tail in splits:
+            acc = _add_term(acc, wedge(v[head], v[tail]))
         if dv is not None:
             out[key] = dv if acc is None else _add_term(acc, dv)
         elif acc is not None:
-            stored = h.omega.get(key)
-            same = stored is not None and np.array_equal(stored.comps, acc.comps)
-            out[key] = stored if same else acc
+            out[key] = acc
     return out
 
 
@@ -588,29 +590,16 @@ def bianchi_residual(h: MasseyHierarchy, v: dict, w: dict) -> float:
     return float(np.sqrt(num2 / den2)) if den2 > 0 else 0.0
 
 
-def _certify_connection(h: MasseyHierarchy, level: int, top: tuple) -> tuple:
-    """(exactness, Bianchi residual) of the connection of every v_I with
-    |I| <= level, which lives only in this call.  Exactness is
-    sup |w_top - Omega_top|, and 0.0 without a difference when that entry
-    is Omega_top."""
-    v = {key: vI for key, vI in h.v.items() if len(key) <= level}
-    w = connection_curvature(h, v)
-    w_top, stored = w[top], h.omega[top]
-    exact = 0.0 if w_top is stored else sup_abs(w_top.comps - stored.comps)
-    return exact, bianchi_residual(h, v, w)
-
-
 def cartan_bianchi_report(h: MasseyHierarchy) -> dict:
-    """Certificates of the connections of levels 1 .. n-1 of an n-component
-    hierarchy: the curvature entry w_{1..l+1} of level l, which must equal
-    Omega_{1..l+1} bit for bit, and the Bianchi residual of each level.
+    """The Bianchi residual of each connection of levels 1 .. n-1 of an
+    n-component hierarchy.
 
     One connection is built, certified and dropped at a time.  Level l's
     curvature is the shared d v_i, a fresh w_I = d v_I + (products) for each
-    v_I with 2 <= |I| <= l, the stored Omega_I of length l + 1 and, with
-    four or more components, a fresh partial product for each longer
-    interval that two of the v_I split (at level 2 of four, w_1234 =
-    v_12 ^ v_34); the fresh entries are dropped with their connection.  The
+    v_I with 2 <= |I| <= l, the stored Omega_I of length l + 1 (its complete
+    entries) and, with four or more components, a fresh partial product for
+    each longer interval that two of the v_I split (at level 2 of four,
+    w_1234 = v_12 ^ v_34); it lives only in the Bianchi call.  The
     Omega_I of length l + 1 have no later reader, so each is dropped with
     its derivative once level l is certified.  Of the kept derivatives,
     d v_I, d(d v_i) and the closedness certificates' d Omega_I of a greater
@@ -623,8 +612,8 @@ def cartan_bianchi_report(h: MasseyHierarchy) -> dict:
     n = len(h.dom.link.components)
     report = {}
     for level in range(1, n):
-        exact, bianchi = _certify_connection(h, level, tuple(range(1, level + 2)))
-        report[f"level{level}_matches_obstruction"] = checked(exact, 0.0)
+        v = {key: vI for key, vI in h.v.items() if len(key) <= level}
+        bianchi = bianchi_residual(h, v, connection_curvature(h, v))
         report[f"bianchi_level{level}"] = checked(bianchi, eps)
         later = [om for key, om in h.omega.items() if len(key) > level + 1]
         if later:

@@ -406,15 +406,15 @@ def curl_inv(b: GridField, eps_mean: float = EPS_MEAN) -> GridField:
     return GridField(b.grid, 1, irfft3(bh, b.grid.shape))
 
 
-def lie_derivative(x: GridField, f: GridField, df: GridField | None = None) -> GridField:
+def lie_derivative(x: GridField, f: GridField) -> GridField:
     """Cartan's formula: L_x f = d(iota_x f) + iota_x(d f), the second term
-    added in place; `df` is d f when the caller already holds it."""
+    added in place."""
     k = f.degree
     if k == 0:
-        return contract(x, ext_d(f) if df is None else df)
+        return contract(x, ext_d(f))
     out = ext_d(contract(x, f))
     if k <= 2:
-        out.comps += contract(x, ext_d(f) if df is None else df).comps
+        out.comps += contract(x, ext_d(f)).comps
     return out
 
 

@@ -786,6 +786,7 @@ MISTYPED_SCENES = {
     "box-N-huge": (("box", "N"), 10**400, "box N must be a finite number"),
     "box-L-negative": (("box", "L"), -1, "grid L must be positive"),
     "tube-radius-negative": (("tube", "radius"), -0.1, "tube radius must be positive"),
+    "tube-flux-zero": (("tube", "flux"), 0, "tube flux must be nonzero"),
     "reverse-string": (("components", 0, "reverse"), "no",
                        "ellipse reverse must be true or false, got 'no'"),
     "reverse-number": (("components", 0, "reverse"), 1,
