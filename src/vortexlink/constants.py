@@ -47,6 +47,22 @@ DEFAULT_TOLERANCES = {
     "cg_maxiter": 5000,
 }
 
+# Fourier shells of the co-momentum tower's random draws, in integer mode
+# magnitudes: pairwise disjoint and sumset-safe (see random_fields).
+TOWER_SHELLS = ((1.0, 2.0), (3.0, 4.0), (8.0, 10.0))
+
+# The least grid N on which the tower's products are resolved.  A shell of
+# outer radius R reaches mode floor(R) on an axis, so a product of one field
+# from each shell reaches 2 + 4 + 10 = 16 there only with all three wave
+# vectors on that axis.  There the solenoidal amplitudes are all transverse
+# to it, so the triple product nu(x1, x2, x3) vanishes, and so does
+# curl(x_i x x_j), the bracket that enters f2 with the third field.  The
+# largest mode with content is therefore 15, which folds onto a lower mode
+# exactly when N < 30 (at N = 30 it is the Nyquist mode).  Measured with
+# seeds 0-3: eq. 27 fails at N = 28 and 29 (2.9e-3 and 4.2e-3) and holds to
+# 1.4e-15 from 30 to 35.  scenes.grid_config refuses a smaller N.
+TOWER_MIN_N = 2 * (sum(int(hi) for _, hi in TOWER_SHELLS) - 1)
+
 # Fixed gates, read where they are applied and in the reports that show
 # them; no config sets them.
 EPS_DIV = 1e-10          # relative divergence for "divergence-free"

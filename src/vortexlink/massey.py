@@ -46,11 +46,13 @@ certificates.  The rules go by the length of an index range:
   level is certified.
 - The hierarchy keeps in `MasseyHierarchy.d` the exterior derivative of each
   form that more than one step reads: d Omega_I from its closedness
-  certificate to the same level's Bianchi check, d v_I from its solve's
-  residual certificate to the last level's curvature, and d(d v_i) from the
-  level-1 Bianchi check to the last level.  A kept derivative holds its
-  form too, so a dropped Omega_I is freed only once its derivative is
-  released.
+  certificate to the Bianchi check of the level whose curvature entry
+  Omega_I is, and d v_I from its solve's residual certificate to the first
+  connection that holds v_I.  That connection takes d v_I over and adds the
+  split products into its array, which is then the curvature entry w_I;
+  `MasseyHierarchy.curvature` holds it to the last level.  A kept derivative
+  holds its form too, so a dropped Omega_I is freed only once its derivative
+  is released.
 - The core weight, which only the CG reads, is dropped after the last
   solve.  The CG keeps its right-hand side and each preconditioned residual
   only until their last read.
@@ -59,12 +61,16 @@ certificates.  The rules go by the length of an index range:
 
 The certificate stages own nothing that outlives them:
 `cartan_bianchi_report` builds, certifies and drops one connection at a
-time, each curvature and Bianchi entry is summed into one accumulator as its
-terms are made (the Bianchi accumulator of a fresh curvature entry is its
-own derivative), and a shared derivative or a stored Omega_I is read and
-never written.  `cartan_bianchi_report` leaves no kept derivative and no
-stored Omega_I behind, so `involution_report` holds only the tube forms it
-deposits.
+time.  Each v_I's curvature entry is made once, in its d v_I (a disc dual's
+is d v_i itself), and its Bianchi terms once, at the first level that holds
+v_I; later levels read the entry and carry the terms as two floats, so no
+d(d v_i) outlives level 1.  Every other curvature and Bianchi entry is
+summed into one accumulator as its terms are made: the Bianchi accumulator
+of an entry with no kept derivative is its own fresh derivative, and a kept
+d Omega_I is added into the first product term's array, read and never
+written, as a stored Omega_I is.  `cartan_bianchi_report` leaves no kept
+derivative, no stored Omega_I and no curvature entry behind, so
+`involution_report` holds only the tube forms it deposits.
 """
 
 from __future__ import annotations
@@ -421,15 +427,18 @@ class MasseyHierarchy:
     `v` and `omega` are keyed by index tuples: (i,) for a disc dual and an
     interval I = (i, ..., j) for a solved v_I and a stored Omega_I.  `omega`
     holds each interval's Omega_I from obstruction_form until the last
-    connection that reads it is certified (see cartan_bianchi_report).  The
-    tube 2-forms are not kept: involution_report deposits each once (see
-    tube_form)."""
+    connection that reads it is certified (see cartan_bianchi_report).
+    `curvature` holds the curvature entry w_I of each v_I from the first
+    connection that holds v_I, which makes it in the array of d v_I, to the
+    last (see connection_curvature).  The tube 2-forms are not kept:
+    involution_report deposits each once (see tube_form)."""
 
     dom: MaskedDomain
     config: MasseyConfig
     v: dict = field(default_factory=dict)
     omega: dict = field(default_factory=dict)
     closedness: dict = field(default_factory=dict)
+    curvature: dict = field(default_factory=dict)
     # id(form) -> (form, ext_d(form)); see d()
     _derivatives: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -455,23 +464,28 @@ class MasseyHierarchy:
 
     def d(self, form: GridField) -> GridField:
         """ext_d(form), computed once per form object and kept with the form
-        until release_derivatives; neither may be mutated while kept."""
+        until release_derivatives or take_d; neither may be mutated while
+        kept."""
         hit = self._derivatives.get(id(form))
         if hit is None:
             hit = self._derivatives[id(form)] = (form, ext_d(form))
         return hit[1]
 
+    def kept_d(self, form: GridField) -> GridField | None:
+        """The kept ext_d(form), or None when there is none; never made here."""
+        hit = self._derivatives.get(id(form))
+        return None if hit is None else hit[1]
+
+    def take_d(self, form: GridField) -> GridField:
+        """ext_d(form), the kept one when there is one: it is kept no longer,
+        and the caller owns it and may write into it."""
+        hit = self._derivatives.pop(id(form), None)
+        return ext_d(form) if hit is None else hit[1]
+
     def release_derivatives(self, keep=()):
         """Drop the kept derivatives, except those of the forms in `keep`."""
         kept = {id(f) for f in keep}
         self._derivatives = {k: v for k, v in self._derivatives.items() if k in kept}
-
-    def holds(self, form: GridField) -> bool:
-        """Whether `form` is a stored Omega_I or a kept derivative, which
-        other certificates read."""
-        return any(form is f for f in self.omega.values()) or any(
-            form is df for _, df in self._derivatives.values()
-        )
 
     def product(self, key) -> GridField:
         """Omega_I = sum of v_I' ^ v_I'' over the splits of I into a prefix I'
@@ -529,64 +543,99 @@ def connection_curvature(h: MasseyHierarchy, v: dict) -> dict:
     both in v.  Entry (i, j) of the paper's connection matrix is the
     interval I = (i+1, ..., j).
 
+    The entry of an interval I in v has every split in v, so it is the same
+    at every level >= |I|: the first connection that holds v_I makes it and
+    stores it in `h.curvature`, and every later one reads it there.  It is
+    made in the array of d v_I, which the hierarchy then keeps no longer
+    (take_d): the products are added into one accumulator as they are made,
+    and that is added into d v_I (the bits of (sum of products) + d v).  A
+    disc dual's entry is d v_i itself.  Only an interval in v reads a stored
+    entry: outside v, the same interval's entry is another form.
+
     An interval outside v whose every split has both parts in v (at level
     l, those of length l + 1) is complete: its entry is Omega_I by the
     definition of the defining system, so it is `h.product(key)`, the
-    stored form when the hierarchy holds it, with no wedge made.  The other
-    entries are made by first index, then last: each entry's products are
-    added into one accumulator as they are made.  d v_I is computed before
-    them, so its transforms run with fewer fields alive, and added after
-    them (the bits of d v + (sum of products)).  An entry without products
-    is the hierarchy's shared d v_I itself.  The result holds v's entries
-    first, in v's order, then the product-only entries, in the order the
-    Bianchi denominator sums them; callers must not modify its forms.
+    stored form when the hierarchy holds it, with no wedge made.  Any other
+    interval that some split puts in reach is a fresh partial product, made
+    by first index, then last.  The result holds v's entries first, in v's
+    order, then the product-only entries, in the order the Bianchi
+    denominator sums them; callers must not modify its forms.
     """
     out = dict.fromkeys(v)
     for key in _intervals(len(h.dom.link.components)):
+        if key in v and key in h.curvature:
+            out[key] = h.curvature[key]
+            continue
         splits = [(head, tail) for head, tail in _splits(key) if head in v and tail in v]
         if key not in v and splits and len(splits) == len(key) - 1:
             out[key] = h.product(key)
             continue
-        dv = h.d(v[key]) if key in v else None
+        # d v_I first: its transforms run with fewer fields alive
+        dv = h.take_d(v[key]) if key in v else None
         acc = None
         for head, tail in splits:
             acc = _add_term(acc, wedge(v[head], v[tail]))
         if dv is not None:
-            out[key] = dv if acc is None else _add_term(acc, dv)
+            if acc is not None:
+                dv.comps += acc.comps
+                acc = None  # not alive while the next d v_I is made
+            out[key] = h.curvature[key] = dv
         elif acc is not None:
             out[key] = acc
     return out
 
 
-def bianchi_residual(h: MasseyHierarchy, v: dict, w: dict) -> float:
+def _bianchi_entry(h: MasseyHierarchy, v: dict, w: dict, key) -> GridField | None:
+    """The Bianchi entry d w_I + sum over the splits of I of +v_I' ^ w_I''
+    and then -w_I' ^ v_I'', added into one 3-form accumulator in that order
+    as the terms are made; None when it has no term.
+
+    A kept derivative (a stored Omega_I's closedness certificate) is read
+    and never written: the first product term's fresh array takes it, since
+    (+-t) + d w has the bits of d w +- t.  Any other d w_I has no other
+    reader, so it is made here and is the accumulator."""
+    wI = w.get(key)
+    kept = None if wI is None else h.kept_d(wI)
+    acc = None if wI is None or kept is not None else ext_d(wI)
+    for head, tail in _splits(key):
+        for sign, a, b in ((1, v.get(head), w.get(tail)), (-1, w.get(head), v.get(tail))):
+            if a is not None and b is not None:
+                acc = _add_term(acc, wedge(a, b), sign)
+                if kept is not None:
+                    acc, kept = _add_term(acc, kept), None
+    return acc if kept is None else kept
+
+
+def bianchi_residual(h: MasseyHierarchy, v: dict, w: dict, carried=None) -> float:
     """Masked norm of d w + v ^ w - w ^ v relative to ||w||, for the
     connection v and its curvature w.
 
-    Each interval's terms are added into one 3-form accumulator as they are
-    made: d w_I, then for each split +v ^ w before -w ^ v.  The accumulator
-    is dropped once its norm is read.  The derivative of a form the
-    hierarchy holds (a d v_i, a stored Omega_I) is kept, since the other
-    level or a certificate reads it too, and is copied; an entry made fresh
-    for this connection has no other reader, so its derivative is made
-    here, accumulated into and never kept."""
+    The numerator sums each interval's masked rms^2 (see _bianchi_entry),
+    by first index, then last; the denominator sums (masked rms(w_I) / r)^2
+    in w's order.  Each entry's accumulator is dropped once its norm is
+    read.  An interval I in v reads only forms that are the same at every
+    level >= |I|, so its two terms are too: `carried`, when given, maps
+    intervals of v to their (numerator, denominator) terms, read where
+    present and stored where made.  The sums then add the floats of a fresh
+    call in its order, which gives its bits."""
     dom = h.dom
+    r = dom.link.tube.radius
+    carried = {} if carried is None else carried
     num2 = 0.0
     for key in _intervals(len(dom.link.components)):
-        wI = w.get(key)
-        if wI is None:
-            acc = None
-        else:
-            acc = h.d(wI).copy() if h.holds(wI) else ext_d(wI)
-        for head, tail in _splits(key):
-            if head in v and tail in w:
-                acc = _add_term(acc, wedge(v[head], w[tail]))
-            if head in w and tail in v:
-                acc = _add_term(acc, wedge(w[head], v[tail]), -1)
-        if acc is not None:
-            num2 += dom.masked_rms(acc) ** 2
-            acc = None  # not alive while the next entry's terms are made
-    r = dom.link.tube.radius
-    den2 = sum((dom.masked_rms(val) / r) ** 2 for val in w.values())
+        if key in carried:
+            num2 += carried[key][0]
+            continue
+        acc = _bianchi_entry(h, v, w, key)
+        if acc is None:
+            continue
+        num = dom.masked_rms(acc) ** 2
+        acc = None  # not alive while the next entry's terms are made
+        if key in v:
+            carried[key] = (num, (dom.masked_rms(w[key]) / r) ** 2)
+        num2 += num
+    den2 = sum(carried[key][1] if key in carried else (dom.masked_rms(val) / r) ** 2
+               for key, val in w.items())
     return float(np.sqrt(num2 / den2)) if den2 > 0 else 0.0
 
 
@@ -595,33 +644,31 @@ def cartan_bianchi_report(h: MasseyHierarchy) -> dict:
     n-component hierarchy.
 
     One connection is built, certified and dropped at a time.  Level l's
-    curvature is the shared d v_i, a fresh w_I = d v_I + (products) for each
-    v_I with 2 <= |I| <= l, the stored Omega_I of length l + 1 (its complete
-    entries) and, with four or more components, a fresh partial product for
-    each longer interval that two of the v_I split (at level 2 of four,
-    w_1234 = v_12 ^ v_34); it lives only in the Bianchi call.  The
-    Omega_I of length l + 1 have no later reader, so each is dropped with
-    its derivative once level l is certified.  Of the kept derivatives,
-    d v_I, d(d v_i) and the closedness certificates' d Omega_I of a greater
-    length carry over to the next level, which reads them again.  The
-    Bianchi check makes the derivative of each fresh w_I and spends it as
-    that entry's accumulator, so it is never kept.  On return the hierarchy
-    keeps no derivative and no Omega_I.
+    curvature is the stored w_I of each v_I with |I| < l, a w_I made in
+    the array of d v_I for each |I| = l (see connection_curvature), the
+    stored Omega_I of length l + 1 (its complete entries) and, with four or
+    more components, a fresh partial product for each longer interval that
+    two of the v_I split (at level 2 of four, w_1234 = v_12 ^ v_34); a
+    fresh entry lives only in the Bianchi call.  The Bianchi terms of the
+    intervals of v are carried from level to level, so each level computes
+    those of its new intervals and of the longer ones alone, and d(d v_i)
+    is made once, at level 1.  The Omega_I of length l + 1 have no later
+    reader, so each is dropped with its derivative once level l is
+    certified; the kept derivatives of the unread v_I and of the longer
+    Omega_I carry over.  On return the hierarchy keeps no derivative, no
+    Omega_I and no curvature entry.
     """
     eps = h.config.eps_massey
     n = len(h.dom.link.components)
     report = {}
+    carried = {}
     for level in range(1, n):
         v = {key: vI for key, vI in h.v.items() if len(key) <= level}
-        bianchi = bianchi_residual(h, v, connection_curvature(h, v))
+        bianchi = bianchi_residual(h, v, connection_curvature(h, v), carried)
         report[f"bianchi_level{level}"] = checked(bianchi, eps)
-        later = [om for key, om in h.omega.items() if len(key) > level + 1]
-        if later:
-            shared = [h.d(vI) for key, vI in h.v.items() if len(key) == 1]
-            h.release_derivatives(keep=[*h.v.values(), *shared, *later])
-        else:  # the last level: no later step reads a derivative
-            h.release_derivatives()
         h.omega = {key: om for key, om in h.omega.items() if len(key) > level + 1}
+        h.release_derivatives(keep=[*h.v.values(), *h.omega.values()])
+    h.curvature = {}
     return report
 
 

@@ -13,18 +13,18 @@ the tower (cross products, brackets of pairs against the third field) has an
 exactly vanishing zero mode, which is the torus realization of the
 rapid-decay hypothesis.  Without this, the constant mode of xi1 x xi2 is a
 genuine cohomological obstruction on the torus and the potential equations
-only hold modulo constants.
+only hold modulo constants.  The shells (constants.TOWER_SHELLS) say nothing
+of what the grid can hold: the products are resolved only from
+constants.TOWER_MIN_N on.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .constants import TOWER_SHELLS
 from .grid import FORM_COMPONENTS, Grid3, GridField, sup_abs
 from .operators import _leray, _symbols, _zero_k2, irfft3, rfft3
-
-# default shells (integer mode magnitudes): pairwise disjoint and sumset-safe
-TOWER_SHELLS = ((1.0, 2.0), (3.0, 4.0), (8.0, 10.0))
 
 
 def _band_mask(grid: Grid3, kmin: float, kmax: float) -> np.ndarray:

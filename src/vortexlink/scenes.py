@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 
-from .constants import DEFAULT_TOLERANCES
+from .constants import DEFAULT_TOLERANCES, TOWER_MIN_N
 from .curves import Link, PlanarCurve, PolygonalCurve, TubeParams, circle
 from .errors import SceneError
 from .grid import Grid3
@@ -172,12 +172,15 @@ def dump_scene(path, grid: Grid3, link: Link) -> None:
 
 def grid_config(path) -> Grid3:
     """The grid of a `comomentum` config file, {"grid": {"N": ..., "L": ...}}
-    (None: no file).  N defaults to 96 and must be at least 16, L to 2 pi."""
+    (None: no file).  N defaults to 96 and must be at least
+    constants.TOWER_MIN_N (30), the least grid that resolves the tower's
+    products, so a smaller one is refused before any field is drawn; L
+    defaults to 2 pi."""
     doc = {} if path is None else read_json(path)
     grid = _only(_only(doc, {"grid"}, "config").get("grid", {}), {"N", "L"}, "grid")
     n = int(_number(grid.get("N", 96), "grid N", whole=True))
-    if n < 16:
-        raise SceneError(f"grid N must be at least 16, got {n}")
+    if n < TOWER_MIN_N:
+        raise SceneError(f"grid N must be at least {TOWER_MIN_N}, got {n}")
     return Grid3(n, float(_number(grid.get("L", 2 * np.pi), "grid L")))
 
 

@@ -43,7 +43,7 @@ from .curves import Link, PlanarCurve, TubeParams, as_polygon, min_distance, pai
 from .errors import NotPlanar, SceneError, TubeOverlap, TubeTooThin
 from .grid import Grid3, GridField
 from .interpolate import trilinear
-from .operators import curl_inv, ext_d, hodge_star, solenoidal_part, wedge
+from .operators import curl_inv, hodge_star, solenoidal_part, wedge
 
 _BUMP_POWER = 6
 # integral of (1-u^2)^p u^2 du on [0,1] = B(3/2, p+1)/2 in closed form
@@ -307,13 +307,6 @@ def link_helicity(link: Link, grid: Grid3, fields: LinkFields | None = None) -> 
     carry no self-term beyond quadrature noise)."""
     lf = fields or LinkFields.build(link, grid)
     return helicity(lf.primitive_total(), lf.omega_total())
-
-
-def tube_d_residual(om: GridField, radius: float) -> float:
-    """Closedness defect of a constructed tube 2-form, nondimensionalized by
-    the mollifier scale (gradients of omega are of order sup|omega|/radius)."""
-    n = om.sup_norm()
-    return ext_d(om).sup_norm() * radius / n if n > 0 else 0.0
 
 
 # -- surfaces -------------------------------------------------------------------

@@ -536,7 +536,7 @@ MALFORMED_CONFIGS = {
     "grid-number": ("comomentum", {"grid": 32}, "grid must be a JSON object"),
     "N-fraction": ("comomentum", {"grid": {"N": 32.7}}, "grid N must be a whole number"),
     "N-string": ("comomentum", {"grid": {"N": "32"}}, "grid N must be a finite number"),
-    "N-small": ("comomentum", {"grid": {"N": 8}}, "grid N must be at least 16, got 8"),
+    "N-small": ("comomentum", {"grid": {"N": 8}}, "grid N must be at least 30, got 8"),
     "L-string": ("comomentum", {"grid": {"L": "6.28"}}, "grid L must be a finite number"),
     "L-negative": ("comomentum", {"grid": {"L": -1}}, "grid L must be positive"),
     "grid-unknown-key": ("comomentum", {"grid": {"n": 32}},

@@ -23,8 +23,9 @@ from vortexlink.comomentum import (
     tower_bracket,
     triple_evaluation_residual,
 )
+from vortexlink.constants import TOWER_MIN_N
 from vortexlink.curves import circle
-from vortexlink.errors import NotDivergenceFree
+from vortexlink.errors import NotDivergenceFree, SceneError
 from vortexlink.grid import Grid3, GridField, cross, dot
 from vortexlink.operators import codiff, ext_d
 from vortexlink.random_fields import (
@@ -34,6 +35,7 @@ from vortexlink.random_fields import (
     tower_triple,
 )
 from vortexlink.reports import StageTimer
+from vortexlink.scenes import grid_config
 
 
 def test_hydro_bracket_antisymmetry(grid32, rng):
@@ -264,6 +266,33 @@ def test_comomentum_report_passes(grid32, rng):
         ident = pair_identities(x, c)
         assert ident["eq26"] < 1e-6
         assert ident["eq29"] < 1e-6
+
+
+def _failed_gates(n, seed):
+    section = comomentum_report(Grid3(n, 2 * np.pi), np.random.default_rng(seed), 1, 1,
+                                StageTimer())
+    return sorted(k for k, v in section.items() if "pass" in v and not v["pass"])
+
+
+@pytest.mark.parametrize("n", range(TOWER_MIN_N, TOWER_MIN_N + 6))
+def test_every_gate_passes_from_the_grid_floor(n):
+    """From the least grid the config accepts up, odd N and even, the
+    command's every gate passes (seeds 0-3)."""
+    assert [_failed_gates(n, seed) for seed in range(4)] == [[]] * 4
+
+
+def test_the_grid_floor_is_the_least_that_resolves_the_tower(tmp_path):
+    """One grid below the floor folds the tower's top mode onto a lower one
+    and eq. 27 fails; the config refuses that grid before any field is
+    drawn."""
+    assert TOWER_MIN_N == 30
+    assert _failed_gates(TOWER_MIN_N - 1, 0) == ["eq27"]
+    path = tmp_path / "config.json"
+    path.write_text('{"grid": {"N": %d}}' % (TOWER_MIN_N - 1))
+    with pytest.raises(SceneError, match=f"at least {TOWER_MIN_N}, got {TOWER_MIN_N - 1}"):
+        grid_config(path)
+    path.write_text('{"grid": {"N": %d}}' % TOWER_MIN_N)
+    assert grid_config(path) == Grid3(TOWER_MIN_N, 2 * np.pi)
 
 
 # -- lifetimes, in units of one (3, N, N, N) float64 field -------------------

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import borromean_venn
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -85,8 +86,6 @@ def test_hopf_diagram_structure():
 
 def test_borromean_diagram_structure():
     # the classical Venn drawing projects to the minimal 6-crossing diagram
-    from vortexlink.curves import borromean_venn
-
     d = diagram_from_curves(borromean_venn().components, (0.02, -0.03, 1.0))
     assert len(d.crossings) == 6
     assert [len(a) for a in d.arcs] == [2, 2, 2]

@@ -217,20 +217,32 @@ def test_cartan_bianchi_leaves_no_derivative_and_no_obstruction_form(n):
     the top Omega_{1..n}: nothing is held past the certificates."""
     h = _hierarchy(7, True, n)
     cartan_bianchi_report(h)
-    assert h._derivatives == {} and h.omega == {}
+    assert h._derivatives == {} and h.omega == {} and h.curvature == {}
 
 
 @pytest.mark.parametrize("n, counts", [
     (3, {"wedge": 16, "ext_d": 10, "bianchi_residual": 2}),
-    (4, {"wedge": 59, "ext_d": 22, "bianchi_residual": 3}),
+    (4, {"wedge": 50, "ext_d": 19, "bianchi_residual": 3}),
 ], ids=["three", "four"])
 def test_cartan_bianchi_makes_one_curvature_per_level(n, counts, monkeypatch):
     """Each level's curvature is made once and read by its Bianchi check,
     and the Bianchi residual runs once per certified level (the span a
-    traced run times).  The wedges are those of one curvature, whose
-    complete entries are the stored Omega_I and need none, and one Bianchi
-    check per level; the derivatives are the fresh d v_I and d w_I beside
-    the shared ones."""
+    traced run times).  The wedges are those of each solved entry w_I, made
+    once, at level |I|, of the partial products, and of each level's
+    Bianchi entries beyond the carried ones; the complete entries are the
+    stored Omega_I and need none.  The derivatives are each d v_I, taken
+    once, and the fresh d w_I of each new entry.
+
+    With four components the curvature makes 8 wedges (w_12, w_23, w_34 at
+    level 2, the partial w_1234 = v_12 ^ v_34, and two each for w_123 and
+    w_234 at level 3) and the Bianchi checks 10 + 18 + 14; the 59 before
+    rebuilt w_12, w_23 and w_34 at level 3 (3) and their Bianchi entries
+    (6).  The derivatives are 4 d v_i and 4 d(d v_i) at level 1, 3 d v_I,
+    3 d w_I and d w_1234 at level 2, and 2 d v_I and 2 d w_I at level 3: 19,
+    where the 22 before took d w_12, d w_23 and d w_34 again at level 3.
+    With three components the counts are as before: level 2 carries only
+    the disc duals' entries, which make no wedge, and it read their
+    d(d v_i) from the kept ones before."""
     h = _hierarchy(7, True, n)
     calls = dict.fromkeys(counts, 0)
 
@@ -246,6 +258,47 @@ def test_cartan_bianchi_makes_one_curvature_per_level(n, counts, monkeypatch):
         monkeypatch.setattr(massey, name, counting(name))
     cartan_bianchi_report(h)
     assert calls == counts
+
+
+@pytest.mark.parametrize("n", [3, 4], ids=["three", "four"])
+def test_solved_entries_and_bianchi_terms_are_carried(n, monkeypatch):
+    """A solved interval's curvature entry is made once, in the array of
+    the d v_I that the hierarchy kept, and is the same object at every level
+    >= |I|; no d(d v_i) is kept after level 1; and the Bianchi terms carried
+    from level to level are those a fresh call computes, bit for bit."""
+    h = _hierarchy(7, True, n)
+    # the derivatives a run's solves keep
+    dv = {key: h.d(vI) for key, vI in h.v.items() if len(key) > 1}
+    made, checked_levels = {}, []
+    curvature, residual = massey.connection_curvature, massey.bianchi_residual
+
+    def watched_curvature(h, v):
+        level = max(map(len, v))
+        if level > 1:
+            assert not any(id(made[1][(i,)]) in h._derivatives for i in range(1, n + 1))
+        made[level] = w = curvature(h, v)
+        return w
+
+    def watched_residual(h, v, w, carried):
+        value = residual(h, v, w, carried)
+        fresh = {}
+        assert residual(h, v, w, fresh) == value
+        assert {key: tuple(map(float.hex, t)) for key, t in carried.items()} == {
+            key: tuple(map(float.hex, t)) for key, t in fresh.items()}
+        assert set(carried) == set(v)
+        checked_levels.append(max(map(len, v)))
+        return value
+
+    monkeypatch.setattr(massey, "connection_curvature", watched_curvature)
+    monkeypatch.setattr(massey, "bianchi_residual", watched_residual)
+    cartan_bianchi_report(h)
+    assert checked_levels == list(range(1, n))
+    for key, vI in h.v.items():
+        levels = range(len(key), n)
+        assert all(made[level][key] is made[len(key)][key] for level in levels), key
+        if key in dv:
+            assert made[len(key)][key] is dv[key], key
+    assert h._derivatives == {}
 
 
 @pytest.mark.parametrize("n", [3, 4], ids=["three", "four"])
@@ -325,9 +378,10 @@ def test_cartan_bianchi_keeps_one_connection_alive():
     _, base, peak = _traced(lambda: cartan_bianchi_report(h))
     # 14.9 fields above the hierarchy with both connections, every term list
     # and the stacked products alive at once; 11.9 with one accumulator per
-    # entry; 10.5 now that a fresh entry's Bianchi derivative is the
-    # accumulator itself and ext_d of a 2-form sums inside its own spectrum
-    assert _fields(peak - base, h.dom.grid) < 11.0
+    # entry; 9.8 with a fresh entry's Bianchi derivative as the accumulator
+    # itself and ext_d of a 2-form summing inside its own spectrum; 6.9 now
+    # that each w_I is made once, in its d v_I, and no d(d v_i) is kept
+    assert _fields(peak - base, h.dom.grid) < 7.5
 
 
 class _TubeTimer(_LiveTimer):
@@ -409,9 +463,10 @@ def test_massey_report_holds_each_field_only_while_read(monkeypatch):
     assert _fields(timer.live["involution"] - timer.live["oracle"], grid) < 0.1
     # 23.4 fields with the tube forms kept from the first stage to the last
     # and the fresh level-2 Bianchi derivatives kept through the stage; 19.7
-    # with the pairwise Omega_ij and the core weight kept to the end; 16.4
-    # now, at the last level-2 Bianchi entry
-    assert _fields(peak - base, grid) < 17.0
+    # with the pairwise Omega_ij and the core weight kept to the end; 16.1
+    # with a second w_I array beside each kept d v_I and d(d v_i) kept to
+    # the last level; 12.9 now
+    assert _fields(peak - base, grid) < 13.5
 
 
 def test_an_obstructed_interval_is_named_in_full(monkeypatch):
